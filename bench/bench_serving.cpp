@@ -110,7 +110,7 @@ HttpReply request(int port, const std::string& verb, const std::string& path,
 HttpReply solve(int port, double deadline_ms) {
   std::string body = "{\"case\": \"channel\", \"re\": 2500";
   if (deadline_ms > 0.0) {
-    body += ", \"deadline_ms\": " + bench::json_number(deadline_ms);
+    body += ", \"deadline_ms\": " + util::json::number(deadline_ms);
   }
   body += "}";
   return request(port, "POST", "/solve", body);
@@ -407,16 +407,16 @@ int main() {
       storm_s > 0.0 ? static_cast<double>(storm_n) / storm_s : 0.0;
 
   util::Table table({"phase", "metric", "value"});
-  table.add_row({"baseline", "p50_ms", bench::json_number(base_p50 * 1e3)});
-  table.add_row({"baseline", "p99_ms", bench::json_number(base_p99 * 1e3)});
+  table.add_row({"baseline", "p50_ms", util::json::number(base_p50 * 1e3)});
+  table.add_row({"baseline", "p99_ms", util::json::number(base_p99 * 1e3)});
   table.add_row({"overload", "admitted_p50_ms",
-                 bench::json_number(adm_p50 * 1e3)});
+                 util::json::number(adm_p50 * 1e3)});
   table.add_row({"overload", "admitted_p99_ms",
-                 bench::json_number(adm_p99 * 1e3)});
-  table.add_row({"overload", "shed_rate", bench::json_number(shed_rate)});
-  table.add_row({"overload", "qps", bench::json_number(qps)});
+                 util::json::number(adm_p99 * 1e3)});
+  table.add_row({"overload", "shed_rate", util::json::number(shed_rate)});
+  table.add_row({"overload", "qps", util::json::number(qps)});
   table.add_row({"overload", "deadline_hit_rate",
-                 bench::json_number(deadline_hit_rate)});
+                 util::json::number(deadline_hit_rate)});
   bench::emit(table, "bench_serving");
 
   bench::JsonObject accept;

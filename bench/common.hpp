@@ -27,6 +27,7 @@
 #include "data/cases.hpp"
 #include "data/dataset.hpp"
 #include "nn/serialize.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -172,33 +173,12 @@ inline void emit(const util::Table& table, const std::string& name) {
 // minimal (ordered insertion, no dependency): numbers, strings, booleans,
 // and nesting via raw sub-documents.
 
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-inline std::string json_number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
 /// Ordered {"key": value} builder. Values: numbers, strings, bools, or raw
 /// pre-encoded JSON (for nesting objects/arrays).
 class JsonObject {
  public:
   JsonObject& add(const std::string& key, double v) {
-    return add_raw(key, json_number(v));
+    return add_raw(key, util::json::number(v));
   }
   JsonObject& add(const std::string& key, long long v) {
     return add_raw(key, std::to_string(v));
@@ -211,7 +191,7 @@ class JsonObject {
   }
   JsonObject& add(const std::string& key, const std::string& v) {
     std::string quoted = "\"";
-    quoted += json_escape(v);
+    quoted += util::json::escape(v);
     quoted += '"';
     return add_raw(key, quoted);
   }
@@ -221,7 +201,7 @@ class JsonObject {
   JsonObject& add_raw(const std::string& key, const std::string& json) {
     if (!first_) body_ += ", ";
     body_ += '"';
-    body_ += json_escape(key);
+    body_ += util::json::escape(key);
     body_ += "\": ";
     body_ += json;
     first_ = false;

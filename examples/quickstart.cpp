@@ -1,9 +1,8 @@
 // Quickstart: solve one of the paper's flow cases at LR resolution and
 // print residual history and a velocity profile.
 //
-// Usage: quickstart [case] [Re] [shrink] [pressure_sweeps] [sor_omega]
-//                   [alpha_p] [alpha_u] [solve_sa] [momentum_sweeps]
-//                   [alpha_nt]
+// Usage: quickstart [case] [Re] [shrink] [alpha_p] [alpha_u] [solve_sa]
+//                   [momentum_sweeps] [alpha_nt]
 //   case: channel | plate | cylinder | naca0012 | naca1412  (default channel)
 #include <cstdio>
 #include <cstdlib>
@@ -48,13 +47,11 @@ int main(int argc, char** argv) {
                            mesh::RefinementMap(spec.npy(), spec.npx(), 0));
   solver::SolverConfig cfg;
   cfg.log_every = 100;
-  if (argc > 4) cfg.pressure_sweeps = std::atoi(argv[4]);
-  if (argc > 5) cfg.sor_omega = std::atof(argv[5]);
-  if (argc > 6) cfg.alpha_p = std::atof(argv[6]);
-  if (argc > 7) cfg.alpha_u = std::atof(argv[7]);
-  if (argc > 8) cfg.solve_sa = std::atoi(argv[8]) != 0;
-  if (argc > 9) cfg.momentum_sweeps = std::atoi(argv[9]);
-  if (argc > 10) cfg.alpha_nt = std::atof(argv[10]);
+  if (argc > 4) cfg.alpha_p = std::atof(argv[4]);
+  if (argc > 5) cfg.alpha_u = std::atof(argv[5]);
+  if (argc > 6) cfg.solve_sa = std::atoi(argv[6]) != 0;
+  if (argc > 7) cfg.momentum_sweeps = std::atoi(argv[7]);
+  if (argc > 8) cfg.alpha_nt = std::atof(argv[8]);
 
   solver::RansSolver rans(mesh, cfg);
   auto f = mesh::make_field(mesh);
@@ -64,6 +61,11 @@ int main(int argc, char** argv) {
   std::printf("converged=%d iterations=%d residual=%.3e time=%.2fs\n",
               stats.converged, stats.iterations, stats.residual,
               stats.seconds);
+  const solver::PhaseTimes& ph = stats.phase_seconds;
+  std::printf("phases: momentum=%.3fs rhie_chow=%.3fs pressure=%.3fs "
+              "sa=%.3fs ghosts=%.3fs glue=%.3fs\n",
+              ph.momentum, ph.rhie_chow, ph.pressure, ph.sa, ph.ghosts,
+              stats.seconds - ph.total());
 
   // Velocity profile at x = 0.6 Lx (through the wake for body cases).
   const auto uni = mesh::to_uniform(f, mesh, 0);

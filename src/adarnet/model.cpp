@@ -8,7 +8,6 @@
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
 #include "util/reqctx.hpp"
-#include "util/timer.hpp"
 #include "util/trace.hpp"
 
 namespace adarnet::core {
@@ -93,22 +92,26 @@ nn::Tensor AdarNet::make_decoder_batch(const nn::Tensor& lr_norm,
 }
 
 InferenceResult AdarNet::infer(const field::FlowField& lr) {
-  // Per-stage observability (DESIGN.md §9): scorer forward, rank, per-bin
-  // batch assembly and decoder forward, plus a bin-occupancy histogram.
+  // Per-stage observability (DESIGN.md §9): one scope per stage feeds the
+  // stage's inclusive ".ns" counter, its trace event, and (via the call's
+  // scope) the bound request's infer phase; plus a bin-occupancy histogram.
   namespace metrics = util::metrics;
-  metrics::Counter& m_calls = metrics::counter("infer.calls");
-  metrics::Counter& m_ns = metrics::counter("infer.ns");
-  metrics::Counter& m_scorer_ns = metrics::counter("infer.scorer.ns");
-  metrics::Counter& m_rank_ns = metrics::counter("infer.rank.ns");
-  metrics::Counter& m_batch_ns = metrics::counter("infer.batch.ns");
-  metrics::Counter& m_decoder_ns = metrics::counter("infer.decoder.ns");
-  metrics::Histogram& m_occupancy =
+  using util::trace::Site;
+  using util::trace::Span;
+  static const Site kInfer{"infer", &metrics::counter("infer.ns"),
+                           util::reqctx::Phase::kInfer};
+  static const Site kScorer{"infer.scorer",
+                            &metrics::counter("infer.scorer.ns")};
+  static const Site kRank{"infer.rank", &metrics::counter("infer.rank.ns")};
+  static const Site kBatch{"infer.batch", &metrics::counter("infer.batch.ns")};
+  static const Site kDecoder{"infer.decoder",
+                             &metrics::counter("infer.decoder.ns")};
+  static metrics::Counter& m_calls = metrics::counter("infer.calls");
+  static metrics::Histogram& m_occupancy =
       metrics::histogram("infer.bin.occupancy");
-  const util::trace::Span infer_span("infer");
-  const metrics::ScopedNs infer_timer(m_ns);
+  Span infer_span(kInfer);
   m_calls.add();
 
-  util::WallTimer timer;
   nn::memory::reset_peak();
   const std::int64_t base_bytes = nn::memory::peak_bytes();
 
@@ -120,14 +123,12 @@ InferenceResult AdarNet::infer(const field::FlowField& lr) {
   const nn::Tensor input = data::to_tensor(lr, stats_);
   ScorerOutput scored;
   {
-    const util::trace::Span span("infer.scorer");
-    const metrics::ScopedNs t(m_scorer_ns);
+    const Span span(kScorer);
     scored = scorer_.forward(input, /*train=*/false);
   }
   std::vector<Bin> bins;
   {
-    const util::trace::Span span("infer.rank");
-    const metrics::ScopedNs t(m_rank_ns);
+    const Span span(kRank);
     bins = rank(scored.scores, config_.bins);
   }
   for (const Bin& bin : bins) {
@@ -148,20 +149,18 @@ InferenceResult AdarNet::infer(const field::FlowField& lr) {
                                  hw_bin, (config_.pw << bin.level))
             .workspace_bytes);
   }
-  nn::Arena::global().reserve(static_cast<std::size_t>(decoder_ws));
+  nn::Arena::local().reserve(static_cast<std::size_t>(decoder_ws));
   for (const Bin& bin : bins) {
     if (bin.patch_ids.empty()) continue;
     nn::Tensor batch;
     {
-      const util::trace::Span span("infer.batch");
-      const metrics::ScopedNs t(m_batch_ns);
+      const Span span(kBatch);
       batch = make_decoder_batch(input, bin.patch_ids, bin.level, npx, npy);
     }
     modeled += decoder_
                    .estimate_memory(batch.n(), batch.h(), batch.w())
                    .total();
-    const util::trace::Span span("infer.decoder");
-    const metrics::ScopedNs t(m_decoder_ns);
+    const Span span(kDecoder);
     nn::Tensor out = decoder_.forward(batch, /*train=*/false);
     for (std::size_t s = 0; s < bin.patch_ids.size(); ++s) {
       PatchPrediction pred;
@@ -180,13 +179,10 @@ InferenceResult AdarNet::infer(const field::FlowField& lr) {
     util::fault::corrupt("adarnet.infer.nan", u0.data(), u0.size());
   }
 
-  result.seconds = timer.seconds();
+  result.seconds = infer_span.stop();
   result.measured_peak_bytes = nn::memory::peak_bytes() - base_bytes;
   result.modeled_bytes = modeled;
-  // Per-request attribution (DESIGN.md §15): the forward pass runs on the
-  // thread the serving request is bound to.
   if (util::reqctx::RequestContext* ctx = util::reqctx::current()) {
-    ctx->add_phase(util::reqctx::Phase::kInfer, result.seconds);
     ctx->count("infer.calls", 1);
   }
   return result;

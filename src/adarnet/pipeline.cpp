@@ -8,7 +8,6 @@
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/reqctx.hpp"
-#include "util/timer.hpp"
 #include "util/trace.hpp"
 
 namespace adarnet::core {
@@ -131,13 +130,13 @@ bool solve_failed(const solver::SolveStats& stats,
 
 PipelineResult run_adarnet_pipeline(AdarNet& model, const mesh::CaseSpec& spec,
                                     const PipelineConfig& config) {
-  util::WallTimer timer;
-  const util::trace::Span span("pipeline.lr_solve");
   solver::SolverConfig lr_cfg = config.lr_solver;
   if (config.cancel != nullptr) lr_cfg.cancel = config.cancel;
   solver::SolveStats lr_stats;
-  field::FlowField lr = data::solve_lr(spec, lr_cfg, &lr_stats);
-  return run_adarnet_pipeline(model, spec, config, lr, timer.seconds(),
+  util::trace::Span span("pipeline.lr_solve");
+  const field::FlowField lr = data::solve_lr(spec, lr_cfg, &lr_stats);
+  const double lr_seconds = span.stop();
+  return run_adarnet_pipeline(model, spec, config, lr, lr_seconds,
                               lr_stats.iterations);
 }
 
@@ -147,12 +146,16 @@ PipelineResult run_adarnet_pipeline(AdarNet& model, const mesh::CaseSpec& spec,
                                     double lr_seconds, int lr_iterations) {
   // Observability (DESIGN.md §9): run/solve counters, solver retry attempts
   // and which rung of the degradation ladder the run ended on.
+  // The pipeline scope's self time — mesh/field assembly, sanitization,
+  // map validation — is the bound request's pipeline glue (DESIGN.md §15);
+  // inference and the solves attribute themselves.
   namespace metrics = util::metrics;
+  static constexpr util::trace::Site kPipeline{
+      "pipeline", nullptr, util::reqctx::Phase::kPipelineGlue};
   metrics::Counter& m_runs = metrics::counter("pipeline.runs");
   metrics::Counter& m_solves = metrics::counter("pipeline.solves");
   metrics::Counter& m_attempts = metrics::counter("pipeline.solver.attempts");
-  const util::trace::Span pipeline_span("pipeline");
-  util::WallTimer pipeline_timer;
+  const util::trace::Span pipeline_span(kPipeline);
   m_runs.add();
 
   PipelineResult result;
@@ -308,15 +311,9 @@ PipelineResult run_adarnet_pipeline(AdarNet& model, const mesh::CaseSpec& spec,
                 << "s ps=" << result.ps_seconds << "s ("
                 << result.ps_iterations << " iters)";
 
-  // Per-request attribution (DESIGN.md §15): the ladder outcome plus the
-  // pipeline's own glue — mesh/field assembly, sanitization, map
-  // validation — as a measured remainder (this pipeline's wall minus the
-  // inference and solve walls, which attribute themselves).
+  // Per-request attribution (DESIGN.md §15): the ladder outcome.
   if (util::reqctx::RequestContext* ctx = util::reqctx::current()) {
     ctx->meta.fallback_stage = to_string(result.fallback_stage);
-    ctx->add_phase(util::reqctx::Phase::kPipelineGlue,
-                   std::max(0.0, pipeline_timer.seconds() -
-                                     result.inf_seconds - result.ps_seconds));
     ctx->count("pipeline.runs", 1);
     ctx->count("pipeline.solves", result.ps_solves);
     ctx->count("pipeline.iterations", result.ps_iterations);

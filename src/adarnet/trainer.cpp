@@ -17,7 +17,6 @@
 #include "util/fault.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
-#include "util/timer.hpp"
 #include "util/trace.hpp"
 
 namespace adarnet::core {
@@ -168,11 +167,16 @@ TrainStats train(AdarNet& model, const data::Dataset& dataset,
   // Observability instruments (DESIGN.md §9). Lookups are once-per-call;
   // updates inside the loops are relaxed atomics.
   namespace metrics = util::metrics;
+  using util::trace::Site;
+  using util::trace::Span;
+  const Site epoch_site{"train.epoch", &metrics::counter("train.epoch.ns")};
+  const Site scorer_site{"train.scorer", &metrics::counter("train.scorer.ns")};
+  const Site decoder_site{"train.decoder",
+                          &metrics::counter("train.decoder.ns"),
+                          util::trace::kInherit, false};
+  const Site loss_site{"train.loss", &metrics::counter("train.loss.ns"),
+                       util::trace::kInherit, false};
   metrics::Counter& m_epochs = metrics::counter("train.epochs");
-  metrics::Counter& m_epoch_ns = metrics::counter("train.epoch.ns");
-  metrics::Counter& m_scorer_ns = metrics::counter("train.scorer.ns");
-  metrics::Counter& m_decoder_ns = metrics::counter("train.decoder.ns");
-  metrics::Counter& m_loss_ns = metrics::counter("train.loss.ns");
   metrics::Counter& m_skipped = metrics::counter("train.steps.skipped");
   metrics::Counter& m_rollbacks = metrics::counter("train.rollbacks");
   metrics::Counter& m_checkpoints = metrics::counter("train.checkpoints");
@@ -236,8 +240,7 @@ TrainStats train(AdarNet& model, const data::Dataset& dataset,
   std::iota(order.begin(), order.end(), 0);
 
   for (int epoch = stats.start_epoch; epoch < config.epochs; ++epoch) {
-    const util::trace::Span epoch_span("train.epoch");
-    const metrics::ScopedNs epoch_timer(m_epoch_ns);
+    const Span epoch_span(epoch_site);
     std::shuffle(order.begin(), order.end(), rng.engine());
     double scorer_acc = 0.0;
     double data_acc = 0.0;
@@ -254,8 +257,7 @@ TrainStats train(AdarNet& model, const data::Dataset& dataset,
       const int npx = target.w();
 
       if (config.train_scorer) {
-        const util::trace::Span span("train.scorer");
-        const metrics::ScopedNs timer(m_scorer_ns);
+        const Span span(scorer_site);
         scorer_opt.zero_grad();
         auto scored = model.scorer().forward(lr_norm, /*train=*/true);
         const double loss = nn::mse_loss(scored.scores, target);
@@ -274,7 +276,7 @@ TrainStats train(AdarNet& model, const data::Dataset& dataset,
       }
 
       if (config.train_decoder) {
-        const util::trace::Span span("train.decoder");
+        const Span span("train.decoder");
         decoder_opt.zero_grad();
         // Teacher-forced binning from the physics-derived target.
         const auto bins = rank(target, model.config().bins);
@@ -290,7 +292,7 @@ TrainStats train(AdarNet& model, const data::Dataset& dataset,
                           ph << bin.level, pw << bin.level)
                       .workspace_bytes);
         }
-        nn::Arena::global().reserve(static_cast<std::size_t>(ws));
+        nn::Arena::local().reserve(static_cast<std::size_t>(ws));
         double sample_data = 0.0;
         double sample_pde = 0.0;
         long sample_patches = 0;
@@ -301,7 +303,7 @@ TrainStats train(AdarNet& model, const data::Dataset& dataset,
           if (bin.patch_ids.empty()) continue;
           nn::Tensor out;
           {
-            const metrics::ScopedNs timer(m_decoder_ns);
+            const Span timer(decoder_site);
             nn::Tensor batch = model.make_decoder_batch(
                 lr_norm, bin.patch_ids, bin.level, npx, npy);
             out = model.decoder().forward(batch, /*train=*/true);
@@ -310,7 +312,7 @@ TrainStats train(AdarNet& model, const data::Dataset& dataset,
           double d = 0.0;
           double p = 0.0;
           {
-            const metrics::ScopedNs timer(m_loss_ns);
+            const Span timer(loss_site);
             std::tie(d, p) = hybrid_loss(out, bin.patch_ids, bin.level,
                                          sample, model.stats(), ph, pw,
                                          config.lambda_pde, config.residual,
@@ -323,10 +325,10 @@ TrainStats train(AdarNet& model, const data::Dataset& dataset,
             grad.fill(std::numeric_limits<float>::quiet_NaN());
             poison = false;
           }
-          const metrics::ScopedNs timer(m_decoder_ns);
+          const Span timer(decoder_site);
           model.decoder().backward(grad);
         }
-        const metrics::ScopedNs timer(m_decoder_ns);
+        const Span timer(decoder_site);
         if (config.skip_nonfinite &&
             (!std::isfinite(sample_data) || !std::isfinite(sample_pde) ||
              !nn::grads_finite(decoder_params))) {

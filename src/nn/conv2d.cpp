@@ -11,7 +11,7 @@
 #include "nn/gemm.hpp"
 #include "nn/im2col.hpp"
 #include "util/metrics.hpp"
-#include "util/timer.hpp"
+#include "util/trace.hpp"
 
 namespace adarnet::nn {
 
@@ -41,7 +41,8 @@ std::atomic<Precision>& default_precision_atomic() {
 
 // Layer-level roofline accounting (both engines, forward and backward):
 // cumulative FLOPs / compulsory bytes / wall time plus the derived
-// achieved-GF/s and arithmetic-intensity gauges. The GEMM engine's inner
+// achieved-GF/s and arithmetic-intensity gauges. The wall time is one
+// event-free scope per call feeding nn.conv.ns; the GEMM engine's inner
 // sgemm calls additionally land in the nn.gemm.* family.
 struct ConvInstruments {
   adarnet::util::metrics::Counter& calls =
@@ -56,14 +57,15 @@ struct ConvInstruments {
       adarnet::util::metrics::gauge("nn.conv.gflops_per_s");
   adarnet::util::metrics::Gauge& intensity =
       adarnet::util::metrics::gauge("nn.conv.arithmetic_intensity");
+  const adarnet::util::trace::Site scope{
+      "nn.conv", &ns, adarnet::util::trace::kInherit, false};
 };
 
-void account_conv(std::int64_t flop, std::int64_t byte, double seconds) {
-  static ConvInstruments ins;
+void account_conv(ConvInstruments& ins, std::int64_t flop,
+                  std::int64_t byte) {
   ins.calls.add();
   ins.flops.add(flop);
   ins.bytes.add(byte);
-  ins.ns.add_seconds(seconds);
   const double total_flops = static_cast<double>(ins.flops.value());
   const double total_ns = static_cast<double>(ins.ns.value());
   const double total_bytes = static_cast<double>(ins.bytes.value());
@@ -192,17 +194,17 @@ Tensor Conv2D::forward(const Tensor& input, bool train) {
   // Zero-copy cache: alias the caller's storage. Nothing mutates the
   // input between forward and backward (see layer.hpp contract).
   if (train) cached_input_ = input.share();
-  const bool measure = util::metrics::enabled();
-  util::WallTimer timer;
+  static ConvInstruments ins;
+  util::trace::Span span(ins.scope);
   // Reduced precision applies to inference forwards only; a training
   // forward must produce the activations backward() differentiates.
   const Precision prec = train ? Precision::kFp32 : precision_;
   Tensor out = engine_ == Engine::kGemm ? forward_gemm(input, prec)
                                         : forward_direct(input);
-  if (measure) {
-    account_conv(forward_flops(input.n(), input.h(), input.w()),
-                 forward_bytes(input.n(), input.h(), input.w()),
-                 timer.seconds());
+  span.stop();
+  if (util::metrics::enabled()) {
+    account_conv(ins, forward_flops(input.n(), input.h(), input.w()),
+                 forward_bytes(input.n(), input.h(), input.w()));
   }
   return out;
 }
@@ -211,14 +213,15 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
   if (cached_input_.empty()) {
     throw std::logic_error("Conv2D::backward without forward(train=true)");
   }
-  const bool measure = util::metrics::enabled();
-  util::WallTimer timer;
+  static ConvInstruments ins;
+  util::trace::Span span(ins.scope);
   Tensor grad = engine_ == Engine::kGemm ? backward_gemm(grad_output)
                                          : backward_direct(grad_output);
-  if (measure) {
+  span.stop();
+  if (util::metrics::enabled()) {
     const Tensor& in = cached_input_;
-    account_conv(backward_flops(in.n(), in.h(), in.w()),
-                 backward_bytes(in.n(), in.h(), in.w()), timer.seconds());
+    account_conv(ins, backward_flops(in.n(), in.h(), in.w()),
+                 backward_bytes(in.n(), in.h(), in.w()));
   }
   return grad;
 }
@@ -228,7 +231,7 @@ const float* Conv2D::gemm_weights() {
   const int k = kernel_;
   const int kk = k * k;
   const std::size_t K = static_cast<std::size_t>(in_channels_) * kk;
-  float* packed = Arena::global().alloc_floats(
+  float* packed = Arena::local().alloc_floats(
       static_cast<std::size_t>(out_channels_) * K);
   const float* w = weight_->value.data();
   for (int o = 0; o < out_channels_; ++o) {
@@ -253,7 +256,7 @@ Tensor Conv2D::forward_gemm(const Tensor& input, Precision precision) {
   const int N = h * w;
   Tensor out(n, M, h, w);
 
-  Arena& arena = Arena::global();
+  Arena& arena = Arena::local();
   arena.reserve(static_cast<std::size_t>(workspace_bytes(n, in_channels_, h,
                                                          w)));
   const std::size_t m0 = arena.mark();
@@ -288,7 +291,7 @@ Tensor Conv2D::backward_gemm(const Tensor& grad_output) {
   const int N = h * w;
   Tensor grad_input(n, in_channels_, h, w);
 
-  Arena& arena = Arena::global();
+  Arena& arena = Arena::local();
   std::size_t need = arena_round(static_cast<std::size_t>(M) * K) +
                      2 * arena_round(static_cast<std::size_t>(K) * N);
   if (flipped_) need += arena_round(static_cast<std::size_t>(M) * K);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <mutex>
 #include <new>
 #include <type_traits>
 
@@ -9,7 +10,7 @@
 #include "nn/tensor.hpp"  // memory counters
 #include "nn/tune.hpp"
 #include "util/metrics.hpp"
-#include "util/timer.hpp"
+#include "util/trace.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
@@ -315,9 +316,28 @@ Arena::~Arena() {
   for (const Block& blk : overflow_) raw_free(blk.ptr, blk.floats);
 }
 
-Arena& Arena::global() {
-  static Arena arena;
-  return arena;
+Arena& Arena::local() {
+  // Arenas outlive their threads in a process-wide pool, so a restarted
+  // serving worker leases the previous worker's warm arena instead of
+  // growing a fresh one. Pool and arenas are leaked: threads return their
+  // lease during exit.
+  static std::mutex* pool_mu = new std::mutex();
+  static std::vector<Arena*>* pool = new std::vector<Arena*>();
+  struct Lease {
+    Arena* arena = nullptr;
+    Lease() {
+      std::lock_guard<std::mutex> lock(*pool_mu);
+      if (pool->empty()) pool->push_back(new Arena());
+      arena = pool->back();
+      pool->pop_back();
+    }
+    ~Lease() {
+      std::lock_guard<std::mutex> lock(*pool_mu);
+      pool->push_back(arena);
+    }
+  };
+  thread_local Lease lease;
+  return *lease.arena;
 }
 
 std::size_t Arena::capacity_bytes() const {
@@ -392,9 +412,10 @@ namespace {
 
 // Roofline accounting: cumulative FLOPs, compulsory bytes, and wall time
 // of every sgemm call, published as counters plus two derived gauges
-// (achieved GF/s and arithmetic intensity). A disabled process pays one
-// relaxed load per call; an enabled one a handful of relaxed RMWs — both
-// noise against a GEMM.
+// (achieved GF/s and arithmetic intensity). The wall time is one
+// event-free scope per call (sgemm runs per sample per layer) feeding
+// nn.gemm.ns and the caller's phase; an enabled process adds a handful of
+// relaxed RMWs — both noise against a GEMM.
 struct GemmInstruments {
   util::metrics::Counter& calls = util::metrics::counter("nn.gemm.calls");
   util::metrics::Counter& flops = util::metrics::counter("nn.gemm.flops");
@@ -404,14 +425,15 @@ struct GemmInstruments {
       util::metrics::gauge("nn.gemm.gflops_per_s");
   util::metrics::Gauge& intensity =
       util::metrics::gauge("nn.gemm.arithmetic_intensity");
+  const util::trace::Site scope{"nn.gemm", &ns, util::trace::kInherit,
+                                false};
 };
 
-void account_sgemm(int m, int n, int k, Precision precision, double seconds) {
-  static GemmInstruments ins;
+void account_sgemm(GemmInstruments& ins, int m, int n, int k,
+                   Precision precision) {
   ins.calls.add();
   ins.flops.add(sgemm_flops(m, n, k));
   ins.bytes.add(sgemm_bytes(m, n, k, precision));
-  ins.ns.add_seconds(seconds);
   const double total_flops = static_cast<double>(ins.flops.value());
   const double total_ns = static_cast<double>(ins.ns.value());
   const double total_bytes = static_cast<double>(ins.bytes.value());
@@ -430,7 +452,7 @@ void sgemm_blocked(const TuneParams& tp,
                    const float* a, int lda, const float* b, int ldb,
                    float* c, int ldc) {
   using elt = typename Cvt::elt;
-  Arena& arena = Arena::global();
+  Arena& arena = Arena::local();
   const std::size_t m0 = arena.mark();
   const int kc_max = std::min(k, tp.kc);
   const int nc_max = std::min((n + kNR - 1) / kNR * kNR, tp.nc);
@@ -505,8 +527,8 @@ void sgemm(Trans ta, Trans tb, int m, int n, int k, float alpha,
            const float* a, int lda, const float* b, int ldb, float beta,
            float* c, int ldc, Precision precision) {
   if (m <= 0 || n <= 0) return;
-  const bool measure = util::metrics::enabled();
-  util::WallTimer timer;
+  static GemmInstruments ins;
+  util::trace::Span span(ins.scope);
   // Apply beta once up front; every block update below is then "+=".
   if (beta == 0.0f) {
     for (int i = 0; i < m; ++i) {
@@ -536,7 +558,8 @@ void sgemm(Trans ta, Trans tb, int m, int n, int k, float alpha,
                             a, lda, b, ldb, c, ldc);
       break;
   }
-  if (measure) account_sgemm(m, n, k, precision, timer.seconds());
+  span.stop();
+  if (util::metrics::enabled()) account_sgemm(ins, m, n, k, precision);
 }
 
 }  // namespace adarnet::nn

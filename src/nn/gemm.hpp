@@ -9,9 +9,9 @@
 // (the rest of the library stays at the baseline ISA); elsewhere a
 // portable kernel that the compiler auto-vectorises is used.
 //
-// All scratch comes from a process-wide Arena whose capacity is tracked
-// through the nn::memory counters, so the measured inference footprint
-// (Table 2, Fig 1) includes the convolution workspace.
+// All scratch comes from the calling thread's Arena, whose capacity is
+// tracked through the nn::memory counters, so the measured inference
+// footprint (Table 2, Fig 1) includes the convolution workspace.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +32,11 @@ class Arena {
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  /// The process-wide arena used by Conv2D's GEMM engine.
-  static Arena& global();
+  /// The calling thread's arena, used by Conv2D's GEMM engine. One per
+  /// thread, leased from a pool that recycles the arenas of exited
+  /// threads: concurrent inferences (serving workers) never share a bump
+  /// pointer. Every caller runs outside OpenMP parallel regions.
+  static Arena& local();
 
   /// Ensures capacity() >= bytes. The main block is only replaced while no
   /// suballocation is live (used() == 0); otherwise growth is deferred to
@@ -117,7 +120,7 @@ struct TuneParams {
 /// C (m x n, row-major, leading dim ldc) = alpha * op(A) * op(B) + beta*C,
 /// with op(X) = X or X^T per the Trans flags. A is m x k after op, B is
 /// k x n after op; lda/ldb are the leading dimensions of the *stored*
-/// matrices. Pack buffers are drawn from Arena::global() (mark/released
+/// matrices. Pack buffers are drawn from Arena::local() (mark/released
 /// internally). OpenMP-parallel over column panels. Blocking parameters
 /// come from the tuning registry (override > tuned cache > defaults);
 /// `precision` selects the packed-operand storage format.

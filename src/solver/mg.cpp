@@ -9,7 +9,7 @@
 #include "solver/jump.hpp"
 #include "util/metrics.hpp"
 #include "util/reqctx.hpp"
-#include "util/timer.hpp"
+#include "util/trace.hpp"
 
 namespace adarnet::solver {
 
@@ -29,6 +29,23 @@ namespace {
 // must never depend on the thread count, or bitwise thread invariance
 // would break.
 constexpr long long kParallelCellFloor = 2048;
+
+// Cycle shape: V(1,1), a 40-sweep coarsest solve, unlimited depth. SIMPLE
+// only needs a modest p' reduction per step; deeper solves (V(2,2), more
+// cycles) triple the pressure cost for no outer convergence gain.
+constexpr int kPreSmooth = 1;
+constexpr int kPostSmooth = 1;
+constexpr int kCoarseSweeps = 40;
+
+// Multigrid scopes (DESIGN.md §11), event-free: exchanges are ghosts time,
+// the rest stays in the enclosing pressure phase and feeds an inclusive
+// solver.mg.*.ns counter (smooth includes the exchanges it runs).
+constexpr util::trace::Site kExchangeScope{
+    "solver.mg.exchange", nullptr, util::reqctx::Phase::kGhosts, false};
+util::trace::Site mg_scope(const char* name, const char* counter) {
+  return {name, &util::metrics::counter(counter), util::trace::kInherit,
+          false};
+}
 
 // Per-dimension prolongation weights of fine index fi (1-based; 0 and
 // fn + 1 are the ghost cells): parent coarse cell c with weight 3/4 and
@@ -336,8 +353,7 @@ PressureMg::PressureMg(const CompositeMesh& fine, const SolverConfig& config)
   levels_.emplace_back();
   init_level(levels_.back(), &fine, 0);
 
-  while (cfg_.mg_max_depth == 0 ||
-         static_cast<int>(levels_.size()) < cfg_.mg_max_depth) {
+  while (true) {
     const CompositeMesh& cur = *levels_.back().mesh;
     const CaseSpec& spec = cur.spec();
     // Cell aspect ratio dx / dy. Refinement scales both dimensions
@@ -479,27 +495,26 @@ void PressureMg::set_coefficients(const CompositeScalar& ap_fine) {
   }
 }
 
-void PressureMg::exchange(const Level& lv, CompositeScalar& x,
-                          MgSolveInfo& info) const {
-  const util::ScopedAccum t(&info.ghost_seconds);
+void PressureMg::exchange(const Level& lv, CompositeScalar& x) const {
+  const util::trace::Span t(kExchangeScope);
   exchange_ghosts(x, *lv.mesh, lv.parallel);
 }
 
-void PressureMg::exchange_iterate(Level& lv, CompositeScalar& x,
-                                  MgSolveInfo& info) const {
-  exchange(lv, x, info);
+void PressureMg::exchange_iterate(Level& lv, CompositeScalar& x) const {
+  exchange(lv, x);
   if (!lv.stencil.empty()) {
-    const util::ScopedAccum t(&info.ghost_seconds);
+    const util::trace::Span t(kExchangeScope);
     lv.stencil.refresh(x);
   }
 }
 
 void PressureMg::smooth(Level& lv, CompositeScalar& x, int sweeps,
-                        double omega, bool exchange_each_sweep,
-                        MgSolveInfo& info) const {
-  const util::ScopedAccum tsm(&info.smooth_seconds);
+                        double omega, bool exchange_each_sweep) const {
+  static const util::trace::Site kSite =
+      mg_scope("solver.mg.smooth", "solver.mg.smooth.ns");
+  const util::trace::Span t(kSite);
   if (lv.line_y || lv.line_x) {
-    smooth_lines(lv, x, sweeps, info);
+    smooth_lines(lv, x, sweeps);
     return;
   }
   const bool outlet_right =
@@ -551,13 +566,13 @@ void PressureMg::smooth(Level& lv, CompositeScalar& x, int sweeps,
   for (int s = 0; s < sweeps; ++s) {
     if (cfg_.ordering == SweepOrdering::kRedBlack) {
       half(0);
-      if (lv.half_exchange) exchange_iterate(lv, x, info);
+      if (lv.half_exchange) exchange_iterate(lv, x);
       half(1);
     } else {
       half(-1);
     }
     if (exchange_each_sweep || lv.half_exchange) {
-      exchange_iterate(lv, x, info);
+      exchange_iterate(lv, x);
     }
   }
 }
@@ -578,8 +593,8 @@ void PressureMg::smooth(Level& lv, CompositeScalar& x, int sweeps,
 // the point kernel); a segment with no explicit coupling anywhere is an
 // unanchored pure-Neumann tridiagonal — singular — and is skipped: the
 // coarse grid owns its constant mode.
-void PressureMg::smooth_lines(Level& lv, CompositeScalar& x, int sweeps,
-                              MgSolveInfo& info) const {
+void PressureMg::smooth_lines(Level& lv, CompositeScalar& x,
+                              int sweeps) const {
   const bool outlet_right =
       lv.mesh->spec().bc.right.type == mesh::BcType::kOutlet;
   const int npx = lv.mesh->npx();
@@ -756,15 +771,16 @@ void PressureMg::smooth_lines(Level& lv, CompositeScalar& x, int sweeps,
     // same regime that makes leg-frozen ghosts oscillate under the point
     // kernel (see Level::half_exchange).
     pass(0);
-    exchange_iterate(lv, x, info);
+    exchange_iterate(lv, x);
     pass(1);
-    exchange_iterate(lv, x, info);
+    exchange_iterate(lv, x);
   }
 }
 
-double PressureMg::compute_residual(Level& lv, CompositeScalar& x,
-                                    MgSolveInfo& info) const {
-  const util::ScopedAccum tre(&info.residual_seconds);
+double PressureMg::compute_residual(Level& lv, CompositeScalar& x) const {
+  static const util::trace::Site kSite =
+      mg_scope("solver.mg.residual", "solver.mg.residual.ns");
+  const util::trace::Span t(kSite);
   const bool outlet_right =
       lv.mesh->spec().bc.right.type == mesh::BcType::kOutlet;
   const int npx = lv.mesh->npx();
@@ -810,28 +826,29 @@ double PressureMg::compute_residual(Level& lv, CompositeScalar& x,
   return sweep::sum_rows(lv.acc);
 }
 
-void PressureMg::v_cycle(int d, CompositeScalar& x, double series_x,
-                         MgSolveInfo& info) {
+void PressureMg::v_cycle(int d, CompositeScalar& x, double series_x) {
+  static const util::trace::Site kTransfer =
+      mg_scope("solver.mg.transfer", "solver.mg.transfer.ns");
   Level& lv = levels_[static_cast<std::size_t>(d)];
   if (d + 1 == depth()) {
     // Coarsest level: a handful of cells total — hammer it with plain
     // Gauss-Seidel (exchange per sweep; the grid is tiny and the
     // exchange serial, so per-sweep coupling is cheap here and the
     // near-exact coarse solve is what the two-grid theory wants).
-    // omega = 1, NOT sor_omega: the deepest rungs are single-cell
+    // omega = 1, NOT the SOR path's 1.4: the deepest rungs are single-cell
     // patches whose every neighbour is an interface ghost, so the sweep
     // degenerates to Jacobi — over-relaxed Jacobi diverges.
-    smooth(lv, x, cfg_.mg_coarse_sweeps * lv.smooth_mult, 1.0,
-           /*exchange_each_sweep=*/true, info);
+    smooth(lv, x, kCoarseSweeps * lv.smooth_mult, 1.0,
+           /*exchange_each_sweep=*/true);
     return;
   }
   Level& lc = levels_[static_cast<std::size_t>(d) + 1];
 
-  smooth(lv, x, cfg_.mg_pre_smooth * lv.smooth_mult, 1.0,
-         /*exchange_each_sweep=*/false, info);
-  exchange_iterate(lv, x, info);
+  smooth(lv, x, kPreSmooth * lv.smooth_mult, 1.0,
+         /*exchange_each_sweep=*/false);
+  exchange_iterate(lv, x);
 
-  const double rnorm = compute_residual(lv, x, info);
+  const double rnorm = compute_residual(lv, x);
   if (util::metrics::enabled() && lv.series) lv.series->append(series_x, rnorm);
 
   // Restrict the residual into the coarse RHS and descend from zero. The
@@ -850,9 +867,9 @@ void PressureMg::v_cycle(int d, CompositeScalar& x, double series_x,
   // coupling is left to the coarse operator's own interface stencil.
   // Prolongation is NOT gated: the correction x is a point-valued field,
   // for which the jump-ghost interpolation is dimensionally sound.
-  exchange(lv, lv.r, info);
+  exchange(lv, lv.r);
   {
-    const util::ScopedAccum ttr(&info.transfer_seconds);
+    const util::trace::Span t(kTransfer);
     const int n = lv.mesh->patch_count();
     const int npx = lv.mesh->npx();
     const int npy = lv.mesh->npy();
@@ -888,14 +905,14 @@ void PressureMg::v_cycle(int d, CompositeScalar& x, double series_x,
   }
   zero_scalar(lc.x, lc.parallel);
   if (!lc.stencil.empty()) lc.stencil.refresh(lc.x);  // zero the buffers
-  v_cycle(d + 1, lc.x, series_x, info);
+  v_cycle(d + 1, lc.x, series_x);
 
   // Prolong the coarse correction back and re-smooth; each leg ends with
   // one fused exchange. The coarse iterate's ghosts are fresh here (the
   // coarse v_cycle leaves them exchanged), so the interpolation reads
   // neighbour-patch coarse cells through them at interface sides.
   {
-    const util::ScopedAccum ttr(&info.transfer_seconds);
+    const util::trace::Span t(kTransfer);
     const int n = lv.mesh->patch_count();
     const int npx = lv.mesh->npx();
     const int npy = lv.mesh->npy();
@@ -925,15 +942,16 @@ void PressureMg::v_cycle(int d, CompositeScalar& x, double series_x,
       for (int k = 0; k < n; ++k) prolong_patch(k);
     }
   }
-  exchange_iterate(lv, x, info);
-  smooth(lv, x, cfg_.mg_post_smooth * lv.smooth_mult, 1.0,
-         /*exchange_each_sweep=*/false, info);
-  exchange_iterate(lv, x, info);
+  exchange_iterate(lv, x);
+  smooth(lv, x, kPostSmooth * lv.smooth_mult, 1.0,
+         /*exchange_each_sweep=*/false);
+  exchange_iterate(lv, x);
 }
 
 MgSolveInfo PressureMg::solve(CompositeScalar& x, const CompositeScalar& imb) {
   namespace metrics = util::metrics;
-  util::WallTimer timer;
+  static const util::trace::Site kSite = mg_scope("solver.mg", "solver.mg.ns");
+  const util::trace::Span span(kSite);
   MgSolveInfo info;
   Level& l0 = levels_[0];
 
@@ -972,9 +990,9 @@ MgSolveInfo PressureMg::solve(CompositeScalar& x, const CompositeScalar& imb) {
     // hands the outer iteration a weaker but well-formed p' solve.
     if (cfg_.cancel != nullptr && cfg_.cancel->expired()) break;
     cycle_counter.add();
-    v_cycle(0, x, static_cast<double>(cycle_counter.value()), info);
+    v_cycle(0, x, static_cast<double>(cycle_counter.value()));
     info.cycles += 1;
-    rnorm = compute_residual(l0, x, info);
+    rnorm = compute_residual(l0, x);
     if (rnorm <= cfg_.mg_tol * bnorm) break;
   }
   info.final_ratio = rnorm / bnorm;
@@ -986,12 +1004,8 @@ MgSolveInfo PressureMg::solve(CompositeScalar& x, const CompositeScalar& imb) {
     ctx->count("solver.mg.solves", 1);
   }
 
-  if (metrics::enabled()) {
-    static metrics::Counter& solves = metrics::counter("solver.mg.solves");
-    static metrics::Counter& ns = metrics::counter("solver.mg.ns");
-    solves.add();
-    ns.add_seconds(timer.seconds());
-  }
+  static metrics::Counter& solves = metrics::counter("solver.mg.solves");
+  solves.add();
   return info;
 }
 

@@ -60,18 +60,13 @@
 namespace adarnet::solver {
 
 /// Outcome of one multigrid pressure solve (one outer SIMPLE iteration).
+/// Its cost is timed by scopes (DESIGN.md §11): the inclusive
+/// solver.mg.ns and solver.mg.{smooth,residual,transfer}.ns counters, and
+/// the caller's pressure/ghosts phases.
 struct MgSolveInfo {
   int cycles = 0;            ///< V-cycles run (<= mg_max_cycles)
   double initial_norm = 0.0; ///< L1 norm of the right-hand side
   double final_ratio = 0.0;  ///< |r| / |b| at exit (0 for a zero RHS)
-  double ghost_seconds = 0.0;///< wall time inside ghost exchanges, so the
-                             ///< caller can book it under PhaseTimes.ghosts
-  // Per-component wall time, for locating where a cycle's cost moved.
-  // smooth_seconds includes the ghost exchanges the smoother runs (also
-  // booked in ghost_seconds); the three do not sum to the solve wall.
-  double smooth_seconds = 0.0;   ///< relaxation sweeps (point and line)
-  double residual_seconds = 0.0; ///< residual assembly + norms
-  double transfer_seconds = 0.0; ///< restriction + prolongation
 };
 
 /// Geometric V-cycle solver for the pressure-correction equation
@@ -84,8 +79,8 @@ struct MgSolveInfo {
 /// from the relaxed momentum diagonal and runs solve().
 class PressureMg {
  public:
-  /// Builds the coarsening ladder for `fine`. Only the mg_* knobs,
-  /// sor_omega and ordering of `config` are read.
+  /// Builds the coarsening ladder for `fine`. Only mg_tol, mg_max_cycles,
+  /// ordering and cancel of `config` are read.
   PressureMg(const mesh::CompositeMesh& fine, const SolverConfig& config);
   ~PressureMg();
 
@@ -116,27 +111,22 @@ class PressureMg {
   struct Level;
 
   void smooth(Level& lv, mesh::CompositeScalar& x, int sweeps, double omega,
-              bool exchange_each_sweep, MgSolveInfo& info) const;
+              bool exchange_each_sweep) const;
   /// Zebra (odd/even line) tridiagonal smoothing along the level's strong
   /// direction; used instead of the point kernel on levels whose jumps
   /// run perpendicular to strong anisotropy. One sweep = both colors.
-  void smooth_lines(Level& lv, mesh::CompositeScalar& x, int sweeps,
-                    MgSolveInfo& info) const;
-  void exchange(const Level& lv, mesh::CompositeScalar& x,
-                MgSolveInfo& info) const;
+  void smooth_lines(Level& lv, mesh::CompositeScalar& x, int sweeps) const;
+  void exchange(const Level& lv, mesh::CompositeScalar& x) const;
   /// exchange() plus a refresh of the level's jump-stencil value buffers
   /// — the iterate's cross-patch couplings stay frozen-at-exchange-points
   /// exactly like its ghost ring. Use for the iterate; plain exchange()
   /// for the residual (its jump ghosts are never read: restriction gates
   /// jump sides).
-  void exchange_iterate(Level& lv, mesh::CompositeScalar& x,
-                        MgSolveInfo& info) const;
+  void exchange_iterate(Level& lv, mesh::CompositeScalar& x) const;
   /// Fills lv.r with the residual of `x` (fresh ghosts expected) and
   /// returns its L1 norm via fixed-order per-row partials.
-  double compute_residual(Level& lv, mesh::CompositeScalar& x,
-                          MgSolveInfo& info) const;
-  void v_cycle(int d, mesh::CompositeScalar& x, double series_x,
-               MgSolveInfo& info);
+  double compute_residual(Level& lv, mesh::CompositeScalar& x) const;
+  void v_cycle(int d, mesh::CompositeScalar& x, double series_x);
 
   std::vector<Level> levels_;
   SolverConfig cfg_;

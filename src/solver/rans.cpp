@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "solver/jump.hpp"
@@ -12,7 +14,6 @@
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/reqctx.hpp"
-#include "util/timer.hpp"
 #include "util/trace.hpp"
 
 namespace adarnet::solver {
@@ -27,11 +28,39 @@ using mesh::SideBc;
 
 namespace {
 
+using util::reqctx::Phase;
+
 // Channel indices into CompositeField (paper order).
 constexpr int kU = 0;
 constexpr int kV = 1;
 constexpr int kP = 2;
 constexpr int kNt = 3;
+
+// Flat SOR reference path (PressureSolver::kSor): sweep cap and relaxation.
+constexpr int kSorSweeps = 60;
+constexpr double kSorOmega = 1.4;
+
+// Phase scopes of the outer iteration (DESIGN.md §8): the self time of
+// each lands in its PhaseTimes field and its "<name>.ns" counter.
+// Event-free: they open several times per iteration, far too often for
+// request span trees and chrome traces.
+struct PhaseScope {
+  util::trace::Site site;
+  double PhaseTimes::*seconds;
+};
+constexpr PhaseScope kMomentum{
+    {"solver.momentum", nullptr, Phase::kMomentum, false},
+    &PhaseTimes::momentum};
+constexpr PhaseScope kRhieChow{
+    {"solver.rhie_chow", nullptr, Phase::kRhieChow, false},
+    &PhaseTimes::rhie_chow};
+constexpr PhaseScope kPressure{
+    {"solver.pressure", nullptr, Phase::kPressure, false},
+    &PhaseTimes::pressure};
+constexpr PhaseScope kSa{{"solver.sa", nullptr, Phase::kSa, false},
+                         &PhaseTimes::sa};
+constexpr PhaseScope kGhosts{{"solver.ghosts", nullptr, Phase::kGhosts, false},
+                             &PhaseTimes::ghosts};
 
 // Ghost value for a Dirichlet face value: linear extrapolation so that the
 // face average equals the imposed value.
@@ -764,8 +793,7 @@ static void correct_interface_faces(const CompositeMesh& mesh,
 }
 
 Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
-                                      const SolverConfig& cfg,
-                                      PhaseTimes& ph) const {
+                                      const SolverConfig& cfg) const {
   const mesh::CaseSpec& spec = mesh_.spec();
   const double nu = spec.nu;
   const double u_ref = spec.bc.left.u;
@@ -773,13 +801,13 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
   Residuals res;
 
   {
-    util::ScopedAccum t(&ph.ghosts);
+    const util::trace::Span t(kGhosts.site);
     refresh_ghosts(f);
   }
 
   // --- eddy viscosity from nuTilda (ghosts included) -----------------------
   {
-    util::ScopedAccum t(&ph.sa);
+    const util::trace::Span t(kSa.site);
     compute_nut(f, ws);
   }
 
@@ -794,7 +822,7 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
   for (int sweep = 0; sweep < cfg.momentum_sweeps; ++sweep) {
     const bool measure = (sweep + 1 == cfg.momentum_sweeps);
     {
-      util::ScopedAccum t(&ph.momentum);
+      const util::trace::Span t(kMomentum.site);
       run_sweep(ws.rows, cfg.ordering, [&](int r, int k, int i, int color) {
         const PatchMesh& pm = mesh_.patch_flat(k);
         Grid2Dd& U = f.U[k];
@@ -841,7 +869,7 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
       });
     }
     {
-      util::ScopedAccum t(&ph.ghosts);
+      const util::trace::Span t(kGhosts.site);
       exchange_ghosts(f, mesh_, kMaskUV);
       apply_bc_ghosts(f, kMaskUV);
     }
@@ -859,11 +887,11 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
   // the neighbour's aP through the ghost ring) and at domain boundaries
   // (zero-gradient extrapolation).
   {
-    util::ScopedAccum t(&ph.ghosts);
+    const util::trace::Span t(kGhosts.site);
     exchange_ghosts(ws.ap, mesh_);
   }
   {
-    util::ScopedAccum t(&ph.rhie_chow);
+    const util::trace::Span t(kRhieChow.site);
     extrapolate_ap(ws);
     res.continuity = assemble_faces_imbalance(f, ws);
   }
@@ -876,7 +904,7 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
   // how the matched jump couplings see walls). The jump stencil's subface
   // transmissibilities are rebuilt from it once per outer iteration.
   {
-    util::ScopedAccum t(&ph.pressure);
+    const util::trace::Span t(kPressure.site);
 #pragma omp parallel for schedule(static)
     for (int k = 0; k < mesh_.patch_count(); ++k) {
       const PatchMesh& pm = mesh_.patch_flat(k);
@@ -896,33 +924,27 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
                       ws.mg && ws.mg->depth() > 1;
   if (use_mg) {
     // Geometric V-cycles on the patch-hierarchy ladder (solver/mg.hpp).
-    // The wall time the cycle spends in ghost exchanges is re-booked under
-    // ghosts, so the phase split stays comparable with the SOR path.
-    MgSolveInfo info;
-    {
-      util::ScopedAccum t(&ph.pressure);
-      ws.mg->set_coefficients(ws.ap);
-      info = ws.mg->solve(ws.pc, ws.imb);
-    }
-    ph.pressure -= info.ghost_seconds;
-    ph.ghosts += info.ghost_seconds;
-    res.pressure_cycles = info.cycles;
+    // The cycle's ghost exchanges are ghosts-phase scopes nested in this
+    // one, so the phase split stays comparable with the SOR path.
+    const util::trace::Span t(kPressure.site);
+    ws.mg->set_coefficients(ws.ap);
+    res.pressure_cycles = ws.mg->solve(ws.pc, ws.imb).cycles;
   } else {
     // Flat SOR reference path: pressure_solver == kSor, or a mesh too
     // small to admit even one coarse level.
-    util::ScopedAccum t(&ph.pressure);
+    const util::trace::Span t(kPressure.site);
 #pragma omp parallel for schedule(static)
     for (int k = 0; k < mesh_.patch_count(); ++k) {
       ws.pc[k].fill(0.0);
     }
     ws.stencil.refresh(ws.pc);  // all-zero snapshot before the first sweep
   }
-  const int sor_sweeps = use_mg ? 0 : cfg.pressure_sweeps;
+  const int sor_sweeps = use_mg ? 0 : kSorSweeps;
   double first_sweep_change = 0.0;
   for (int sweep = 0; sweep < sor_sweeps; ++sweep) {
     zero_rows(ws.acc_a);
     {
-      util::ScopedAccum t(&ph.pressure);
+      const util::trace::Span t(kPressure.site);
       run_sweep(ws.rows, cfg.ordering, [&](int r, int k, int i, int color) {
         const PatchMesh& pm = mesh_.patch_flat(k);
         Grid2Dd& PC = ws.pc[k];
@@ -950,7 +972,7 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
               continue;
             }
             const double gs = rhs / apc;
-            const double delta = cfg.sor_omega * (gs - PC(i, j));
+            const double delta = kSorOmega * (gs - PC(i, j));
             PC(i, j) += delta;
             change += std::abs(delta);
           }
@@ -964,7 +986,7 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
       });
     }
     {
-      util::ScopedAccum t(&ph.ghosts);
+      const util::trace::Span t(kGhosts.site);
       exchange_ghosts(ws.pc, mesh_);
       ws.stencil.refresh(ws.pc);
     }
@@ -980,7 +1002,7 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
   }
 
   {
-    util::ScopedAccum t(&ph.pressure);
+    const util::trace::Span t(kPressure.site);
     // The corrector reads the matched jump buffers; under the multigrid
     // path ws.stencil has not seen the solution yet (the MG levels carry
     // their own stencils), and under SOR this is an idempotent repeat of
@@ -1090,7 +1112,7 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
   // --- SA transport ----------------------------------------------------------
   if (cfg.solve_sa) {
     {
-      util::ScopedAccum t(&ph.ghosts);
+      const util::trace::Span t(kGhosts.site);
       exchange_ghosts(f, mesh_, kMaskUVNt);
       apply_bc_ghosts(f, kMaskUVNt);
     }
@@ -1100,7 +1122,7 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
     for (int sweep = 0; sweep < cfg.sa_sweeps; ++sweep) {
       const bool measure = (sweep + 1 == cfg.sa_sweeps);
       {
-        util::ScopedAccum t(&ph.sa);
+        const util::trace::Span t(kSa.site);
         run_sweep(ws.rows, cfg.ordering, [&](int r, int k, int i, int color) {
           const PatchMesh& pm = mesh_.patch_flat(k);
           const Grid2Dd& U = f.U[k];
@@ -1138,7 +1160,7 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
         });
       }
       {
-        util::ScopedAccum t(&ph.ghosts);
+        const util::trace::Span t(kGhosts.site);
         exchange_ghosts(f.nuTilda, mesh_);
         apply_bc_ghosts(f.nuTilda, kNt);
       }
@@ -1235,10 +1257,6 @@ Residuals RansSolver::evaluate_residuals(const CompositeField& f,
 
 namespace {
 
-// Bridges one finished solve's SolveStats into the process-wide metrics
-// registry (DESIGN.md §9). The per-phase wall times already live in
-// stats.phase_seconds; this just re-publishes them under solver.* names so
-// snapshot consumers see solver cost next to train/infer/pipeline cost.
 // Appends one outer iteration's residuals to the convergence time-series
 // behind the telemetry server's /series.json. The x axis is a process-wide
 // outer-iteration index (monotone across solves and meshes) so a scraper
@@ -1264,202 +1282,167 @@ void record_residual_series(const Residuals& res) {
   s_cy.append(x, static_cast<double>(res.pressure_cycles));
 }
 
-void bridge_stats_to_metrics(const SolveStats& stats) {
-  // Per-request attribution first, independent of ADARNET_METRICS: when a
-  // serving request is bound to this thread (DESIGN.md §15), it learns
-  // which solver phase ate its budget plus the measured per-solve
-  // remainder (workspace setup, residual evaluation, retry overhead). The
-  // solve runs on the binding thread, so the context needs no locking.
-  namespace reqctx = util::reqctx;
-  if (reqctx::RequestContext* ctx = reqctx::current()) {
-    ctx->add_phase(reqctx::Phase::kMomentum, stats.phase_seconds.momentum);
-    ctx->add_phase(reqctx::Phase::kRhieChow, stats.phase_seconds.rhie_chow);
-    ctx->add_phase(reqctx::Phase::kPressure, stats.phase_seconds.pressure);
-    ctx->add_phase(reqctx::Phase::kSa, stats.phase_seconds.sa);
-    ctx->add_phase(reqctx::Phase::kGhosts, stats.phase_seconds.ghosts);
-    ctx->add_phase(
-        reqctx::Phase::kSolverGlue,
-        std::max(0.0, stats.seconds - stats.phase_seconds.total()));
+// Publishes one finished solve (DESIGN.md §9): the solver phases of the
+// thread's phase-table delta become stats.phase_seconds and the
+// solver.<phase>.ns counters; the work counts go to the registry and to
+// the request bound to this thread (DESIGN.md §15), whose phase
+// attribution reads the same table.
+void publish(SolveStats& stats, const util::reqctx::PhaseTable& before) {
+  namespace metrics = util::metrics;
+  const util::reqctx::PhaseTable after = util::trace::phase_table();
+  for (const PhaseScope* ps : {&kMomentum, &kRhieChow, &kPressure, &kSa,
+                               &kGhosts}) {
+    const auto i = static_cast<std::size_t>(ps->site.phase);
+    stats.phase_seconds.*ps->seconds =
+        static_cast<double>(after[i] - before[i]) * 1e-9;
+    metrics::counter(std::string(ps->site.name) + ".ns")
+        .add(after[i] - before[i]);
+  }
+  metrics::counter("solver.solves").add();
+  metrics::counter("solver.iterations").add(stats.iterations);
+  metrics::counter("solver.cell_updates").add(stats.cell_updates);
+  if (util::reqctx::RequestContext* ctx = util::reqctx::current()) {
     ctx->count("solver.solves", 1);
     ctx->count("solver.iterations", stats.iterations);
     ctx->count("solver.cell_updates", stats.cell_updates);
   }
-  namespace metrics = util::metrics;
-  if (!metrics::enabled()) return;
-  metrics::counter("solver.solves").add();
-  metrics::counter("solver.ns").add_seconds(stats.seconds);
-  metrics::counter("solver.iterations").add(stats.iterations);
-  metrics::counter("solver.cell_updates").add(stats.cell_updates);
-  metrics::counter("solver.momentum.ns")
-      .add_seconds(stats.phase_seconds.momentum);
-  metrics::counter("solver.rhie_chow.ns")
-      .add_seconds(stats.phase_seconds.rhie_chow);
-  metrics::counter("solver.pressure.ns")
-      .add_seconds(stats.phase_seconds.pressure);
-  metrics::counter("solver.sa.ns").add_seconds(stats.phase_seconds.sa);
-  metrics::counter("solver.ghosts.ns").add_seconds(stats.phase_seconds.ghosts);
 }
 
 }  // namespace
 
-SolveStats RansSolver::solve(CompositeField& f) {
-  util::WallTimer timer;
-  const util::trace::Span span("solver.solve");
+SolveStats RansSolver::run(const util::trace::Site& site, CompositeField& f,
+                           int max_iters, bool until_converged) {
+  const util::reqctx::PhaseTable before = util::trace::phase_table();
   SolveStats stats;
-  const long long cells = mesh_.active_cells();
-  Workspace& ws = workspace();
+  {
+    util::trace::Span span(site);  // solver glue: the self time left over
+    Workspace& ws = workspace();
+    const long long cells = mesh_.active_cells();
 
-  // On divergence, restore the initial state and retry with progressively
-  // more conservative relaxation (halved pseudo-CFL and under-relaxation).
-  const CompositeField initial = f;
-  SolverConfig cfg = config_;
-  constexpr int kMaxAttempts = 3;
+    // On divergence solve() restores the initial state and retries with
+    // progressively more conservative relaxation (halved pseudo-CFL and
+    // under-relaxation).
+    std::optional<CompositeField> initial;
+    if (until_converged) initial = f;
+    SolverConfig cfg = config_;
+    const int attempts = until_converged ? 3 : 1;
 
-  // Per-iteration residual history of the current attempt, for the
-  // iterations_to_tolerance back-scan below.
-  std::vector<double> res_history;
-  res_history.reserve(static_cast<std::size_t>(cfg.max_outer));
+    // Per-iteration residual history of the current attempt, for the
+    // iterations_to_tolerance back-scan below.
+    std::vector<double> res_history;
+    res_history.reserve(static_cast<std::size_t>(std::max(max_iters, 0)));
 
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    Residuals res;
-    bool diverged = false;
-    stats.attempts = attempt + 1;
-    stats.final_pseudo_cfl = cfg.pseudo_cfl;
-    stats.final_alpha_u = cfg.alpha_u;
-    res_history.clear();
-    for (int it = 0; it < cfg.max_outer; ++it) {
-      // Cooperative cancellation boundary: nothing in this iteration has
-      // run yet, so the field is exactly the last completed iterate.
-      if (cfg.cancel != nullptr && cfg.cancel->expired()) {
-        stats.cancelled = true;
-        break;
-      }
-      util::fault::corrupt("solver.diverge", f.U[0].data(), f.U[0].size());
-      util::fault::stall("solver.outer.stall");
-      res = outer_iteration(f, ws, cfg, stats.phase_seconds);
-      record_residual_series(res);
-      stats.iterations += 1;
-      stats.cell_updates += cells;
-      res_history.push_back(res.combined());
-      if (cfg.log_every > 0 && (it % cfg.log_every == 0)) {
-        ADR_LOG_INFO << mesh_.spec().name << " iter " << it
-                     << " continuity=" << res.continuity
-                     << " momentum=" << res.momentum << " sa=" << res.sa;
-      }
-      if (res.combined() >= 1e30) {
-        diverged = true;
-        break;
-      }
-      // Require a few iterations before trusting the residuals (the first
-      // iterations of a freestream guess can look spuriously converged).
-      if (it >= 5 && res.combined() < cfg.tol) {
-        stats.converged = true;
-        break;
-      }
-    }
-    stats.residual = res.combined();
-    stats.diverged = diverged;
-    // Iterations-to-tolerance: the first iteration of this attempt whose
-    // residual reached max(tol, 1.1 x the final residual). A tolerance
-    // exit gives exactly stats.iterations; a solve that plateaus above
-    // tol and burns the cap gets the iteration where it arrived at the
-    // plateau, so `iterations - iterations_to_tolerance` is the tail an
-    // early-exit could trim. Earlier (diverged) attempts are charged in
-    // full — their work was really spent.
-    if (!diverged && !res_history.empty()) {
-      const double bar = std::max(cfg.tol, 1.1 * res_history.back());
-      std::size_t first = res_history.size() - 1;
-      for (std::size_t i = 0; i < res_history.size(); ++i) {
-        if (res_history[i] <= bar) {
-          first = i;
+    for (int attempt = 0; attempt < attempts; ++attempt) {
+      Residuals res;
+      stats.attempts = attempt + 1;
+      stats.final_pseudo_cfl = cfg.pseudo_cfl;
+      stats.final_alpha_u = cfg.alpha_u;
+      stats.diverged = false;
+      res_history.clear();
+      for (int it = 0; it < max_iters; ++it) {
+        // Cooperative cancellation boundary: nothing in this iteration has
+        // run yet, so the field is exactly the last completed iterate.
+        if (cfg.cancel != nullptr && cfg.cancel->expired()) {
+          stats.cancelled = true;
+          break;
+        }
+        util::fault::corrupt("solver.diverge", f.U[0].data(), f.U[0].size());
+        util::fault::stall("solver.outer.stall");
+        res = outer_iteration(f, ws, cfg);
+        record_residual_series(res);
+        stats.iterations += 1;
+        stats.cell_updates += cells;
+        res_history.push_back(res.combined());
+        if (cfg.log_every > 0 && (it % cfg.log_every == 0)) {
+          ADR_LOG_INFO << mesh_.spec().name << " iter " << it
+                       << " continuity=" << res.continuity
+                       << " momentum=" << res.momentum << " sa=" << res.sa;
+        }
+        if (res.combined() >= 1e30) {
+          // Non-finite residual: the state is poisoned and further
+          // iterations only churn NaNs.
+          stats.diverged = true;
+          break;
+        }
+        // Require a few iterations before trusting the residuals (the
+        // first iterations of a freestream guess can look spuriously
+        // converged).
+        if (until_converged && it >= 5 && res.combined() < cfg.tol) {
+          stats.converged = true;
           break;
         }
       }
-      const int prior =
-          stats.iterations - static_cast<int>(res_history.size());
-      stats.iterations_to_tolerance = prior + static_cast<int>(first) + 1;
+      stats.residual = res.combined();
+      // Iterations-to-tolerance: the first iteration of this attempt whose
+      // residual reached max(tol, 1.1 x the final residual). A tolerance
+      // exit gives exactly stats.iterations; a solve that plateaus above
+      // tol and burns the cap gets the iteration where it arrived at the
+      // plateau, so `iterations - iterations_to_tolerance` is the tail an
+      // early-exit could trim. Earlier (diverged) attempts are charged in
+      // full — their work was really spent.
+      if (!stats.diverged && !res_history.empty()) {
+        const double bar = std::max(cfg.tol, 1.1 * res_history.back());
+        std::size_t first = res_history.size() - 1;
+        for (std::size_t i = 0; i < res_history.size(); ++i) {
+          if (res_history[i] <= bar) {
+            first = i;
+            break;
+          }
+        }
+        const int prior =
+            stats.iterations - static_cast<int>(res_history.size());
+        stats.iterations_to_tolerance = prior + static_cast<int>(first) + 1;
+      }
+      // A cancelled solve never retries.
+      if (stats.cancelled || !stats.diverged || attempt + 1 == attempts) {
+        break;
+      }
+      cfg.pseudo_cfl *= 0.4;
+      cfg.alpha_u *= 0.6;
+      cfg.alpha_p *= 0.6;
+      cfg.alpha_nt *= 0.6;
+      ADR_LOG_WARN << mesh_.spec().name << " diverged; retrying with "
+                   << "pseudo_cfl=" << cfg.pseudo_cfl
+                   << " alpha_u=" << cfg.alpha_u;
+      f = *initial;
     }
-    if (stats.cancelled) break;  // a cancelled solve never retries
-    if (!diverged) break;
-    cfg.pseudo_cfl *= 0.4;
-    cfg.alpha_u *= 0.6;
-    cfg.alpha_p *= 0.6;
-    cfg.alpha_nt *= 0.6;
-    ADR_LOG_WARN << mesh_.spec().name << " diverged; retrying with "
-                 << "pseudo_cfl=" << cfg.pseudo_cfl
-                 << " alpha_u=" << cfg.alpha_u;
-    f = initial;
+    if (stats.diverged && initial) {
+      // Hand back the (restored) initial state, not the NaN wreckage:
+      // callers walking the degradation ladder re-seed from it.
+      f = *initial;
+    }
+    refresh_ghosts(f);
+    if (stats.cancelled && stats.iterations == 0) {
+      // Cancelled before any work: report the seed's actual defect instead
+      // of the zero-initialised Residuals (which would read as converged).
+      stats.residual = residuals(f).combined();
+    }
+    if (!until_converged) {
+      stats.converged = !stats.diverged && !stats.cancelled &&
+                        stats.residual < config_.tol;
+    }
+    stats.seconds = span.stop();
   }
-  if (stats.diverged) {
-    // Hand back the (restored) initial state, not the NaN wreckage: callers
-    // walking the degradation ladder re-seed from it.
-    f = initial;
-  }
-  refresh_ghosts(f);
-  if (stats.cancelled && stats.iterations == 0) {
-    // Cancelled before any work: report the seed's actual defect instead
-    // of the zero-initialised Residuals (callers surface this number).
-    stats.residual = residuals(f).combined();
-  }
-  stats.seconds = timer.seconds();
-  bridge_stats_to_metrics(stats);
+  publish(stats, before);
   return stats;
 }
 
+SolveStats RansSolver::solve(CompositeField& f) {
+  static const util::trace::Site kSite{
+      "solver.solve", &util::metrics::counter("solver.ns"),
+      Phase::kSolverGlue};
+  return run(kSite, f, config_.max_outer, /*until_converged=*/true);
+}
+
 SolveStats RansSolver::iterate(CompositeField& f, int n) {
-  util::WallTimer timer;
-  const util::trace::Span span("solver.iterate");
-  Workspace& ws = workspace();
-  SolveStats stats;
-  stats.final_pseudo_cfl = config_.pseudo_cfl;
-  stats.final_alpha_u = config_.alpha_u;
-  const long long cells = mesh_.active_cells();
-  Residuals res;
-  std::vector<double> res_history;
-  res_history.reserve(static_cast<std::size_t>(n));
-  for (int it = 0; it < n; ++it) {
-    if (config_.cancel != nullptr && config_.cancel->expired()) {
-      stats.cancelled = true;
-      break;
-    }
-    util::fault::corrupt("solver.diverge", f.U[0].data(), f.U[0].size());
-    util::fault::stall("solver.outer.stall");
-    res = outer_iteration(f, ws, config_, stats.phase_seconds);
-    record_residual_series(res);
-    stats.iterations = it + 1;
-    stats.cell_updates += cells;
-    res_history.push_back(res.combined());
-    if (res.combined() >= 1e30) {
-      // Non-finite residual: the state is already poisoned and further
-      // iterations only churn NaNs — stop and report instead.
-      stats.diverged = true;
-      ADR_LOG_WARN << mesh_.spec().name << " iterate() diverged at iteration "
-                   << it << "; stopping early";
-      break;
-    }
+  static const util::trace::Site kSite{
+      "solver.iterate", &util::metrics::counter("solver.ns"),
+      Phase::kSolverGlue};
+  const SolveStats stats = run(kSite, f, n, /*until_converged=*/false);
+  if (stats.diverged) {
+    ADR_LOG_WARN << mesh_.spec().name << " iterate() diverged at iteration "
+                 << stats.iterations - 1 << "; stopping early";
   }
-  refresh_ghosts(f);
-  if (stats.cancelled && stats.iterations == 0) {
-    // Cancelled before any iteration: measure the seed instead of trusting
-    // the zero-initialised Residuals (which would read as converged).
-    res = residuals(f);
-  }
-  stats.residual = res.combined();
-  stats.converged = !stats.diverged && !stats.cancelled &&
-                    res.combined() < config_.tol;
-  // Same arrival metric as solve(): first iteration whose residual
-  // reached max(tol, 1.1 x the final residual).
-  if (!stats.diverged && !res_history.empty()) {
-    const double bar = std::max(config_.tol, 1.1 * res_history.back());
-    for (std::size_t i = 0; i < res_history.size(); ++i) {
-      if (res_history[i] <= bar) {
-        stats.iterations_to_tolerance = static_cast<int>(i) + 1;
-        break;
-      }
-    }
-  }
-  stats.seconds = timer.seconds();
-  bridge_stats_to_metrics(stats);
   return stats;
 }
 

@@ -27,6 +27,10 @@
 #include "solver/sweep.hpp"
 #include "util/cancel.hpp"
 
+namespace adarnet::util::trace {
+struct Site;
+}  // namespace adarnet::util::trace
+
 namespace adarnet::solver {
 
 /// Algorithm used for the p' pressure-correction solve each outer
@@ -35,8 +39,10 @@ enum class PressureSolver {
   kMultigrid,  ///< geometric V-cycle on the coarsened patch hierarchy
                ///< (the default; falls back to SOR when the mesh admits
                ///< no coarse level)
-  kSor,        ///< the flat red-black SOR sweep loop; kept as the
-               ///< single-level reference for parity tests
+  kSor,        ///< the flat red-black SOR sweep loop (up to 60 sweeps at
+               ///< omega 1.4, early exit at 5% of the first sweep's
+               ///< change); kept as the single-level reference for parity
+               ///< tests
 };
 
 /// Tuning knobs for the SIMPLE iteration.
@@ -47,13 +53,6 @@ struct SolverConfig {
   double alpha_p = 0.2;       ///< pressure under-relaxation factor
   double alpha_nt = 0.2;      ///< SA under-relaxation factor
   int momentum_sweeps = 2;    ///< Gauss-Seidel sweeps per momentum solve
-  int pressure_sweeps = 60;   ///< SOR sweeps (with ghost exchange) for p'
-                              ///< when pressure_solver == kSor
-  double sor_omega = 1.4;     ///< SOR relaxation for the kSor pressure
-                              ///< sweeps; the multigrid smoother and its
-                              ///< coarsest-level solve always run omega = 1
-                              ///< (over-relaxation diverges on degenerate
-                              ///< single-cell coarse patches, solver/mg.cpp)
   int sa_sweeps = 2;          ///< Gauss-Seidel sweeps for the SA equation
   bool solve_sa = true;       ///< disable to run a laminar solve
   double pseudo_cfl = 2.0;    ///< local pseudo-time-step CFL number; bounds
@@ -61,22 +60,12 @@ struct SolverConfig {
   int log_every = 0;          ///< 0 = silent, n = log residual every n iters
   SweepOrdering ordering = SweepOrdering::kRedBlack;  ///< sweep update order
 
-  /// p' solve algorithm and its multigrid knobs (ignored under kSor).
+  /// p' solve algorithm and its multigrid exit (ignored under kSor). The
+  /// cycle shape — V(1,1), 40 coarsest-level sweeps, unlimited depth — is
+  /// fixed in solver/mg.cpp.
   PressureSolver pressure_solver = PressureSolver::kMultigrid;
-  // V(1,1) with at most two cycles per outer iteration: SIMPLE only needs
-  // a modest p' reduction per step (the outer loop re-linearises anyway),
-  // and on the bench meshes this configuration both converges deepest and
-  // keeps the pressure phase under 40% of solve wall time — deeper solves
-  // (tol 0.05, V(2,2), 12 cycles) triple the pressure cost for no outer
-  // convergence gain and even trip the divergence guard on the cylinder.
-  int mg_pre_smooth = 1;     ///< red-black smoothing sweeps before descent
-  int mg_post_smooth = 1;    ///< smoothing sweeps after the correction
-  int mg_coarse_sweeps = 40; ///< SOR iterations of the coarsest-level solve
   double mg_tol = 0.3;       ///< V-cycle exit: |r| / |r0| below this
   int mg_max_cycles = 2;     ///< cap on V-cycles per outer iteration
-  int mg_max_depth = 0;      ///< cap on ladder levels, 0 = unlimited; a
-                             ///< diagnostic knob (bisecting which rung
-                             ///< hurts a mesh), not a tuning knob
 
   /// Cooperative cancellation (DESIGN.md §13). When set, solve()/iterate()
   /// check it at every outer-iteration boundary (and the multigrid p'
@@ -86,22 +75,24 @@ struct SolverConfig {
   const util::CancelToken* cancel = nullptr;
 };
 
-/// Wall time spent in each phase of the outer iteration, accumulated over a
-/// whole solve()/iterate() call. `ghosts` covers every inter-patch exchange
-/// and boundary-ghost application (inside and between the other phases);
-/// the compute phases exclude it. `sa` includes the eddy-viscosity
-/// evaluation that feeds the momentum coefficients.
+/// Wall time spent in each phase of the outer iteration over a whole
+/// solve()/iterate() call: the self time of the solver's phase scopes
+/// (trace::Span), i.e. the calling thread's phase-table delta over the
+/// call. `ghosts` covers every inter-patch exchange and boundary-ghost
+/// application, including the multigrid cycle's; the compute phases
+/// exclude it. `sa` includes the eddy-viscosity evaluation that feeds the
+/// momentum coefficients.
 struct PhaseTimes {
   double momentum = 0.0;   ///< momentum coefficient assembly + GS sweeps
   double rhie_chow = 0.0;  ///< aP extrapolation, face velocities, reflux,
                            ///< mass imbalance
-  double pressure = 0.0;   ///< p' solve (V-cycles or SOR sweeps, minus the
-                           ///< in-cycle ghost exchanges, which are booked
-                           ///< under ghosts), p' boundary ghosts, corrector
+  double pressure = 0.0;   ///< p' solve (V-cycles or SOR sweeps, minus
+                           ///< their ghost exchanges), p' boundary ghosts,
+                           ///< corrector
   double sa = 0.0;         ///< eddy viscosity + SA transport sweeps
   double ghosts = 0.0;     ///< exchange_ghosts + apply_bc_ghosts traffic
 
-  /// Sum of all phases (excludes untimed glue, so <= the solve wall time).
+  /// Sum of all phases (excludes the solve's own glue, so <= its wall).
   [[nodiscard]] double total() const {
     return momentum + rhie_chow + pressure + sa + ghosts;
   }
@@ -206,10 +197,18 @@ class RansSolver {
   /// lifetime). mutable: residuals() is logically const but needs scratch.
   Workspace& workspace() const;
 
+  /// The outer loop behind solve() and iterate(), timed by one `site`
+  /// scope: up to `max_iters` outer iterations with the cancellation
+  /// boundary, fault hooks, residual series and iterations-to-tolerance
+  /// back-scan, then the final ghost refresh. `until_converged` selects
+  /// solve(): the tolerance exit plus relaxation retries on divergence.
+  SolveStats run(const util::trace::Site& site, mesh::CompositeField& f,
+                 int max_iters, bool until_converged);
+
   /// One SIMPLE outer iteration under `cfg`; returns the residuals
-  /// measured during it and accumulates phase timings into `phases`.
+  /// measured during it. Its phases time themselves (PhaseTimes).
   Residuals outer_iteration(mesh::CompositeField& f, Workspace& ws,
-                            const SolverConfig& cfg, PhaseTimes& phases) const;
+                            const SolverConfig& cfg) const;
 
   /// Read-only steady-defect evaluation of `f` (residuals() backend):
   /// writes only into `ws`, never into `f`.

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "util/json.hpp"
+
 namespace adarnet::util {
 
 namespace {
@@ -39,29 +41,6 @@ const char* level_name_lower(LogLevel level) {
     case LogLevel::kOff: return "off";
   }
   return "?";
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 const char* level_name(LogLevel level) {
@@ -157,7 +136,7 @@ void emit(LogLevel level, const std::string& message) {
           .count();
   const std::string record = "{\"ts_us\": " + std::to_string(ts_us) +
                              ", \"level\": \"" + level_name_lower(level) +
-                             "\", \"msg\": \"" + json_escape(message) +
+                             "\", \"msg\": \"" + json::escape(message) +
                              "\"}\n";
   std::fwrite(record.data(), 1, record.size(), sink.file);
   std::fflush(sink.file);

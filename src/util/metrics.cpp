@@ -1,7 +1,6 @@
 #include "util/metrics.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -10,6 +9,7 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "util/json.hpp"
 #include "util/telemetry.hpp"
 
 namespace adarnet::util::metrics {
@@ -238,32 +238,12 @@ std::vector<SnapshotEntry> snapshot() {
   return out;  // std::map iteration: already name-sorted
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-std::string number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-}  // namespace
-
 std::string snapshot_json() {
   const auto entries = snapshot();
   std::string counters, gauges, histograms;
   for (const SnapshotEntry& e : entries) {
     std::string key = "\"";
-    key += json_escape(e.name);
+    key += json::escape(e.name);
     key += "\": ";
     switch (e.kind) {
       case SnapshotEntry::Kind::kCounter:
@@ -272,13 +252,13 @@ std::string snapshot_json() {
         break;
       case SnapshotEntry::Kind::kGauge:
         if (!gauges.empty()) gauges += ", ";
-        gauges += key + number(e.value);
+        gauges += key + json::number(e.value);
         break;
       case SnapshotEntry::Kind::kHistogram:
         if (!histograms.empty()) histograms += ", ";
         histograms += key + "{\"count\": " + std::to_string(e.count) +
                       ", \"sum\": " + std::to_string(e.sum) +
-                      ", \"mean\": " + number(e.value) +
+                      ", \"mean\": " + json::number(e.value) +
                       ", \"max\": " + std::to_string(e.max) +
                       ", \"p50\": " + std::to_string(e.p50) +
                       ", \"p95\": " + std::to_string(e.p95) + "}";
@@ -306,7 +286,7 @@ std::string series_json() {
     if (!first_series) out += ", ";
     first_series = false;
     out += '"';
-    out += json_escape(name);
+    out += json::escape(name);
     out += "\": {\"capacity\": ";
     out += std::to_string(ts->capacity());
     out += ", \"total\": ";
@@ -317,9 +297,9 @@ std::string series_json() {
       if (!first) out += ", ";
       first = false;
       out += '[';
-      out += number(p.x);
+      out += json::number(p.x);
       out += ", ";
-      out += number(p.y);
+      out += json::number(p.y);
       out += ']';
     }
     out += "]}";
@@ -371,7 +351,7 @@ std::string prometheus_text(bool openmetrics) {
       out += pname + label + " " + std::to_string(ins.counter->value()) + "\n";
     } else if (ins.gauge) {
       out += "# TYPE " + pname + " gauge\n";
-      out += pname + label + " " + number(ins.gauge->value()) + "\n";
+      out += pname + label + " " + json::number(ins.gauge->value()) + "\n";
     } else if (ins.histogram) {
       const Histogram& h = *ins.histogram;
       out += "# TYPE " + pname + " histogram\n";
@@ -408,24 +388,6 @@ std::string prometheus_text(bool openmetrics) {
   }
   if (openmetrics) out += "# EOF\n";
   return out;
-}
-
-ScopedNs::ScopedNs(Counter& c) : c_(enabled() ? &c : nullptr) {
-  if (c_ != nullptr) {
-    start_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now().time_since_epoch())
-                    .count();
-  }
-}
-
-ScopedNs::~ScopedNs() {
-  if (c_ != nullptr) {
-    const std::int64_t now =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count();
-    c_->add(now - start_ns_);
-  }
 }
 
 }  // namespace adarnet::util::metrics

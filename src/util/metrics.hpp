@@ -40,15 +40,12 @@ inline bool enabled() {
 void set_enabled(bool on);
 
 /// Monotonic counter. Durations are counted in integer nanoseconds by
-/// convention (name suffix ".ns") so no floating-point atomics are needed.
+/// convention (name suffix ".ns", fed by trace::Span scopes) so no
+/// floating-point atomics are needed.
 class Counter {
  public:
   void add(long long delta = 1) {
     if (enabled()) v_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  /// Adds a wall-time duration in seconds to a ".ns" counter.
-  void add_seconds(double s) {
-    add(static_cast<long long>(s * 1e9));
   }
   [[nodiscard]] long long value() const {
     return v_.load(std::memory_order_relaxed);
@@ -232,20 +229,5 @@ std::string series_json();
 /// mandatory `# EOF` marker. The telemetry server picks the flavour from
 /// the scrape's Accept header.
 std::string prometheus_text(bool openmetrics = false);
-
-/// RAII scope timer: adds the scope's duration in nanoseconds to a
-/// counter (conventionally named "*.ns"). Reads the clock only while
-/// metrics are enabled, so a disabled process pays one relaxed load.
-class ScopedNs {
- public:
-  explicit ScopedNs(Counter& c);
-  ~ScopedNs();
-  ScopedNs(const ScopedNs&) = delete;
-  ScopedNs& operator=(const ScopedNs&) = delete;
-
- private:
-  Counter* c_;
-  std::int64_t start_ns_ = 0;
-};
 
 }  // namespace adarnet::util::metrics

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "util/json.hpp"
 #include "util/trace.hpp"
 
 namespace adarnet::util::reqctx {
@@ -13,22 +14,6 @@ namespace adarnet::util::reqctx {
 namespace {
 
 thread_local RequestContext* t_current = nullptr;
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) out += c;
-  }
-  return out;
-}
-
-void append_num(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
 
 void append_bool(std::string& out, bool v) { out += v ? "true" : "false"; }
 
@@ -100,11 +85,27 @@ struct detail_access {
     spans->swap(ctx.spans_);
     counters->swap(ctx.counters_);
   }
+  // Books the calling thread's phase-table delta since the context was
+  // (re)bound and restarts the delta from now.
+  static void settle(RequestContext& ctx) {
+    const PhaseTable now = trace::phase_table();
+    for (int p = 0; p < kPhaseCount; ++p) {
+      const std::size_t i = static_cast<std::size_t>(p);
+      ctx.meta.phase_s[p] +=
+          static_cast<double>(now[i] - ctx.bound_at_[i]) * 1e-9;
+    }
+    ctx.bound_at_ = now;
+  }
+  static void rebind(RequestContext& ctx) {
+    ctx.bound_at_ = trace::phase_table();
+  }
 };
 
 RequestContext* current() { return t_current; }
 
 Scope::Scope(RequestContext* ctx) : prev_(t_current) {
+  if (prev_ != nullptr) detail_access::settle(*prev_);
+  if (ctx != nullptr) detail_access::rebind(*ctx);
   t_current = ctx;
   if (ctx != nullptr && prev_ == nullptr) {
     detail::g_span_gate.fetch_add(1, std::memory_order_relaxed);
@@ -114,6 +115,8 @@ Scope::Scope(RequestContext* ctx) : prev_(t_current) {
 }
 
 Scope::~Scope() {
+  if (t_current != nullptr) detail_access::settle(*t_current);
+  if (prev_ != nullptr) detail_access::rebind(*prev_);
   if (t_current != nullptr && prev_ == nullptr) {
     detail::g_span_gate.fetch_sub(1, std::memory_order_relaxed);
   } else if (t_current == nullptr && prev_ != nullptr) {
@@ -363,15 +366,15 @@ void append_summary_json(std::string& out, const RequestSummary& s) {
   out += "{\"trace_id\": \"";
   out += trace_id_hex(s.trace_id);
   out += "\", \"case\": \"";
-  out += escape(s.case_name);
+  out += json::escape(s.case_name);
   out += "\", \"re\": ";
-  append_num(out, s.re);
+  out += json::number(s.re);
   out += ", \"status\": ";
-  append_num(out, s.http_status);
+  out += json::number(s.http_status);
   out += ", \"service_stage\": \"";
-  out += escape(s.service_stage);
+  out += json::escape(s.service_stage);
   out += "\", \"fallback_stage\": \"";
-  out += escape(s.fallback_stage);
+  out += json::escape(s.fallback_stage);
   out += "\", \"shed\": ";
   append_bool(out, s.shed);
   out += ", \"deadline_expired\": ";
@@ -383,16 +386,16 @@ void append_summary_json(std::string& out, const RequestSummary& s) {
   out += ", \"retained\": ";
   append_bool(out, s.retained);
   out += ", \"wall_ms\": ";
-  append_num(out, s.wall_s * 1e3);
+  out += json::number(s.wall_s * 1e3);
   out += ", \"attributed_ms\": ";
-  append_num(out, s.attributed_seconds() * 1e3);
+  out += json::number(s.attributed_seconds() * 1e3);
   out += ", \"phases_ms\": {";
   for (int p = 0; p < kPhaseCount; ++p) {
     if (p != 0) out += ", ";
     out += "\"";
     out += to_string(static_cast<Phase>(p));
     out += "\": ";
-    append_num(out, s.phase_s[p] * 1e3);
+    out += json::number(s.phase_s[p] * 1e3);
   }
   out += "}";
   if (s.retained) {
@@ -415,11 +418,11 @@ std::string FlightRecorder::requests_json(std::size_t limit) const {
     evc = evicted_;
   }
   std::string out = "{\"recorded\": ";
-  append_num(out, static_cast<double>(rec));
+  out += json::number(static_cast<double>(rec));
   out += ", \"traces_retained\": ";
-  append_num(out, static_cast<double>(ret));
+  out += json::number(static_cast<double>(ret));
   out += ", \"traces_evicted\": ";
-  append_num(out, static_cast<double>(evc));
+  out += json::number(static_cast<double>(evc));
   out += ", \"requests\": [";
   // Newest first.
   std::size_t count = 0;
@@ -464,7 +467,7 @@ bool FlightRecorder::trace_json(std::uint64_t trace_id,
   // Root event covering the whole request, carrying outcome + attribution.
   {
     std::string e = "{\"name\": \"request ";
-    e += escape(s.case_name);
+    e += json::escape(s.case_name);
     e += "\", \"cat\": \"request\", \"ph\": \"X\", \"ts\": ";
     e += std::to_string(s.start_us);
     e += ", \"dur\": ";
@@ -472,11 +475,11 @@ bool FlightRecorder::trace_json(std::uint64_t trace_id,
     e += ", \"pid\": 1, \"tid\": 1, \"args\": {\"trace_id\": \"";
     e += trace_id_hex(s.trace_id);
     e += "\", \"status\": ";
-    append_num(e, s.http_status);
+    e += json::number(s.http_status);
     e += ", \"service_stage\": \"";
-    e += escape(s.service_stage);
+    e += json::escape(s.service_stage);
     e += "\", \"fallback_stage\": \"";
-    e += escape(s.fallback_stage);
+    e += json::escape(s.fallback_stage);
     e += "\", \"shed\": ";
     append_bool(e, s.shed);
     e += ", \"deadline_expired\": ";
@@ -487,13 +490,13 @@ bool FlightRecorder::trace_json(std::uint64_t trace_id,
       e += ", \"";
       e += to_string(static_cast<Phase>(p));
       e += "_ms\": ";
-      append_num(e, s.phase_s[p] * 1e3);
+      e += json::number(s.phase_s[p] * 1e3);
     }
     for (const CounterDelta& c : rec.counters) {
       e += ", \"";
-      e += escape(c.name);
+      e += json::escape(c.name);
       e += "\": ";
-      append_num(e, static_cast<double>(c.delta));
+      e += json::number(static_cast<double>(c.delta));
     }
     e += "}}";
     events.push_back(std::move(e));
@@ -519,7 +522,7 @@ bool FlightRecorder::trace_json(std::uint64_t trace_id,
 
   for (const SpanNode& n : rec.spans) {
     std::string e = "{\"name\": \"";
-    e += escape(n.name);
+    e += json::escape(n.name);
     e += "\", \"cat\": \"span\", \"ph\": \"X\", \"ts\": ";
     e += std::to_string(n.start_us);
     e += ", \"dur\": ";

@@ -4,11 +4,10 @@
 // A RequestContext carries a 64-bit trace id, a span tree, per-phase wall
 // attribution, and per-request counter deltas for one serving request. The
 // serving layer creates one at admission and binds it to the worker thread
-// with a reqctx::Scope; every trace::Span constructed on that thread while
-// the scope is live additionally lands in the context's span tree, and the
-// solver / inference layers publish their phase timings into it, so a
-// completed request can be explained in isolation even when many requests
-// ran concurrently.
+// with a reqctx::Scope: every trace::Span event on that thread lands in
+// its span tree and its phases are the thread's scope phase-table delta
+// over the binding, so a completed request can be explained in isolation
+// even when many requests ran concurrently.
 //
 // Disarmed cost: trace::Span consults a single process-wide relaxed atomic
 // (the span gate, armed while tracing is enabled OR any thread has a bound
@@ -17,6 +16,7 @@
 // mutex only at request completion.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -25,10 +25,9 @@
 
 namespace adarnet::util::reqctx {
 
-/// Wall-attribution phases for one request. kQueue..kRespond partition the
-/// request wall (DESIGN.md §15): the two *Glue phases are measured
-/// remainders (solve wall minus timed sub-phases), not guesses, so the sum
-/// over phases tracks the measured request wall to within timer noise.
+/// Wall-attribution phases for one request; they partition the request
+/// wall (DESIGN.md §15). Each is the self time of the trace::Span scopes
+/// declared with it, except kQueue, charged by hand from admission.
 enum class Phase : int {
   kQueue = 0,     ///< accept → worker pop
   kRead,          ///< socket read of the HTTP request
@@ -39,12 +38,15 @@ enum class Phase : int {
   kPressure,      ///< solver pressure correction
   kSa,            ///< Spalart–Allmaras transport
   kGhosts,        ///< ghost/halo exchange
-  kSolverGlue,    ///< per-solve remainder (workspace, residual eval, …)
-  kPipelineGlue,  ///< pipeline remainder (composite build, norm stats, …)
+  kSolverGlue,    ///< solve self time (workspace, residual eval, …)
+  kPipelineGlue,  ///< pipeline + serving self time (composite build, …)
   kRespond,       ///< summary/cache/JSON build + socket write
   kCount
 };
 constexpr int kPhaseCount = static_cast<int>(Phase::kCount);
+
+/// Nanoseconds of scope self time per phase (trace::phase_table()).
+using PhaseTable = std::array<std::int64_t, kPhaseCount>;
 
 /// Stable lower_snake name for JSON keys ("queue", "momentum", ...).
 const char* to_string(Phase p);
@@ -99,15 +101,14 @@ class RequestContext {
 
   std::uint64_t trace_id() const { return meta.trace_id; }
 
-  /// Adds wall seconds to a phase accumulator.
+  /// Adds wall seconds to a phase (the queue charge; every other phase
+  /// arrives from the thread's phase table while the context is bound).
   void add_phase(Phase p, double seconds) {
     if (seconds > 0.0) meta.phase_s[static_cast<int>(p)] += seconds;
   }
   double phase_seconds(Phase p) const {
     return meta.phase_s[static_cast<int>(p)];
   }
-  /// Sum over all phase accumulators (used for measured-remainder glue).
-  double attributed_seconds() const { return meta.attributed_seconds(); }
 
   /// Aggregates a named counter delta. `name` must be a string literal.
   void count(const char* name, long long delta);
@@ -132,14 +133,16 @@ class RequestContext {
   std::vector<CounterDelta> counters_;
   int open_ = -1;  ///< innermost open span, -1 at root
   long long dropped_spans_ = 0;
+  PhaseTable bound_at_{};  ///< the thread's phase table when last bound
 };
 
 /// The context bound to the calling thread, or nullptr.
 RequestContext* current();
 
-/// RAII binding of a context to the calling thread. Nesting restores the
-/// previous binding; binding nullptr temporarily unbinds (used by code that
-/// must not attribute, e.g. background flushers).
+/// RAII binding of a context to the calling thread; the thread's
+/// phase-table delta over the binding lands in meta.phase_s. Nesting
+/// restores the previous binding; binding nullptr temporarily unbinds
+/// (used by code that must not attribute, e.g. background flushers).
 class Scope {
  public:
   explicit Scope(RequestContext* ctx);

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -20,6 +19,7 @@
 #include "data/dataset.hpp"
 #include "util/cancel.hpp"
 #include "util/fault.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/reqctx.hpp"
@@ -106,12 +106,6 @@ std::string http_response(const char* status, const std::string& body,
   return out;
 }
 
-std::string json_number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
 // --- response summaries -----------------------------------------------------
 
 // The response payload: a summary of the solved state, small enough to
@@ -167,7 +161,7 @@ std::string summary_json(const SolveRequest& req, ServiceStage stage,
   std::string out = "{";
   out += "\"case\": \"" + req.case_name + "\"";
   if (!trace_id.empty()) out += ", \"trace_id\": \"" + trace_id + "\"";
-  out += ", \"re\": " + json_number(req.re);
+  out += ", \"re\": " + json::number(req.re);
   out += ", \"service_stage\": \"" + std::string(to_string(stage)) + "\"";
   out += ", \"fallback_stage\": \"" + s.fallback + "\"";
   out += std::string(", \"converged\": ") + (s.converged ? "true" : "false");
@@ -175,11 +169,11 @@ std::string summary_json(const SolveRequest& req, ServiceStage stage,
   out += std::string(", \"deadline_hit\": ") + (deadline_hit ? "true" : "false");
   out += std::string(", \"cache\": ") + (from_cache ? "true" : "false");
   out += ", \"iterations\": " + std::to_string(s.iterations);
-  out += ", \"residual\": " + json_number(s.residual);
-  out += ", \"umax\": " + json_number(s.umax);
-  out += ", \"umean\": " + json_number(s.umean);
-  out += ", \"queue_s\": " + json_number(queue_s);
-  out += ", \"solve_s\": " + json_number(solve_s);
+  out += ", \"residual\": " + json::number(s.residual);
+  out += ", \"umax\": " + json::number(s.umax);
+  out += ", \"umean\": " + json::number(s.umean);
+  out += ", \"queue_s\": " + json::number(queue_s);
+  out += ", \"solve_s\": " + json::number(solve_s);
   out += "}\n";
   return out;
 }
@@ -424,10 +418,11 @@ struct Server::Impl {
             .set(static_cast<double>(queue.size()));
       }
       // Request-scoped observability (DESIGN.md §15): the context is born
-      // here, charged the queue wait, and bound to this thread so every
-      // trace::Span and solver phase below lands in its tree.
-      // recorder_depth == 0 disarms the whole path (no context, and the
-      // span gate stays cold for this thread).
+      // here, charged the queue wait, and bound to this thread for the
+      // request, so every trace::Span below lands in its tree and every
+      // scope's phase time in its attribution. recorder_depth == 0
+      // disarms the whole path (no context, and the span gate stays cold
+      // for this thread).
       std::unique_ptr<reqctx::RequestContext> rctx;
       if (cfg.recorder_depth > 0) {
         rctx = std::make_unique<reqctx::RequestContext>(
@@ -442,28 +437,31 @@ struct Server::Impl {
         rctx->meta.start_us -=
             std::llround(std::max(queue_s, 0.0) * 1e6);
       }
-      reqctx::Scope scope(rctx.get());
       ReqOutcome out;
       bool crashed = false;
-      // The worker guard: a crash mid-dispatch (fault-injected or real)
-      // degrades this request to a 500 and the worker lives on. handle_conn
-      // never throws after closing the fd, so the fd here is always live.
-      try {
-        handle_conn(conn, ctx, rctx.get(), out);
-      } catch (const std::exception& e) {
-        crashed = true;
-        out.status = 500;
-        n_crashes.fetch_add(1, std::memory_order_relaxed);
-        metrics::counter("serving.worker.crashes").add();
-        ADR_LOG_WARN << "serving: worker crashed mid-request (" << e.what()
-                     << "); degrading to 500 and continuing";
-        socket_io::send_all(
-            conn.fd,
-            http_response("500 Internal Server Error",
-                          "{\"error\": \"worker-crash\", \"degraded\": true}\n"));
-        ::close(conn.fd);
-        n_responses.fetch_add(1, std::memory_order_relaxed);
-      }
+      {
+        reqctx::Scope scope(rctx.get());
+        // The worker guard: a crash mid-dispatch (fault-injected or real)
+        // degrades this request to a 500 and the worker lives on.
+        // handle_conn never throws after closing the fd, so the fd here is
+        // always live.
+        try {
+          handle_conn(conn, ctx, rctx.get(), out);
+        } catch (const std::exception& e) {
+          crashed = true;
+          out.status = 500;
+          n_crashes.fetch_add(1, std::memory_order_relaxed);
+          metrics::counter("serving.worker.crashes").add();
+          ADR_LOG_WARN << "serving: worker crashed mid-request (" << e.what()
+                       << "); degrading to 500 and continuing";
+          socket_io::send_all(
+              conn.fd, http_response("500 Internal Server Error",
+                                     "{\"error\": \"worker-crash\", "
+                                     "\"degraded\": true}\n"));
+          ::close(conn.fd);
+          n_responses.fetch_add(1, std::memory_order_relaxed);
+        }
+      }  // unbinding settles the request's phase attribution
       if (out.solve_path || crashed) {
         finish_request(conn, out, crashed, rctx.get());
       }
@@ -487,12 +485,10 @@ struct Server::Impl {
       std::string raw;
       socket_io::ReadResult read;
       {
-        const trace::Span read_span("serving.read");
-        WallTimer read_timer;
+        static constexpr trace::Site kRead{"serving.read", nullptr,
+                                           reqctx::Phase::kRead};
+        const trace::Span read_span(kRead);
         read = socket_io::read_http_request(conn.fd, raw, 64 * 1024);
-        if (rctx != nullptr) {
-          rctx->add_phase(reqctx::Phase::kRead, read_timer.seconds());
-        }
       }
       if (read != socket_io::ReadResult::kOk) {
         if (read == socket_io::ReadResult::kTimeout) {
@@ -542,7 +538,12 @@ struct Server::Impl {
           const std::string body = header_end == std::string::npos
                                        ? ""
                                        : raw.substr(header_end + skip);
-          const trace::Span solve_span("serving.solve");
+          // Its self time — everything the parse, pipeline, inference and
+          // solver scopes below do not cover (LR set-up, normalisation
+          // fit, summary, cache) — is the request's pipeline glue.
+          static constexpr trace::Site kSolve{
+              "serving.solve", nullptr, reqctx::Phase::kPipelineGlue};
+          const trace::Span solve_span(kSolve);
           response = handle_solve(body, conn, ctx, rctx, out);
         } else if (path == "/solve" || path == "/healthz" ||
                    path == "/stats.json") {
@@ -557,13 +558,11 @@ struct Server::Impl {
       }
     }
     {
-      const trace::Span respond_span("serving.respond");
-      WallTimer respond_timer;
+      static constexpr trace::Site kRespond{"serving.respond", nullptr,
+                                            reqctx::Phase::kRespond};
+      const trace::Span respond_span(kRespond);
       if (!response.empty()) socket_io::send_all(conn.fd, response);
       ::close(conn.fd);
-      if (rctx != nullptr) {
-        rctx->add_phase(reqctx::Phase::kRespond, respond_timer.seconds());
-      }
     }
     n_responses.fetch_add(1, std::memory_order_relaxed);
     if (routed) metrics::counter("serving.requests").add();
@@ -575,14 +574,15 @@ struct Server::Impl {
   std::string handle_solve(const std::string& body, const Conn& conn,
                            WorkerCtx& ctx, reqctx::RequestContext* rctx,
                            ReqOutcome& out) {
-    WallTimer parse_timer;
+    // Request parse + case-spec construction. Event-free: a request's span
+    // tree keeps its serving.read/solve/respond shape.
+    static constexpr trace::Site kParse{"serving.parse", nullptr,
+                                        reqctx::Phase::kParse, false};
+    trace::Span parse_span(kParse);
     SolveRequest req;
     const std::string err = parse_solve_request(body, req);
     if (!err.empty()) {
       out.status = 400;
-      if (rctx != nullptr) {
-        rctx->add_phase(reqctx::Phase::kParse, parse_timer.seconds());
-      }
       return http_response("400 Bad Request",
                            "{\"error\": \"" + err + "\"}\n");
     }
@@ -625,9 +625,7 @@ struct Server::Impl {
     } else {
       spec = data::naca1412_case(req.re, cfg.body_preset);
     }
-    if (rctx != nullptr) {
-      rctx->add_phase(reqctx::Phase::kParse, parse_timer.seconds());
-    }
+    parse_span.stop();
 
     // --- the service degradation ladder ------------------------------------
     const double remaining = token.remaining_seconds();
@@ -706,15 +704,6 @@ struct Server::Impl {
     }
 
     n_solves.fetch_add(1, std::memory_order_relaxed);
-    // Measured-remainder glue: everything in this section that the
-    // solver/pipeline/inference layers do not attribute themselves (LR
-    // setup, normalisation fit, summarize, cache put) is the difference
-    // between the section wall and the attribution the section added — a
-    // measurement, not a guess, so the per-request phase sum keeps
-    // tracking the request wall (bench-gated at 5%).
-    const double attributed_before =
-        rctx != nullptr ? rctx->attributed_seconds() : 0.0;
-    WallTimer section_timer;
     WallTimer solve_timer;
     solver::SolveStats lr_stats;
     field::FlowField lr = data::solve_lr(spec, pcfg.lr_solver, &lr_stats);
@@ -743,13 +732,7 @@ struct Server::Impl {
       cache_put(cache_key(req), s);
     }
     out.status = 200;
-    if (rctx != nullptr) {
-      rctx->meta.cancelled = s.cancelled;
-      rctx->add_phase(reqctx::Phase::kPipelineGlue,
-                      std::max(0.0, section_timer.seconds() -
-                                        (rctx->attributed_seconds() -
-                                         attributed_before)));
-    }
+    if (rctx != nullptr) rctx->meta.cancelled = s.cancelled;
     record_stage(stage, rctx);
     record_deadline(token, out, rctx);
     return http_response("200 OK",
@@ -918,15 +901,15 @@ struct Server::Impl {
     out += "}";
     const WindowStats w = window_stats();
     out += ", \"window_60s\": {";
-    out += "\"span_s\": " + json_number(w.span_s);
+    out += "\"span_s\": " + json::number(w.span_s);
     out += ", \"requests\": " + std::to_string(w.requests);
     out += ", \"shed\": " + std::to_string(w.shed);
     out += ", \"deadline_misses\": " + std::to_string(w.deadline_misses);
-    out += ", \"qps\": " + json_number(w.qps);
-    out += ", \"shed_rate\": " + json_number(w.shed_rate);
-    out += ", \"deadline_miss_rate\": " + json_number(w.deadline_miss_rate);
-    out += ", \"good_rate\": " + json_number(w.good_rate);
-    out += ", \"burn_rate\": " + json_number(w.burn_rate);
+    out += ", \"qps\": " + json::number(w.qps);
+    out += ", \"shed_rate\": " + json::number(w.shed_rate);
+    out += ", \"deadline_miss_rate\": " + json::number(w.deadline_miss_rate);
+    out += ", \"good_rate\": " + json::number(w.good_rate);
+    out += ", \"burn_rate\": " + json::number(w.burn_rate);
     out += "}}\n";
     return out;
   }
@@ -1027,9 +1010,9 @@ void Server::stop() {
   im.running.store(false, std::memory_order_release);
   ::shutdown(im.listen_fd, SHUT_RDWR);
   ::close(im.listen_fd);
-  im.listen_fd = -1;
   im.queue_cv.notify_all();
   if (im.acceptor.joinable()) im.acceptor.join();
+  im.listen_fd = -1;  // after the join: the acceptor reads it until it exits
   for (std::thread& w : im.workers) {
     if (w.joinable()) w.join();
   }

@@ -1,5 +1,5 @@
-// Wall-clock timers used by the benchmark harnesses and the end-to-end
-// pipelines (time-to-convergence accounting in Table 1 / Table 2).
+// Wall-clock stopwatch. Time that feeds phase attribution, ".ns" counters
+// or trace events is measured by trace::Span (util/trace.hpp) instead.
 #pragma once
 
 #include <chrono>
@@ -25,42 +25,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// RAII section timer: adds the enclosed scope's duration to `*sink` on
-/// destruction. Used for the solver's per-phase breakdown
-/// (SolveStats::phase_seconds); cost is two steady_clock reads per scope.
-class ScopedAccum {
- public:
-  explicit ScopedAccum(double* sink) : sink_(sink) {}
-  ~ScopedAccum() { *sink_ += timer_.seconds(); }
-  ScopedAccum(const ScopedAccum&) = delete;
-  ScopedAccum& operator=(const ScopedAccum&) = delete;
-
- private:
-  WallTimer timer_;
-  double* sink_;
-};
-
-/// Accumulating timer: sums the duration of several timed sections.
-class AccumTimer {
- public:
-  /// Starts a timed section.
-  void start() { timer_.reset(); running_ = true; }
-
-  /// Ends the current section and adds it to the total.
-  void stop() {
-    if (running_) total_ += timer_.seconds();
-    running_ = false;
-  }
-
-  /// Total accumulated seconds over all completed sections.
-  [[nodiscard]] double seconds() const { return total_; }
-
- private:
-  WallTimer timer_;
-  double total_ = 0.0;
-  bool running_ = false;
 };
 
 }  // namespace adarnet::util

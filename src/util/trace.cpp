@@ -1,6 +1,5 @@
 #include "util/trace.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 
 namespace adarnet::util::trace {
@@ -71,38 +71,7 @@ void register_atexit() {
   (void)once;
 }
 
-std::string escape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out += '\\';
-    out += *s;
-  }
-  return out;
-}
-
-}  // namespace
-
-namespace detail {
-
-bool env_enabled() {
-  const char* v = std::getenv("ADARNET_TRACE");
-  if (v == nullptr || v[0] == '\0' ||
-      (v[0] == '0' && v[1] == '\0')) {
-    return false;
-  }
-  out_path() = (v[0] == '1' && v[1] == '\0') ? "adarnet_trace.json" : v;
-  register_atexit();  // a trace-enabled run always produces the file
-  reqctx::detail::gate_trace_enabled(true);  // arm the shared span gate
-  return true;
-}
-
-std::int64_t now_us() {
-  static const auto epoch = std::chrono::steady_clock::now();
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch)
-      .count();
-}
-
+// Records one complete event (slow path; locks the event buffer).
 void record(const char* name, std::int64_t ts_us, std::int64_t dur_us) {
   const std::uint32_t tid = thread_tid();
   const std::size_t cap = g_max_events.load(std::memory_order_relaxed);
@@ -123,6 +92,41 @@ void record(const char* name, std::int64_t ts_us, std::int64_t dur_us) {
     static metrics::Counter& drops = metrics::counter("trace.dropped_events");
     drops.add(1);
   }
+}
+
+std::int64_t to_us(std::int64_t ns) {
+  static const std::int64_t epoch_ns = detail::now_ns();
+  return (ns - epoch_ns) / 1000;
+}
+
+}  // namespace
+
+namespace detail {
+
+bool env_enabled() {
+  const char* v = std::getenv("ADARNET_TRACE");
+  if (v == nullptr || v[0] == '\0' ||
+      (v[0] == '0' && v[1] == '\0')) {
+    return false;
+  }
+  out_path() = (v[0] == '1' && v[1] == '\0') ? "adarnet_trace.json" : v;
+  register_atexit();  // a trace-enabled run always produces the file
+  reqctx::detail::gate_trace_enabled(true);  // arm the shared span gate
+  return true;
+}
+
+std::int64_t now_us() { return to_us(now_ns()); }
+
+int open_events(const char* name, std::int64_t start_ns) {
+  return reqctx::detail::open_span(name, to_us(start_ns));
+}
+
+void close_events(const char* name, std::int64_t start_ns,
+                  std::int64_t end_ns, int node) {
+  const std::int64_t start_us = to_us(start_ns);
+  const std::int64_t end_us = to_us(end_ns);
+  if (enabled()) record(name, start_us, end_us - start_us);
+  if (node >= 0) reqctx::detail::close_span(node, end_us);
 }
 
 }  // namespace detail
@@ -166,7 +170,7 @@ bool flush() {
     if (!first) doc += ",";
     first = false;
     doc += "\n  {\"name\": \"";
-    doc += escape(e.name);
+    doc += json::escape(e.name);
     doc += "\", \"cat\": \"adarnet\", \"ph\": \"X\", \"ts\": ";
     doc += std::to_string(e.ts_us);
     doc += ", \"dur\": ";

@@ -1,51 +1,78 @@
-// RAII tracing spans emitting chrome://tracing JSON.
+// The one timing scope (DESIGN.md §9, §15). A trace::Span reads the
+// steady clock once on entry and once on exit and hands that duration to
+// every sink: its site's inclusive ".ns" counter, the calling thread's
+// per-phase table (self time, in its site's reqctx::Phase or the enclosing
+// scope's), and — only when armed, one relaxed load — a chrome://tracing
+// event plus a node in the bound request's span tree, unless its site is
+// event-free (the per-iteration solver and multigrid scopes).
+// SolveStats::phase_seconds, the solver.<phase>.ns counters and a
+// request's phase attribution are deltas of that table.
 //
-// Scope a region with `trace::Span span("infer.scorer");` — when tracing
-// is enabled the span records one complete ("ph": "X") event; when
-// disabled (the default) construction and destruction are a single relaxed
-// atomic load each, so spans may sit on warm paths (not inner loops).
-//
-// Enabling: set ADARNET_TRACE in the environment to the output path (or to
-// "1" for the default "adarnet_trace.json"); the file is written at
-// process exit and by any explicit flush(). Tests and tools can instead
-// call set_path(), which enables tracing programmatically.
-//
-// Span names reuse the metric naming scheme (DESIGN.md §9), so a trace
-// timeline and a metrics snapshot cross-reference by name. Events carry
-// the emitting thread id; nested spans on one thread render as a stack.
-//
-// Request attribution (DESIGN.md §15): when a reqctx::RequestContext is
-// bound to the constructing thread, the span additionally lands in that
-// request's span tree — so one serving request can be rendered in
-// isolation via GET /trace/<id>.json even when the global timeline is
-// disabled. Both sinks share a single relaxed-load gate (reqctx::armed());
-// a fully disarmed process pays exactly one relaxed atomic load per span.
+// Tracing: ADARNET_TRACE=<path> (or "1" for "adarnet_trace.json") writes
+// the timeline at exit and on flush(); set_path() does so
+// programmatically. Event names reuse the metric naming scheme.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 
+#include "util/metrics.hpp"
 #include "util/reqctx.hpp"
 
 namespace adarnet::util::trace {
+
+/// Site phase meaning "the enclosing scope's phase" (no phase at top level).
+inline constexpr reqctx::Phase kInherit = reqctx::Phase::kCount;
+
+/// Static description of one scope: its name and where its time goes.
+/// Give each call site one with static storage, so the counter lookup
+/// happens once.
+struct Site {
+  const char* name;                        ///< event name (a literal)
+  metrics::Counter* ns = nullptr;          ///< inclusive ".ns" counter
+  reqctx::Phase phase = kInherit;          ///< slot for the self time
+  bool events = true;                      ///< false: never records events
+};
+
+class Span;
 
 namespace detail {
 /// Reads ADARNET_TRACE once at static-init time (sets the output path).
 bool env_enabled();
 inline std::atomic<bool> g_enabled{env_enabled()};
 
-/// Records one complete event (slow path; locks the event buffer).
-void record(const char* name, std::int64_t ts_us, std::int64_t dur_us);
+/// The calling thread's innermost open scope and its phase table.
+inline constinit thread_local Span* t_top = nullptr;
+inline constinit thread_local reqctx::PhaseTable t_phase_ns{};
 
-/// Microseconds since an arbitrary process-stable epoch.
+/// Steady-clock nanoseconds (the scope clock).
+inline std::int64_t now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Microseconds since an arbitrary process-stable epoch (event clock).
 std::int64_t now_us();
+
+/// Armed-path halves of a scope: open the bound request's span node
+/// (returns its index, -1 when none), then record the chrome event and
+/// close the node.
+int open_events(const char* name, std::int64_t start_ns);
+void close_events(const char* name, std::int64_t start_ns,
+                  std::int64_t end_ns, int node);
 }  // namespace detail
 
-/// True while spans are being recorded.
+/// True while events are being recorded to the global timeline.
 inline bool enabled() {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
+
+/// The calling thread's phase table: nanoseconds of scope self time per
+/// reqctx::Phase since the thread started. Take deltas.
+inline reqctx::PhaseTable phase_table() { return detail::t_phase_ns; }
 
 /// Enables tracing to `path` (empty disables). Overrides ADARNET_TRACE.
 void set_path(const std::string& path);
@@ -77,29 +104,62 @@ std::size_t max_events();
 /// Events dropped at the cap since process start (clear() resets it).
 long long dropped_count();
 
-/// RAII span: one chrome://tracing complete event covering the enclosing
-/// scope. `name` must outlive the span (string literals in practice).
+/// RAII timing scope over the enclosing block (see the file comment).
+/// Scopes nest strictly per thread.
 class Span {
  public:
-  explicit Span(const char* name) {
-    if (!reqctx::armed()) return;  // disarmed: this one relaxed load
-    name_ = name;
-    start_us_ = detail::now_us();
-    node_ = reqctx::detail::open_span(name, start_us_);
+  explicit Span(const Site& site)
+      : name_(site.name),
+        ns_(site.ns),
+        parent_(detail::t_top),
+        phase_(site.phase != kInherit || parent_ == nullptr
+                   ? site.phase
+                   : parent_->phase_) {
+    detail::t_top = this;
+    start_ns_ = detail::now_ns();
+    if (site.events && reqctx::armed()) {  // disarmed: this one load
+      armed_ = true;
+      node_ = detail::open_events(name_, start_ns_);
+    }
   }
-  ~Span() {
-    if (name_ == nullptr) return;
-    const std::int64_t end_us = detail::now_us();
-    if (enabled()) detail::record(name_, start_us_, end_us - start_us_);
-    if (node_ >= 0) reqctx::detail::close_span(node_, end_us);
-  }
+  /// An event scope with no counter or phase of its own; `name` must
+  /// outlive it (string literals in practice).
+  explicit Span(const char* name) : Span(Site{name}) {}
+  ~Span() { stop(); }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
+  /// Ends the scope now instead of at the end of the block and returns its
+  /// inclusive seconds (the same measurement every sink received). Only
+  /// the thread's innermost open scope may stop; later calls return the
+  /// same value.
+  double stop() {
+    if (open_) {
+      open_ = false;
+      const std::int64_t end_ns = detail::now_ns();
+      dur_ns_ = end_ns - start_ns_;
+      if (phase_ != kInherit) {
+        detail::t_phase_ns[static_cast<int>(phase_)] += dur_ns_ - child_ns_;
+      }
+      if (parent_ != nullptr) parent_->child_ns_ += dur_ns_;
+      detail::t_top = parent_;
+      if (ns_ != nullptr) ns_->add(dur_ns_);
+      if (armed_) detail::close_events(name_, start_ns_, end_ns, node_);
+    }
+    return static_cast<double>(dur_ns_) * 1e-9;
+  }
+
  private:
-  const char* name_ = nullptr;
-  std::int64_t start_us_ = 0;
-  int node_ = -1;  ///< index in the bound request's span tree, -1 if none
+  const char* name_;
+  metrics::Counter* ns_;
+  Span* parent_;
+  reqctx::Phase phase_;  ///< resolved slot; kInherit = none
+  bool open_ = true;
+  bool armed_ = false;
+  int node_ = -1;        ///< index in the bound request's span tree
+  std::int64_t start_ns_ = 0;
+  std::int64_t child_ns_ = 0;  ///< inclusive time of nested scopes
+  std::int64_t dur_ns_ = 0;
 };
 
 }  // namespace adarnet::util::trace

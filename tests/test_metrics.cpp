@@ -156,7 +156,7 @@ TEST_F(MetricsTest, CounterAccumulatesAndResets) {
   c.add();
   c.add(41);
   EXPECT_EQ(c.value(), 42);
-  c.add_seconds(1.5);  // ns convention
+  c.add(1'500'000'000LL);  // ns convention: 1.5 s
   EXPECT_EQ(c.value(), 42 + 1'500'000'000LL);
   c.reset();
   EXPECT_EQ(c.value(), 0);
@@ -233,24 +233,13 @@ TEST_F(MetricsTest, DisabledPathIsANoOp) {
   h.observe(100);
   g.set(100.0);
   g.max(100.0);
-  { metrics::ScopedNs t(c); }
+  { trace::Span t(trace::Site{"obs.test.disabled.scope", &c}); }
   EXPECT_EQ(c.value(), 0);
   EXPECT_EQ(h.count(), 0);
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
   metrics::set_enabled(true);
   c.add(1);
   EXPECT_EQ(c.value(), 1);
-}
-
-TEST_F(MetricsTest, ScopedNsRecordsElapsedTime) {
-  metrics::Counter& c = metrics::counter("obs.test.scoped.ns");
-  {
-    metrics::ScopedNs t(c);
-    // Burn a little time so the duration is clearly non-zero.
-    volatile double x = 1.0;
-    for (int i = 0; i < 10000; ++i) x = x * 1.0000001;
-  }
-  EXPECT_GT(c.value(), 0);
 }
 
 TEST_F(MetricsTest, SnapshotReflectsRegisteredInstruments) {
@@ -436,4 +425,62 @@ TEST_F(TraceTest, FlushDuringSpansNeverTearsTheFile) {
   ASSERT_TRUE(trace::flush());
   EXPECT_TRUE(JsonChecker(slurp(path)).valid());
   std::remove(path.c_str());
+}
+
+// --- one JSON writer (util/json.hpp) ------------------------------------------
+
+namespace {
+
+// True when a JSON string literal in `doc` holds a raw byte below 0x20
+// (JSON requires those escaped; bytes between literals are whitespace).
+bool raw_control_byte_in_string(const std::string& doc) {
+  bool in_string = false;
+  for (std::size_t i = 0; i < doc.size(); ++i) {
+    const char c = doc[i];
+    if (!in_string) {
+      in_string = c == '"';
+    } else if (c == '\\') {
+      ++i;  // the escaped byte
+    } else if (c == '"') {
+      in_string = false;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// A name holding a quote, a backslash, a newline and a raw 0x01 byte, and
+// how every document must spell it.
+constexpr char kNastyName[] = "obs.test.\"q\\b\nn\x01z";
+constexpr char kNastyEscaped[] = "obs.test.\\\"q\\\\b\\nn\\u0001z";
+
+}  // namespace
+
+TEST_F(TraceTest, ControlBytesAreEscapedInEveryJsonDocument) {
+  metrics::counter(kNastyName).add(1);
+  const std::string snapshot = metrics::snapshot_json();
+  EXPECT_FALSE(raw_control_byte_in_string(snapshot));
+  EXPECT_NE(snapshot.find(kNastyEscaped), std::string::npos);
+  EXPECT_TRUE(JsonChecker(snapshot).valid());
+
+  const std::string path = "test_trace_escape.json";
+  trace::set_path(path);
+  { trace::Span span(kNastyName); }
+  ASSERT_TRUE(trace::flush());
+  const std::string timeline = slurp(path);
+  std::remove(path.c_str());
+  EXPECT_FALSE(raw_control_byte_in_string(timeline));
+  EXPECT_NE(timeline.find(kNastyEscaped), std::string::npos);
+  EXPECT_TRUE(JsonChecker(timeline).valid());
+
+  adarnet::util::reqctx::FlightRecorder recorder;
+  adarnet::util::reqctx::RequestSummary summary;
+  summary.trace_id = 1;
+  summary.case_name = kNastyName;
+  recorder.record_summary(summary);
+  const std::string listing = recorder.requests_json();
+  EXPECT_FALSE(raw_control_byte_in_string(listing));
+  EXPECT_NE(listing.find(kNastyEscaped), std::string::npos);
+  EXPECT_TRUE(JsonChecker(listing).valid());
 }

@@ -135,7 +135,7 @@ TEST(GemmConv, WorkspaceEstimateCoversArenaUse) {
   conv.set_engine(Conv2D::Engine::kGemm);
   const std::int64_t est = conv.workspace_bytes(1, 6, 32, 32);
   EXPECT_GT(est, 0);
-  adarnet::nn::Arena& arena = adarnet::nn::Arena::global();
+  adarnet::nn::Arena& arena = adarnet::nn::Arena::local();
   Tensor in = random_tensor(1, 6, 32, 32, rng);
   { Tensor out = conv.forward(in, false); }
   EXPECT_GE(static_cast<std::int64_t>(arena.capacity_bytes()), est);

@@ -1,11 +1,14 @@
 // Request-scoped observability (DESIGN.md §15, ctest -L obs): trace ids,
-// the span gate, span-tree construction, per-phase wall attribution, the
-// flight recorder's retention/eviction policy, and — the reason this suite
-// is raced by the TSan CI job — attribution correctness under concurrency:
-// contexts bound to different threads must build disjoint span trees whose
-// per-request phase sums track each thread's own measured wall.
+// the span gate, span-tree construction, the timing scope (trace::Span)
+// and the per-thread phase table every timing number reads, per-phase wall
+// attribution, the flight recorder's retention/eviction policy, and — the
+// reason this suite is raced by the TSan CI job — attribution correctness
+// under concurrency: threads timing at once each see only their own phase
+// table, and contexts bound to different threads build disjoint span trees
+// whose per-request phase sums track each thread's own measured wall.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -13,6 +16,9 @@
 #include <thread>
 #include <vector>
 
+#include "data/cases.hpp"
+#include "mesh/composite.hpp"
+#include "solver/rans.hpp"
 #include "util/metrics.hpp"
 #include "util/reqctx.hpp"
 #include "util/timer.hpp"
@@ -24,7 +30,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 #define ADARNET_TEST_SOCKETS 1
-#include "data/cases.hpp"
 #include "util/fault.hpp"
 #include "util/serving.hpp"
 #include "util/socket_io.hpp"
@@ -40,6 +45,19 @@ using reqctx::Phase;
 
 bool contains(const std::string& s, const std::string& needle) {
   return s.find(needle) != std::string::npos;
+}
+
+// Spins for `seconds` of wall time.
+void burn(double seconds) {
+  WallTimer t;
+  volatile double sink = 0.0;
+  while (t.seconds() < seconds) sink = sink + 1.0;
+}
+
+std::int64_t delta(const reqctx::PhaseTable& before,
+                   const reqctx::PhaseTable& after, Phase p) {
+  const auto i = static_cast<std::size_t>(p);
+  return after[i] - before[i];
 }
 
 // --- trace ids --------------------------------------------------------------
@@ -97,7 +115,7 @@ TEST(RequestContextTest, PhasesAccumulateAndIgnoreNonPositive) {
   EXPECT_DOUBLE_EQ(ctx.phase_seconds(Phase::kInfer), 0.5);
   EXPECT_DOUBLE_EQ(ctx.phase_seconds(Phase::kPressure), 0.5);
   EXPECT_DOUBLE_EQ(ctx.phase_seconds(Phase::kMomentum), 0.0);
-  EXPECT_DOUBLE_EQ(ctx.attributed_seconds(), 1.0);
+  EXPECT_DOUBLE_EQ(ctx.meta.attributed_seconds(), 1.0);
 }
 
 TEST(RequestContextTest, CountersAggregateByName) {
@@ -188,6 +206,208 @@ TEST(RequestContextTest, FinalizeClosesOpenSpans) {
   ctx.finalize(start_us + 500);
   EXPECT_EQ(ctx.spans()[0].dur_us, 500);
   EXPECT_EQ(ctx.meta.end_us, start_us + 500);
+}
+
+// --- the timing scope (trace::Span) ----------------------------------------
+
+TEST(PhaseScope, InclusiveTimeFeedsItsCounterAndAccumulates) {
+  metrics::Counter& c = metrics::counter("obs.test.scope.ns");
+  const trace::Site site{"obs.test.scope", &c};
+  const long long before = c.value();
+  double first = 0.0;
+  {
+    trace::Span span(site);
+    burn(2e-3);
+    first = span.stop();
+    EXPECT_EQ(span.stop(), first) << "stop() ends the scope once";
+  }
+  EXPECT_GE(first, 2e-3);
+  double second = 0.0;
+  {
+    trace::Span span(site);
+    burn(1e-3);
+    second = span.stop();
+  }
+  EXPECT_GE(second, 1e-3);
+  if (metrics::enabled()) {
+    // Every sink receives the one measurement: the counter holds exactly
+    // the nanoseconds stop() reported, summed over both sections.
+    EXPECT_NEAR(static_cast<double>(c.value() - before),
+                (first + second) * 1e9, 2.0);
+  }
+}
+
+TEST(PhaseScope, NestedScopeOfAnotherPhaseLeavesItsParentsPhaseTime) {
+  metrics::Counter& outer_ns = metrics::counter("obs.test.nest.outer.ns");
+  metrics::Counter& inner_ns = metrics::counter("obs.test.nest.inner.ns");
+  const trace::Site outer_site{"obs.test.nest.outer", &outer_ns,
+                               Phase::kInfer, false};
+  const trace::Site inner_site{"obs.test.nest.inner", &inner_ns,
+                               Phase::kPressure, false};
+  const trace::Site plain{"obs.test.nest.plain", nullptr, trace::kInherit,
+                          false};
+  const long long outer0 = outer_ns.value();
+  const long long inner0 = inner_ns.value();
+  const reqctx::PhaseTable t0 = trace::phase_table();
+  double outer_s = 0.0;
+  double inner_s = 0.0;
+  {
+    trace::Span outer(outer_site);
+    burn(1e-3);
+    {
+      trace::Span inner(inner_site);
+      {
+        trace::Span nested(plain);  // no phase: inherits kPressure
+        burn(2e-3);
+      }
+      inner_s = inner.stop();
+    }
+    {
+      trace::Span own(plain);  // inherits kInfer
+      burn(1e-3);
+    }
+    outer_s = outer.stop();
+  }
+  {
+    trace::Span top(plain);  // no phase anywhere up the stack: untracked
+    burn(1e-4);
+  }
+  const reqctx::PhaseTable t1 = trace::phase_table();
+  const std::int64_t infer = delta(t0, t1, Phase::kInfer);
+  const std::int64_t pressure = delta(t0, t1, Phase::kPressure);
+  // The nested scope's phase gets all of its time, nested scopes included;
+  // the parent's phase gets the parent's duration minus it.
+  EXPECT_NEAR(static_cast<double>(pressure), inner_s * 1e9, 1.0);
+  EXPECT_NEAR(static_cast<double>(infer + pressure), outer_s * 1e9, 1.0);
+  EXPECT_GE(pressure, 2'000'000);
+  EXPECT_GE(infer, 2'000'000);
+  for (int p = 0; p < reqctx::kPhaseCount; ++p) {
+    const auto phase = static_cast<Phase>(p);
+    if (phase != Phase::kInfer && phase != Phase::kPressure) {
+      EXPECT_EQ(delta(t0, t1, phase), 0) << reqctx::to_string(phase);
+    }
+  }
+  if (metrics::enabled()) {
+    // Inclusive counters keep the nested time, to the nanosecond.
+    EXPECT_EQ(outer_ns.value() - outer0, infer + pressure);
+    EXPECT_EQ(inner_ns.value() - inner0, pressure);
+  }
+}
+
+TEST(PhaseScope, FourThreadsTimingAtOnceSeeOnlyTheirOwnTable) {
+  constexpr int kThreads = 4;
+  constexpr int kScopes = 200;
+  const Phase phase_for[kThreads] = {Phase::kInfer, Phase::kMomentum,
+                                     Phase::kPressure, Phase::kSa};
+  std::atomic<int> ready{0};
+  reqctx::PhaseTable deltas[kThreads] = {};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const trace::Site site{"obs.test.thread", nullptr, phase_for[t], false};
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }  // all four time at once
+      const reqctx::PhaseTable before = trace::phase_table();
+      for (int i = 0; i < kScopes; ++i) {
+        trace::Span span(site);
+        burn(20e-6);
+      }
+      const reqctx::PhaseTable after = trace::phase_table();
+      for (int p = 0; p < reqctx::kPhaseCount; ++p) {
+        deltas[t][static_cast<std::size_t>(p)] =
+            delta(before, after, static_cast<Phase>(p));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int p = 0; p < reqctx::kPhaseCount; ++p) {
+      const std::int64_t d = deltas[t][static_cast<std::size_t>(p)];
+      if (static_cast<Phase>(p) == phase_for[t]) {
+        EXPECT_GE(d, kScopes * 20'000LL) << "thread " << t;
+      } else {
+        EXPECT_EQ(d, 0) << "thread " << t << " saw "
+                        << reqctx::to_string(static_cast<Phase>(p));
+      }
+    }
+  }
+}
+
+// A real solve bound to a request: the solver's phase scopes feed one
+// per-thread table, and SolveStats::phase_seconds, the solver.<phase>.ns
+// counters and the request's phase attribution all read its delta.
+struct BoundSolve {
+  adarnet::solver::SolveStats stats;
+  std::unique_ptr<reqctx::RequestContext> ctx =
+      std::make_unique<reqctx::RequestContext>(reqctx::next_trace_id());
+  long long counter_delta[5] = {};
+};
+
+constexpr Phase kSolverPhases[5] = {Phase::kMomentum, Phase::kRhieChow,
+                                    Phase::kPressure, Phase::kSa,
+                                    Phase::kGhosts};
+constexpr const char* kSolverCounters[5] = {
+    "solver.momentum.ns", "solver.rhie_chow.ns", "solver.pressure.ns",
+    "solver.sa.ns", "solver.ghosts.ns"};
+
+BoundSolve bound_iterate(int iterations) {
+  const auto spec = adarnet::data::channel_case(
+      2.5e3, adarnet::data::GridPreset{16, 64, 8, 8});
+  // Wall rows refined: a composite mesh runs the multigrid p' solve with
+  // level-jump exchanges nested in the pressure phase.
+  adarnet::mesh::RefinementMap map(spec.npy(), spec.npx(), 0);
+  for (int pj = 0; pj < spec.npx(); ++pj) map.set_level(0, pj, 1);
+  const adarnet::mesh::CompositeMesh mesh(spec, map);
+  adarnet::solver::RansSolver solver(mesh, adarnet::solver::SolverConfig{});
+  auto f = adarnet::mesh::make_field(mesh);
+  solver.initialize_freestream(f);
+  BoundSolve out;
+  long long before[5];
+  for (int i = 0; i < 5; ++i) {
+    before[i] = metrics::counter(kSolverCounters[i]).value();
+  }
+  {
+    reqctx::Scope scope(out.ctx.get());
+    out.stats = solver.iterate(f, iterations);
+  }
+  for (int i = 0; i < 5; ++i) {
+    out.counter_delta[i] =
+        metrics::counter(kSolverCounters[i]).value() - before[i];
+  }
+  return out;
+}
+
+TEST(PhaseScope, SolvePhasesAreOneTableDeltaForStatsCountersAndRequest) {
+  const BoundSolve run = bound_iterate(30);
+  const adarnet::solver::PhaseTimes& ph = run.stats.phase_seconds;
+  const double stats_s[5] = {ph.momentum, ph.rhie_chow, ph.pressure, ph.sa,
+                             ph.ghosts};
+  for (int i = 0; i < 5; ++i) {
+    SCOPED_TRACE(kSolverCounters[i]);
+    EXPECT_GT(stats_s[i], 0.0);
+    EXPECT_NEAR(run.ctx->phase_seconds(kSolverPhases[i]), stats_s[i], 1e-9);
+    if (metrics::enabled()) {
+      EXPECT_NEAR(static_cast<double>(run.counter_delta[i]) * 1e-9,
+                  stats_s[i], 1e-9);
+    }
+  }
+  // The solve scope's own self time is the solver glue, so phases + glue
+  // is the solve wall.
+  EXPECT_GT(run.ctx->phase_seconds(Phase::kSolverGlue), 0.0);
+  EXPECT_NEAR(run.ctx->phase_seconds(Phase::kSolverGlue) + ph.total(),
+              run.stats.seconds, 1e-8);
+}
+
+TEST(PhaseScope, SolveAddsNoPerIterationSpanNodes) {
+  const BoundSolve run = bound_iterate(30);
+  ASSERT_EQ(run.stats.iterations, 30);
+  // The phase and multigrid scopes are event-free: a bound request sees
+  // the one solver.iterate node, not one per iteration or exchange.
+  ASSERT_EQ(run.ctx->spans().size(), 1u);
+  EXPECT_EQ(std::string(run.ctx->spans()[0].name), "solver.iterate");
+  EXPECT_EQ(run.ctx->dropped_spans(), 0);
 }
 
 // --- trace buffer cap (global timeline) -------------------------------------
@@ -418,10 +638,11 @@ TEST(FlightRecorderTest, ShedSummaryIsRetainedWithoutSpans) {
 // --- attribution under concurrency (the TSan target) ------------------------
 
 // Two-plus concurrent requests: each thread binds its own context, builds a
-// nested span tree, and attributes its work with per-iteration timers. The
-// trees must stay disjoint (a thread only ever sees its own spans) and each
-// context's phase sum must track that thread's measured wall — the same
-// contract bench_serving gates as accept/attribution_sums_to_wall.
+// nested span tree, and attributes its work through per-iteration scopes
+// of its own phase. The trees must stay disjoint (a thread only ever sees
+// its own spans) and each context's phase sum must track that thread's
+// measured wall — the same contract bench_serving gates as
+// accept/attribution_sums_to_wall.
 TEST(ReqctxConcurrency, ConcurrentContextsStayDisjointAndSumToWall) {
   constexpr int kThreads = 4;
   constexpr int kIters = 64;
@@ -457,24 +678,20 @@ TEST(ReqctxConcurrency, ConcurrentContextsStayDisjointAndSumToWall) {
           std::make_unique<reqctx::RequestContext>(reqctx::next_trace_id());
       Result& r = results[t];
       r.id = ctx->trace_id();
+      const trace::Site outer_site{kOuter[t], nullptr, phase_for[t]};
       WallTimer wall;
       {
         reqctx::Scope scope(ctx.get());
         r.armed_while_bound = reqctx::armed();
         for (int i = 0; i < kIters; ++i) {
-          WallTimer iter;
-          {
-            trace::Span outer(kOuter[t]);
-            ctx->count(kCounterName[t], 1);
-            trace::Span inner(kInner[t]);
-            volatile double sink = 0.0;
-            while (iter.seconds() < kWorkSeconds) sink = sink + 1.0;
-          }
-          ctx->add_phase(phase_for[t], iter.seconds());
+          trace::Span outer(outer_site);
+          ctx->count(kCounterName[t], 1);
+          trace::Span inner(kInner[t]);
+          burn(kWorkSeconds);
         }
       }
       r.wall_s = wall.seconds();
-      r.attributed_s = ctx->attributed_seconds();
+      r.attributed_s = ctx->meta.attributed_seconds();
       r.own_phase_s = ctx->phase_seconds(phase_for[t]);
       for (int o = 0; o < kThreads; ++o) {
         if (o != t) r.other_phase_s += ctx->phase_seconds(phase_for[o]);
@@ -507,7 +724,7 @@ TEST(ReqctxConcurrency, ConcurrentContextsStayDisjointAndSumToWall) {
     EXPECT_TRUE(r.counters_ok) << "thread " << t << " counter crosstalk";
     EXPECT_DOUBLE_EQ(r.other_phase_s, 0.0)
         << "thread " << t << " phase crosstalk";
-    // The per-iteration timers cover everything but loop overhead, so the
+    // The per-iteration scopes cover everything but loop overhead, so the
     // phase sum tracks this thread's wall (5% + 10 ms absorbs scheduler
     // noise under TSan; the serving bench gates the tight 5% + 2 ms).
     EXPECT_GT(r.own_phase_s, 0.0);

@@ -1,19 +1,26 @@
 // The hardened serving layer (DESIGN.md §13, ctest -L serving): CancelToken
-// semantics, request parsing, the bounded-admission 503 path, deterministic
-// deadline degradation, chaos faults (worker crash, queue storm, stalled
-// client), and cooperative shutdown. The TSan CI job races the whole suite
-// with fault injection enabled.
+// semantics, request parsing, concurrent inference on worker replicas, the
+// bounded-admission 503 path, deterministic deadline degradation, chaos
+// faults (worker crash, queue storm, stalled client), and cooperative
+// shutdown. The TSan CI job races the whole suite with fault injection
+// enabled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "adarnet/model.hpp"
 #include "data/cases.hpp"
+#include "data/normalize.hpp"
 #include "util/cancel.hpp"
 #include "util/fault.hpp"
+#include "util/rng.hpp"
 #include "util/serving.hpp"
 #include "util/socket_io.hpp"
 
@@ -34,6 +41,70 @@ namespace socket_io = adarnet::util::socket_io;
 
 bool contains(const std::string& s, const std::string& needle) {
   return s.find(needle) != std::string::npos;
+}
+
+// --- concurrent inference ---------------------------------------------------
+
+// Two serving workers run AdarNet::infer at once, each on its own model
+// replica, exactly as worker_loop does. The GEMM/conv scratch arena is per
+// calling thread, so neither inference touches the other's bump pointer:
+// both match a serial run bit for bit, and the TSan job races exactly this.
+TEST(ConcurrentInference, TwoReplicasOnTwoThreadsMatchSerial) {
+  adarnet::field::FlowField lr(32, 64);
+  for (int i = 0; i < lr.ny(); ++i) {
+    for (int j = 0; j < lr.nx(); ++j) {
+      const double x = static_cast<double>(j) / lr.nx();
+      const double y = static_cast<double>(i) / lr.ny();
+      lr.U(i, j) = 1.0 + 0.3 * std::sin(6.28 * x) * y;
+      lr.V(i, j) = 0.1 * std::cos(6.28 * y);
+      lr.p(i, j) = 0.5 * (1.0 - x);
+      lr.nuTilda(i, j) = 1e-4 * y * (1.0 - y);
+    }
+  }
+  auto replica = [&lr] {
+    adarnet::util::Rng rng(7);
+    adarnet::core::AdarNetConfig cfg;
+    cfg.ph = 8;
+    cfg.pw = 8;
+    auto model = std::make_unique<adarnet::core::AdarNet>(cfg, rng);
+    model->stats() = adarnet::data::NormStats::fit({lr});
+    return model;
+  };
+  const adarnet::core::InferenceResult reference = replica()->infer(lr);
+
+  constexpr int kRounds = 3;
+  std::vector<adarnet::core::InferenceResult> results[2];
+  std::atomic<int> ready{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 2; ++w) {
+    workers.emplace_back([&, w] {
+      auto model = replica();
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }  // start together
+      for (int r = 0; r < kRounds; ++r) results[w].push_back(model->infer(lr));
+    });
+  }
+  for (std::thread& t : workers) t.join();
+
+  for (int w = 0; w < 2; ++w) {
+    ASSERT_EQ(results[w].size(), static_cast<std::size_t>(kRounds));
+    for (const adarnet::core::InferenceResult& got : results[w]) {
+      ASSERT_EQ(got.patches.size(), reference.patches.size());
+      for (std::size_t k = 0; k < got.patches.size(); ++k) {
+        const auto& a = got.patches[k];
+        const auto& b = reference.patches[k];
+        ASSERT_EQ(a.level, b.level) << "worker " << w << " patch " << k;
+        for (int c = 0; c < 4; ++c) {
+          const auto& ga = a.values.channel(c);
+          const auto& gb = b.values.channel(c);
+          ASSERT_EQ(ga.size(), gb.size());
+          ASSERT_TRUE(std::equal(ga.data(), ga.data() + ga.size(), gb.data()))
+              << "worker " << w << " patch " << k << " channel " << c;
+        }
+      }
+    }
+  }
 }
 
 // --- CancelToken ------------------------------------------------------------
