@@ -56,16 +56,126 @@ CompositeMesh::CompositeMesh(CaseSpec spec, RefinementMap map)
       patches_.push_back(std::move(pm));
     }
   }
-  // Ghost-exchange traffic of one scalar pass: every interface edge writes
-  // its tangential ghost cells, and every patch writes its four corners.
-  for (const PatchMesh& pm : patches_) {
-    if (pm.pj > 0) ghost_bytes_ += pm.ny;
-    if (pm.pj + 1 < npx()) ghost_bytes_ += pm.ny;
-    if (pm.pi > 0) ghost_bytes_ += pm.nx;
-    if (pm.pi + 1 < npy()) ghost_bytes_ += pm.nx;
-    ghost_bytes_ += 4;
+  compile_halo();
+}
+
+namespace {
+
+// Compiles the ghost writes of one interface edge of patch `pm` (flat
+// neighbour index `nbk`). `edge`: 0 = my left ghosts (neighbour to the
+// left), 1 = right, 2 = bottom, 3 = top. Tangential extents of the two
+// patches coincide physically.
+void compile_edge(std::vector<HaloEntry>& out, const PatchMesh& pm, int nbk,
+                  const PatchMesh& nb, int edge) {
+  const bool horizontal = (edge == 0 || edge == 1);  // interface normal = x
+  const int n_t = horizontal ? pm.ny : pm.nx;        // my tangential cells
+  const int nb_t = horizontal ? nb.ny : nb.nx;       // their tangential cells
+  const int w = pm.nx + 2;                           // my row stride
+  const int nw = nb.nx + 2;                          // their row stride
+
+  // Their interior layer adjacent to the interface.
+  const int nb_fixed = edge == 0   ? nb.nx
+                       : edge == 2 ? nb.ny
+                                   : 1;
+  // Their interior cell at tangential index t (clamped), as an offset.
+  auto their = [&](int t) {
+    t = std::clamp(t, 1, nb_t);
+    return horizontal ? t * nw + nb_fixed : nb_fixed * nw + t;
+  };
+  // My ghost slot t and the first interior cell adjacent to it.
+  auto ghost = [&](int t) {
+    switch (edge) {
+      case 0: return t * w;
+      case 1: return t * w + pm.nx + 1;
+      case 2: return t;
+      default: return (pm.ny + 1) * w + t;
+    }
+  };
+  auto inner = [&](int t) {
+    switch (edge) {
+      case 0: return t * w + 1;
+      case 1: return t * w + pm.nx;
+      case 2: return w + t;
+      default: return pm.ny * w + t;
+    }
+  };
+
+  // At level jumps the neighbour's sample sits at a different perpendicular
+  // distance from the interface than the ghost-cell centre. Correct for it
+  // by interpolating along the interface normal between my first interior
+  // cell (at -h_m/2) and the neighbour sample (at +h_n/2), evaluated at the
+  // ghost centre (+h_m/2): t_perp = 2 h_m / (h_m + h_n). Same level gives
+  // t_perp = 1 (plain copy). The factor is clamped at 1 (HaloEntry).
+  const double h_m = horizontal ? pm.dx : pm.dy;
+  const double h_n = horizontal ? nb.dx : nb.dy;
+  const double t_perp = std::min(2.0 * h_m / (h_m + h_n), 1.0);
+
+  for (int t = 1; t <= n_t; ++t) {
+    HaloEntry e;
+    e.dst = ghost(t);
+    e.inner = inner(t);
+    e.nb = nbk;
+    e.t_perp = t_perp;
+    if (nb_t == n_t) {
+      e.kind = HaloEntry::kCopy;
+      e.src = their(t);
+    } else if (nb_t > n_t) {
+      // Neighbour finer: average the covered fine cells.
+      const int ratio = nb_t / n_t;
+      e.kind = HaloEntry::kAverage;
+      e.n = static_cast<std::int16_t>(ratio);
+      e.src = their((t - 1) * ratio + 1);
+      e.step = horizontal ? nw : 1;
+    } else {
+      // Neighbour coarser: linear interpolation along the interface.
+      const double pos = (t - 0.5) / n_t;  // [0, 1] along interface
+      const double u = pos * nb_t + 0.5;   // their cell-index space
+      const int k0 = static_cast<int>(std::floor(u));
+      e.kind = HaloEntry::kInterp;
+      e.w = u - k0;
+      e.src = their(k0);
+      e.step = their(k0 + 1) - e.src;
+    }
+    out.push_back(e);
   }
-  ghost_bytes_ *= static_cast<long long>(sizeof(double));
+}
+
+}  // namespace
+
+void CompositeMesh::compile_halo() {
+  std::vector<HaloEntry>& out = halo_.entries_;
+  halo_.begin_.reserve(patches_.size() + 1);
+  for (int k = 0; k < patch_count(); ++k) {
+    const PatchMesh& pm = patches_[static_cast<std::size_t>(k)];
+    const int pi = pm.pi;
+    const int pj = pm.pj;
+    halo_.begin_.push_back(static_cast<int>(out.size()));
+    if (pj > 0) compile_edge(out, pm, k - 1, patch(pi, pj - 1), 0);
+    if (pj + 1 < npx()) compile_edge(out, pm, k + 1, patch(pi, pj + 1), 1);
+    if (pi > 0) compile_edge(out, pm, k - npx(), patch(pi - 1, pj), 2);
+    if (pi + 1 < npy()) compile_edge(out, pm, k + npx(), patch(pi + 1, pj), 3);
+    // Corner ghosts: average of the two adjacent edge ghosts, good enough
+    // for the cross terms that touch them.
+    const int w = pm.nx + 2;
+    const int top = (pm.ny + 1) * w;
+    const int corners[4][3] = {
+        {0, 1, w},                                   // (0, 0)
+        {pm.nx + 1, pm.nx, w + pm.nx + 1},           // (0, nx + 1)
+        {top, pm.ny * w, top + 1},                   // (ny + 1, 0)
+        {top + pm.nx + 1, pm.ny * w + pm.nx + 1, top + pm.nx},
+    };
+    for (const auto& c : corners) {
+      HaloEntry e;
+      e.kind = HaloEntry::kCorner;
+      e.dst = c[0];
+      e.inner = c[1];
+      e.nb = k;
+      e.src = c[2];
+      out.push_back(e);
+    }
+  }
+  halo_.begin_.push_back(static_cast<int>(out.size()));
+  out.shrink_to_fit();  // every mesh and ladder rung keeps its plan
 }
 
 long long CompositeMesh::active_cells() const {
@@ -121,116 +231,6 @@ CompositeField make_field(const CompositeMesh& mesh) {
 
 namespace {
 
-// Fills the ghost cells of `mine` on one edge from neighbour `theirs`.
-// `edge`: 0 = my left ghosts (neighbour to the left), 1 = right, 2 = bottom,
-// 3 = top. Tangential extents of the two patches coincide physically.
-void fill_edge(field::Grid2Dd& mine, const PatchMesh& pm,
-               const field::Grid2Dd& theirs, const PatchMesh& nb, int edge) {
-  const bool horizontal = (edge == 0 || edge == 1);  // interface normal = x
-  const int n_t = horizontal ? pm.ny : pm.nx;        // my tangential cells
-  const int nb_t = horizontal ? nb.ny : nb.nx;       // their tangential cells
-
-  // Their interior layer adjacent to the interface.
-  const int nb_fixed = [&] {
-    switch (edge) {
-      case 0: return nb.nx;  // neighbour's rightmost column
-      case 1: return 1;      // neighbour's leftmost column
-      case 2: return nb.ny;  // neighbour's top row
-      default: return 1;     // neighbour's bottom row
-    }
-  }();
-
-  auto their_at = [&](int t) -> double {
-    t = std::clamp(t, 1, nb_t);
-    return horizontal ? theirs(t, nb_fixed) : theirs(nb_fixed, t);
-  };
-
-  auto my_ghost = [&](int t) -> double& {
-    switch (edge) {
-      case 0: return mine(t, 0);
-      case 1: return mine(t, pm.nx + 1);
-      case 2: return mine(0, t);
-      default: return mine(pm.ny + 1, t);
-    }
-  };
-  // My first interior cell adjacent to ghost slot t.
-  auto my_inner = [&](int t) -> double {
-    switch (edge) {
-      case 0: return mine(t, 1);
-      case 1: return mine(t, pm.nx);
-      case 2: return mine(1, t);
-      default: return mine(pm.ny, t);
-    }
-  };
-
-  // At level jumps the neighbour's sample sits at a different perpendicular
-  // distance from the interface than the ghost-cell centre. Correct for it
-  // by interpolating along the interface normal between my first interior
-  // cell (at -h_m/2) and the neighbour sample (at +h_n/2), evaluated at the
-  // ghost centre (+h_m/2): ghost = mine + t_perp * (nb - mine) with
-  // t_perp = 2 h_m / (h_m + h_n). Same level gives t_perp = 1 (plain copy).
-  // The factor is clamped at 1: when the neighbour is finer the exact
-  // correction would extrapolate (t_perp > 1), which destabilises the
-  // block-coupled solver iteration; a plain copy of the averaged fine
-  // values is first-order accurate and stable.
-  const double h_m = horizontal ? pm.dx : pm.dy;
-  const double h_n = horizontal ? nb.dx : nb.dy;
-  const double t_perp = std::min(2.0 * h_m / (h_m + h_n), 1.0);
-
-  auto nb_sample = [&](int t) -> double {
-    if (nb_t == n_t) return their_at(t);
-    if (nb_t > n_t) {
-      // Neighbour finer: average the covered fine cells.
-      const int ratio = nb_t / n_t;
-      double acc = 0.0;
-      for (int s = 0; s < ratio; ++s) acc += their_at((t - 1) * ratio + 1 + s);
-      return acc / ratio;
-    }
-    // Neighbour coarser: linear interpolation along the interface.
-    const double pos = (t - 0.5) / n_t;  // [0, 1] along interface
-    const double u = pos * nb_t + 0.5;   // their cell-index space
-    const int k0 = static_cast<int>(std::floor(u));
-    const double f = u - k0;
-    return (1.0 - f) * their_at(k0) + f * their_at(k0 + 1);
-  };
-
-  for (int t = 1; t <= n_t; ++t) {
-    const double inner = my_inner(t);
-    my_ghost(t) = inner + t_perp * (nb_sample(t) - inner);
-  }
-}
-
-// Fills all ghost edges + corners of patch k of scalar `s`. Only patch k's
-// ghost ring is written, so patches can be processed concurrently.
-void exchange_patch_ghosts(CompositeScalar& s, const CompositeMesh& mesh,
-                           int k) {
-  const int npy = mesh.npy();
-  const int npx = mesh.npx();
-  const int pi = k / npx;
-  const int pj = k % npx;
-  const PatchMesh& pm = mesh.patch(pi, pj);
-  field::Grid2Dd& mine = s[k];
-  if (pj > 0) {
-    fill_edge(mine, pm, s[k - 1], mesh.patch(pi, pj - 1), 0);
-  }
-  if (pj + 1 < npx) {
-    fill_edge(mine, pm, s[k + 1], mesh.patch(pi, pj + 1), 1);
-  }
-  if (pi > 0) {
-    fill_edge(mine, pm, s[k - npx], mesh.patch(pi - 1, pj), 2);
-  }
-  if (pi + 1 < npy) {
-    fill_edge(mine, pm, s[k + npx], mesh.patch(pi + 1, pj), 3);
-  }
-  // Corner ghosts: average of the two adjacent edge ghosts, good enough
-  // for the cross terms that touch them.
-  mine(0, 0) = 0.5 * (mine(0, 1) + mine(1, 0));
-  mine(0, pm.nx + 1) = 0.5 * (mine(0, pm.nx) + mine(1, pm.nx + 1));
-  mine(pm.ny + 1, 0) = 0.5 * (mine(pm.ny, 0) + mine(pm.ny + 1, 1));
-  mine(pm.ny + 1, pm.nx + 1) =
-      0.5 * (mine(pm.ny, pm.nx + 1) + mine(pm.ny + 1, pm.nx));
-}
-
 // Publishes the ghost bytes one exchange pass moved. The counter is named
 // under solver.* because the solver's sweep loops are where the traffic is
 // hot — /metrics readers see it next to solver.ghosts.ns.
@@ -247,15 +247,12 @@ void exchange_ghosts(CompositeScalar& s, const CompositeMesh& mesh,
                      bool parallel) {
   assert(static_cast<int>(s.size()) == mesh.patch_count());
   count_ghost_bytes(mesh, 1);
+  const HaloPlan& plan = mesh.halo();
   if (parallel) {
 #pragma omp parallel for schedule(static)
-    for (int k = 0; k < mesh.patch_count(); ++k) {
-      exchange_patch_ghosts(s, mesh, k);
-    }
+    for (int k = 0; k < mesh.patch_count(); ++k) plan.apply_patch(s, k);
   } else {
-    for (int k = 0; k < mesh.patch_count(); ++k) {
-      exchange_patch_ghosts(s, mesh, k);
-    }
+    for (int k = 0; k < mesh.patch_count(); ++k) plan.apply_patch(s, k);
   }
 }
 
@@ -273,11 +270,12 @@ void exchange_ghosts(CompositeField& f, const CompositeMesh& mesh,
   }
   if (nsel == 0) return;
   count_ghost_bytes(mesh, nsel);
+  const HaloPlan& plan = mesh.halo();
   const int count = mesh.patch_count();
   const int total = nsel * count;
 #pragma omp parallel for schedule(static)
   for (int t = 0; t < total; ++t) {
-    exchange_patch_ghosts(f.channel(channels[t / count]), mesh, t % count);
+    plan.apply_patch(f.channel(channels[t / count]), t % count);
   }
 }
 

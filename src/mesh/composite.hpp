@@ -5,10 +5,14 @@
 // (ph * 2^l) x (pw * 2^l) cells, so its cell size is the LR cell size / 2^l.
 // Every per-patch array is stored with a one-cell ghost ring; interior cells
 // are indexed [1 .. ny] x [1 .. nx]. Ghosts at patch-patch interfaces are
-// filled by exchange_ghosts(); ghosts on the domain boundary are filled by
-// the solver according to the boundary conditions.
+// filled by exchange_ghosts(), which evaluates the mesh's halo plan: every
+// interface ghost write compiled once, when the mesh is built, into a flat
+// list of (destination, sources, weights) entries (the copy-plan idiom of
+// AMReX FillBoundary). Ghosts on the domain boundary are filled by the
+// solver according to the boundary conditions.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "field/array2d.hpp"
@@ -43,6 +47,88 @@ struct PatchMesh {
   }
 };
 
+/// One scalar variable on a composite mesh: one ghosted array per patch, in
+/// row-major patch order.
+using CompositeScalar = std::vector<field::Grid2Dd>;
+
+/// One compiled interface ghost write. Offsets are flat row-major indices
+/// into a patch's ghosted (ny + 2) x (nx + 2) array. An edge ghost becomes
+///
+///   ghost = inner + t_perp * (sample - inner),
+///
+/// where `sample` is read from neighbour patch `nb`: a copy of one cell
+/// (same tangential resolution), the average of the `n` finer cells it
+/// covers (neighbour finer), or the linear interpolation (1 - w) * a + w * b
+/// of two coarser cells (neighbour coarser). t_perp corrects for the
+/// neighbour sample's perpendicular distance from the interface:
+/// 2 h_m / (h_m + h_n), clamped at 1 (a plain copy of the averaged fine
+/// values when the neighbour is finer; the exact factor would extrapolate
+/// and destabilise the block-coupled sweeps). A corner ghost is the mean of
+/// the patch's two adjacent edge ghosts, 0.5 * (mine[inner] + mine[src]).
+struct HaloEntry {
+  enum Kind : std::int16_t { kCopy, kAverage, kInterp, kCorner };
+  Kind kind = kCopy;
+  std::int16_t n = 1;      ///< kAverage: number of averaged fine cells
+  std::int32_t dst = 0;    ///< the ghost cell, in the owning patch
+  std::int32_t inner = 0;  ///< owning patch's interior cell next to the
+                           ///< ghost (kCorner: the first edge ghost)
+  std::int32_t nb = 0;     ///< source patch (kCorner: the owning patch)
+  std::int32_t src = 0;    ///< first source cell in patch nb (kCorner: the
+                           ///< second edge ghost, in the owning patch)
+  std::int32_t step = 0;   ///< kAverage: offset between consecutive
+                           ///< sources; kInterp: second source - first
+  double w = 0.0;          ///< kInterp: weight of the second source
+  double t_perp = 1.0;     ///< perpendicular interpolation factor
+};
+
+/// A mesh's interface ghost writes, grouped by owning patch. Patch k's
+/// entries are [begin(k), begin(k + 1)): its west, east, south and north
+/// interface edges in tangential order, then its four corners (which read
+/// the edge ghosts, so they come last). Every entry writes a ghost of its
+/// own patch and reads only interior cells (corners: own ghosts), so
+/// patches can be evaluated in any order or concurrently. exchange_ghosts()
+/// evaluates every entry; the multigrid's compiled rungs read single
+/// same-level entries instead (solver/mg.cpp).
+class HaloPlan {
+ public:
+  [[nodiscard]] const std::vector<HaloEntry>& entries() const {
+    return entries_;
+  }
+  [[nodiscard]] int begin(int k) const {
+    return begin_[static_cast<std::size_t>(k)];
+  }
+  /// Evaluates patch k's entries in order: fills its interface ghosts.
+  void apply_patch(CompositeScalar& s, int k) const {
+    double* mine = s[static_cast<std::size_t>(k)].data();
+    const int end = begin(k + 1);
+    for (int q = begin(k); q < end; ++q) {
+      const HaloEntry& e = entries_[static_cast<std::size_t>(q)];
+      if (e.kind == HaloEntry::kCorner) {
+        mine[e.dst] = 0.5 * (mine[e.inner] + mine[e.src]);
+        continue;
+      }
+      const double* theirs = s[static_cast<std::size_t>(e.nb)].data();
+      double sample;
+      if (e.kind == HaloEntry::kCopy) {
+        sample = theirs[e.src];
+      } else if (e.kind == HaloEntry::kAverage) {
+        double acc = 0.0;
+        for (int f = 0; f < e.n; ++f) acc += theirs[e.src + f * e.step];
+        sample = acc / e.n;
+      } else {
+        sample = (1.0 - e.w) * theirs[e.src] + e.w * theirs[e.src + e.step];
+      }
+      const double inner = mine[e.inner];
+      mine[e.dst] = inner + e.t_perp * (sample - inner);
+    }
+  }
+
+ private:
+  friend class CompositeMesh;
+  std::vector<HaloEntry> entries_;
+  std::vector<int> begin_;  // patch_count + 1 offsets into entries_
+};
+
 /// The full composite mesh: patch geometry for a CaseSpec + RefinementMap.
 class CompositeMesh {
  public:
@@ -70,23 +156,25 @@ class CompositeMesh {
   /// Number of fluid (non-solid) interior cells.
   [[nodiscard]] long long fluid_cells() const;
 
-  /// Bytes written by one exchange_ghosts() pass over a single scalar
-  /// (interface-edge ghosts plus the four corner ghosts of every patch).
-  /// Feeds the solver.ghosts.bytes traffic counter.
+  /// The compiled interface ghost writes that exchange_ghosts() evaluates.
+  [[nodiscard]] const HaloPlan& halo() const { return halo_; }
+
+  /// Bytes written by one exchange_ghosts() pass over a single scalar: one
+  /// double per halo-plan entry (interface-edge ghosts plus the four corner
+  /// ghosts of every patch). Feeds the solver.ghosts.bytes traffic counter.
   [[nodiscard]] long long ghost_bytes_per_scalar() const {
-    return ghost_bytes_;
+    return static_cast<long long>(halo_.entries().size()) *
+           static_cast<long long>(sizeof(double));
   }
 
  private:
   CaseSpec spec_;
   RefinementMap map_;
   std::vector<PatchMesh> patches_;
-  long long ghost_bytes_ = 0;
-};
+  HaloPlan halo_;
 
-/// One scalar variable on a composite mesh: one ghosted array per patch, in
-/// row-major patch order.
-using CompositeScalar = std::vector<field::Grid2Dd>;
+  void compile_halo();
+};
 
 /// The four-variable flow state on a composite mesh.
 struct CompositeField {
@@ -106,9 +194,10 @@ CompositeScalar make_scalar(const CompositeMesh& mesh);
 /// Allocates a zeroed four-variable state matching the mesh.
 CompositeField make_field(const CompositeMesh& mesh);
 
-/// Fills interior-interface ghost cells of `s` from neighbouring patches:
-/// same-level copy, fine-to-coarse averaging, coarse-to-fine linear
-/// interpolation along the interface. Domain-boundary ghosts are untouched.
+/// Fills interior-interface ghost cells of `s` from neighbouring patches by
+/// evaluating the mesh's halo plan: same-level copy, fine-to-coarse
+/// averaging, coarse-to-fine linear interpolation along the interface,
+/// corners last. Domain-boundary ghosts are untouched.
 /// `parallel = false` runs the same schedule serially — the multigrid
 /// coarse levels are too small to amortise an OpenMP fork/join, and the
 /// result is identical either way (each patch writes only its own ghosts).

@@ -26,21 +26,44 @@ PolygonBody::PolygonBody(std::string name, std::vector<Point> boundary)
     max_x_ = std::max(max_x_, p.x);
     min_y_ = std::min(min_y_, p.y);
     max_y_ = std::max(max_y_, p.y);
+    scale_ = std::max({scale_, std::fabs(p.x), std::fabs(p.y)});
+  }
+  constexpr std::size_t kChunk = 16;
+  const std::size_t n = boundary_.size();
+  for (std::size_t begin = 0; begin < n; begin += kChunk) {
+    Chunk c;
+    c.begin = begin;
+    c.end = std::min(n, begin + kChunk);
+    const Point& first = boundary_[begin == 0 ? n - 1 : begin - 1];
+    c.min_x = c.max_x = first.x;
+    c.min_y = c.max_y = first.y;
+    for (std::size_t i = begin; i < c.end; ++i) {
+      c.min_x = std::min(c.min_x, boundary_[i].x);
+      c.max_x = std::max(c.max_x, boundary_[i].x);
+      c.min_y = std::min(c.min_y, boundary_[i].y);
+      c.max_y = std::max(c.max_y, boundary_[i].y);
+    }
+    chunks_.push_back(c);
   }
 }
 
 bool PolygonBody::inside(double x, double y) const {
   if (x < min_x_ || x > max_x_ || y < min_y_ || y > max_y_) return false;
-  // Even-odd ray casting along +x.
+  // Even-odd ray casting along +x. A chunk whose end points all lie at or
+  // above y, or all below it, has no segment with (a.y > y) != (b.y > y):
+  // skipping it changes no crossing.
   bool in = false;
   const std::size_t n = boundary_.size();
-  for (std::size_t i = 0, j = n - 1; i < n; j = i++) {
-    const Point& a = boundary_[i];
-    const Point& b = boundary_[j];
-    const bool crosses = (a.y > y) != (b.y > y);
-    if (crosses) {
-      const double x_int = (b.x - a.x) * (y - a.y) / (b.y - a.y) + a.x;
-      if (x < x_int) in = !in;
+  for (const Chunk& c : chunks_) {
+    if (y >= c.max_y || y < c.min_y) continue;
+    for (std::size_t i = c.begin; i < c.end; ++i) {
+      const Point& a = boundary_[i];
+      const Point& b = boundary_[i == 0 ? n - 1 : i - 1];
+      const bool crosses = (a.y > y) != (b.y > y);
+      if (crosses) {
+        const double x_int = (b.x - a.x) * (y - a.y) / (b.y - a.y) + a.x;
+        if (x < x_int) in = !in;
+      }
     }
   }
   return in;
@@ -48,7 +71,9 @@ bool PolygonBody::inside(double x, double y) const {
 
 namespace {
 
-double dist_point_segment(double x, double y, const Point& a, const Point& b) {
+// Squared distance from (x, y) to segment ab.
+double dist2_point_segment(double x, double y, const Point& a,
+                           const Point& b) {
   const double vx = b.x - a.x;
   const double vy = b.y - a.y;
   const double wx = x - a.x;
@@ -58,18 +83,53 @@ double dist_point_segment(double x, double y, const Point& a, const Point& b) {
   t = std::clamp(t, 0.0, 1.0);
   const double dx = wx - t * vx;
   const double dy = wy - t * vy;
-  return std::sqrt(dx * dx + dy * dy);
+  return dx * dx + dy * dy;
+}
+
+// Squared distance from (x, y) to an axis-aligned box (0 inside it).
+double dist2_point_box(double x, double y, double min_x, double max_x,
+                       double min_y, double max_y) {
+  const double dx = std::max({min_x - x, 0.0, x - max_x});
+  const double dy = std::max({min_y - y, 0.0, y - max_y});
+  return dx * dx + dy * dy;
 }
 
 }  // namespace
 
 double PolygonBody::wall_distance(double x, double y) const {
-  double best = std::numeric_limits<double>::max();
   const std::size_t n = boundary_.size();
-  for (std::size_t i = 0, j = n - 1; i < n; j = i++) {
-    best = std::min(best, dist_point_segment(x, y, boundary_[j], boundary_[i]));
+  if (n == 0) return std::numeric_limits<double>::max();
+  // The root is monotone and correctly rounded, so the root of the least
+  // squared distance is bitwise the least distance. The chunk nearest
+  // (x, y) goes first; another chunk is scanned only when its box is
+  // within the best distance so far plus a slack that dwarfs the
+  // rounding of both distances (a few ulps of the coordinates' scale),
+  // so a skipped chunk never holds the minimum.
+  auto box2 = [&](const Chunk& c) {
+    return dist2_point_box(x, y, c.min_x, c.max_x, c.min_y, c.max_y);
+  };
+  auto scan = [&](const Chunk& c, double best2) {
+    for (std::size_t i = c.begin; i < c.end; ++i) {
+      best2 = std::min(best2, dist2_point_segment(
+                                  x, y, boundary_[i == 0 ? n - 1 : i - 1],
+                                  boundary_[i]));
+    }
+    return best2;
+  };
+  std::size_t nearest = 0;
+  for (std::size_t c = 1; c < chunks_.size(); ++c) {
+    if (box2(chunks_[c]) < box2(chunks_[nearest])) nearest = c;
   }
-  return best;
+  double best2 = scan(chunks_[nearest], std::numeric_limits<double>::max());
+  const double slack =
+      1e-9 * (1.0 + std::fabs(x) + std::fabs(y) + scale_);
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    if (c == nearest) continue;
+    const double reach = std::sqrt(best2) + slack;
+    if (box2(chunks_[c]) > reach * reach) continue;
+    best2 = scan(chunks_[c], best2);
+  }
+  return std::sqrt(best2);
 }
 
 std::shared_ptr<PolygonBody> make_ellipse(double chord, double aspect,

@@ -8,6 +8,7 @@
 //   * how far is this point from the nearest solid wall?
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -72,7 +73,11 @@ class FlatPlateGeometry final : public Geometry {
 /// Closed solid body described by a boundary polygon (immersed boundary).
 ///
 /// `inside` uses even-odd ray casting; `wall_distance` is the exact minimum
-/// distance to the boundary polyline. Factories below build the paper's
+/// distance to the boundary polyline. Both visit the boundary in chunks of
+/// consecutive segments with bounding boxes and skip chunks that provably
+/// cannot change the answer, so they return bitwise what a scan of every
+/// segment returns at a fraction of the cost (every mesh evaluates them at
+/// each cell centre, ghosts included). Factories below build the paper's
 /// bodies: ellipses (training family), the cylinder, and NACA airfoils.
 class PolygonBody final : public Geometry {
  public:
@@ -94,10 +99,20 @@ class PolygonBody final : public Geometry {
   [[nodiscard]] const std::vector<Point>& boundary() const { return boundary_; }
 
  private:
+  /// Segments [begin, end) (segment i joins vertex i - 1, cyclically, to
+  /// vertex i) and the bounding box of their end points.
+  struct Chunk {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    double min_x = 0.0, max_x = 0.0, min_y = 0.0, max_y = 0.0;
+  };
+
   std::string name_;
   double capture_half_width_ = 0.0;
   std::vector<Point> boundary_;
   double min_x_, max_x_, min_y_, max_y_;  // bounding box fast path
+  double scale_ = 0.0;                    // largest |vertex coordinate|
+  std::vector<Chunk> chunks_;
 };
 
 /// Ellipse of chord `chord`, thickness ratio `aspect` (minor/major axis),

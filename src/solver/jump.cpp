@@ -122,7 +122,7 @@ JumpStencil::JumpStencil(const mesh::CompositeMesh& mesh,
   }
   if (!sides_.empty()) {
     lookup_.assign(static_cast<std::size_t>(mesh.patch_count()) * 4, nullptr);
-    for (const Side& sd : sides_) {
+    for (Side& sd : sides_) {
       lookup_[static_cast<std::size_t>(sd.k) * 4 + sd.edge] = &sd;
     }
   }
@@ -164,53 +164,53 @@ void JumpStencil::set_coefficients(const mesh::CompositeScalar& dp) {
   }
 }
 
-void JumpStencil::refresh(const mesh::CompositeScalar& x) {
-  for (Side& sd : sides_) {
-    const mesh::PatchMesh& pm = mesh_->patch_flat(sd.k);
-    const mesh::PatchMesh& nb = mesh_->patch_flat(sd.nbk);
-    const field::Grid2Dd& xo = x[sd.k];
-    const field::Grid2Dd& xn = x[sd.nbk];
-    // Ghosts across walls mirror the owner (zero-gradient): a coupling of
-    // zero means the equation sees no flux through that subface, and the
-    // corrector gradient must not pull toward a solid cell's stored zero.
-    if (sd.fine) {
-      for (int t = 1; t <= sd.n; ++t) {
-        const auto [oi, oj] = own_cell(pm, sd.edge, t);
-        const auto [ni, nj] = nb_cell(nb, sd.edge, (t - 1) / sd.ratio + 1);
-        const double xnb = xn(ni, nj);
-        sd.ax[t] = sd.a[t] * xnb;
-        const double xown = xo(oi, oj);
-        sd.ghost[t] =
-            sd.a[t] > 0.0 ? xown + sd.t_ghost * (xnb - xown) : xown;
-      }
-    } else {
-      for (int t = 1; t <= sd.n; ++t) {
-        const auto [oi, oj] = own_cell(pm, sd.edge, t);
-        double axsum = 0.0;
-        double xsum = 0.0;
-        int coupled = 0;
-        for (int s = 0; s < sd.ratio; ++s) {
-          const auto [ni, nj] =
-              nb_cell(nb, sd.edge, (t - 1) * sd.ratio + s + 1);
-          const double xf = xn(ni, nj);
-          const double as =
-              sd.asub[static_cast<std::size_t>(t - 1) * sd.ratio + s];
-          axsum += as * xf;
-          if (as > 0.0) {
-            xsum += xf;
-            ++coupled;
-          }
-        }
-        sd.ax[t] = axsum;
-        const double xown = xo(oi, oj);
-        sd.ghost[t] =
-            coupled > 0
-                ? xown + sd.t_ghost * (xsum / static_cast<double>(coupled) -
-                                       xown)
-                : xown;
-      }
+void JumpStencil::refresh_side(Side& sd, int t,
+                               const mesh::CompositeScalar& x) {
+  const mesh::PatchMesh& pm = mesh_->patch_flat(sd.k);
+  const mesh::PatchMesh& nb = mesh_->patch_flat(sd.nbk);
+  const field::Grid2Dd& xo = x[sd.k];
+  const field::Grid2Dd& xn = x[sd.nbk];
+  const auto [oi, oj] = own_cell(pm, sd.edge, t);
+  const double xown = xo(oi, oj);
+  // Ghosts across walls mirror the owner (zero-gradient): a coupling of
+  // zero means the equation sees no flux through that subface, and the
+  // corrector gradient must not pull toward a solid cell's stored zero.
+  if (sd.fine) {
+    const auto [ni, nj] = nb_cell(nb, sd.edge, (t - 1) / sd.ratio + 1);
+    const double xnb = xn(ni, nj);
+    sd.ax[t] = sd.a[t] * xnb;
+    sd.ghost[t] = sd.a[t] > 0.0 ? xown + sd.t_ghost * (xnb - xown) : xown;
+    return;
+  }
+  double axsum = 0.0;
+  double xsum = 0.0;
+  int coupled = 0;
+  for (int s = 0; s < sd.ratio; ++s) {
+    const auto [ni, nj] = nb_cell(nb, sd.edge, (t - 1) * sd.ratio + s + 1);
+    const double xf = xn(ni, nj);
+    const double as = sd.asub[static_cast<std::size_t>(t - 1) * sd.ratio + s];
+    axsum += as * xf;
+    if (as > 0.0) {
+      xsum += xf;
+      ++coupled;
     }
   }
+  sd.ax[t] = axsum;
+  sd.ghost[t] =
+      coupled > 0
+          ? xown + sd.t_ghost * (xsum / static_cast<double>(coupled) - xown)
+          : xown;
+}
+
+void JumpStencil::refresh(const mesh::CompositeScalar& x) {
+  for (Side& sd : sides_) {
+    for (int t = 1; t <= sd.n; ++t) refresh_side(sd, t, x);
+  }
+}
+
+void JumpStencil::refresh_cell(int k, int edge, int t,
+                               const mesh::CompositeScalar& x) {
+  refresh_side(*lookup_[static_cast<std::size_t>(k) * 4 + edge], t, x);
 }
 
 double interface_flux_mismatch(const mesh::CompositeMesh& mesh,

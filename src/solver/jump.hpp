@@ -137,10 +137,18 @@ class JumpStencil {
   /// Call wherever the ghost ring of `x` is exchanged.
   void refresh(const mesh::CompositeScalar& x);
 
+  /// refresh() for one owner cell: tangential index t of patch k's side
+  /// `edge`, which must be a jump side. Bitwise the value refresh() would
+  /// store there; the multigrid's compiled rungs call it just before the
+  /// cell's own update instead of refreshing every side between half-sweeps.
+  void refresh_cell(int k, int edge, int t, const mesh::CompositeScalar& x);
+
  private:
+  void refresh_side(Side& sd, int t, const mesh::CompositeScalar& x);
+
   const mesh::CompositeMesh* mesh_ = nullptr;
   std::vector<Side> sides_;
-  std::vector<const Side*> lookup_;  // patch_count * 4, by [k * 4 + edge]
+  std::vector<Side*> lookup_;  // patch_count * 4, by [k * 4 + edge]
 };
 
 /// The four (possibly null) jump sides of one patch, as the assembly

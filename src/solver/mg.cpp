@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,34 @@ inline DimW dim_weights(int fi, int cn, int ratio, bool open_lo,
 // (assemble_pressure_cell): one kernel shared with the solver's SOR loop,
 // so the level operators and the fine p' equation can never drift apart —
 // including the flux-matched couplings at level-jump interface cells.
+
+// One cell update of a compiled rung (PressureMg::Level::cells): the cell
+// and its four couplings in assemble_pressure_cell's order E, W, N, S,
+// with every mesh-derived branch of that kernel (solid neighbours, domain
+// sides, the outlet fold, patch interfaces, jump sides) taken once, when
+// the rung is compiled. A kCross face reads the neighbouring patch's cell
+// through its halo-plan entry — the formula the exchange would have
+// written into the ghost, inner + t_perp * (nb - inner), with the cell
+// itself as inner — and a kJump face reads JumpStencil::refresh_cell's
+// a * x_nb. The face couplings and their sum (the diagonal) depend only on
+// the coefficients, so PressureMg::set_coefficients evaluates them once
+// per outer iteration, with that kernel's expressions in its order.
+struct CellOp {
+  enum Face : std::uint8_t { kNone, kLocal, kCross, kOutlet, kJump };
+  int k = 0;    // patch (flat index)
+  int off = 0;  // the cell: flat offset into patch k's ghosted array
+  bool solid = false;
+  Face face[4] = {kNone, kNone, kNone, kNone};
+  // kLocal: neighbour offset - off; kCross: halo-plan entry; kJump: the
+  // side's tangential index t.
+  int arg[4] = {0, 0, 0, 0};
+  double coupling[4] = {0.0, 0.0, 0.0, 0.0};  // rx, rx, ry, ry or a[t]
+  double diag = 0.0;                           // their sum (apc)
+};
+
+// The jump-stencil edge of CellOp face f (E, W, N, S).
+constexpr int kCellEdge[4] = {JumpStencil::kE, JumpStencil::kW,
+                              JumpStencil::kN, JumpStencil::kS};
 
 void zero_scalar(CompositeScalar& s, bool parallel) {
   const int n = static_cast<int>(s.size());
@@ -268,23 +297,41 @@ struct PressureMg::Level {
   // anisotropic (aspect outside [1/2, 2]): the strong coupling then
   // pins interface rows to their ghost value, and with leg-frozen
   // ghosts the interface row pair swap-oscillates as an undamped
-  // checkerboard that no coarse grid can represent. Such levels
-  // exchange between the two red-black half-sweeps and after each
-  // sweep, which — with the globally consistent checkerboard parity —
-  // restores true Gauss-Seidel coupling across interfaces. Mesh-derived
-  // only, so bitwise thread invariance is unaffected.
+  // checkerboard that no coarse grid can represent. Such levels see
+  // every interface ghost fresh at each red-black half-sweep, which —
+  // with the globally consistent checkerboard parity — restores true
+  // Gauss-Seidel coupling across interfaces: compiled rungs read the
+  // neighbouring patch directly (below), the others exchange between the
+  // half-sweeps and after each sweep. Mesh-derived only, so bitwise
+  // thread invariance is unaffected.
   bool half_exchange = false;
+  // Compiled red-black schedule of a half_exchange rung whose patches all
+  // have one size, smoothed by the point kernel in red-black order.
+  // Same-size neighbours sit on the opposite colour of the global
+  // checkerboard, so every interface ghost a colour-c cell reads is a
+  // function of that cell itself and of colour-(1 - c) cells, none of
+  // which the half-sweep changes before the cell's own update. Per colour,
+  // the patch-perimeter cells are compiled CellOps that read those values
+  // directly — bitwise what the exchanges between the half-sweeps would
+  // have written into the ghosts — and the interior cells, which read no
+  // ghost, run the row kernel over rows 2..ny-1, columns 2..nx-1
+  // (inner_rows). The rung then exchanges once per leg instead of twice
+  // per sweep. Mesh-derived only (plus the red-black ordering).
+  bool compiled = false;
+  std::vector<CellOp> cells[2];
+  std::vector<sweep::RowRef> inner_rows;
   // Sweep multiplier for levels that are anisotropic AND cannot coarsen
   // their strong direction (the patch tiling pins it: ph or pw has
   // reached 1, or is odd). Point relaxation transports error along the
   // weak direction at a rate of only ~4 r_weak / r_strong = 4 / aspect^2
-  // per sweep, so the nominal 2 pre/post sweeps smooth essentially
-  // nothing there and the V-cycle stalls on interpolation error it can
-  // never damp. Scaling the sweep count by aspect^2 / 8 restores the
-  // smoothing power a strong-direction line smoother would give — at
-  // trivial cost, because only the tiny deep rungs of the ladder ever
-  // trigger it. Stays 1 on line-smoothed levels (the line solve IS the
-  // strong-direction smoother). Mesh-derived only (thread invariance).
+  // per sweep, so the single nominal pre/post sweep (kPreSmooth,
+  // kPostSmooth) smooths essentially nothing there and the V-cycle stalls
+  // on interpolation error it can never damp. Scaling the sweep count by
+  // aspect^2 / 8 restores the smoothing power a strong-direction line
+  // smoother would give — at trivial cost, because only the tiny deep
+  // rungs of the ladder ever trigger it. Stays 1 on line-smoothed levels
+  // (the line solve IS the strong-direction smoother). Mesh-derived only
+  // (thread invariance).
   int smooth_mult = 1;
   // Flux-matched level-jump couplings of this level's mesh (empty on
   // jump-free levels). Subface coefficients re-derive per outer iteration
@@ -306,6 +353,65 @@ struct PressureMg::Level {
   bool line_x = false;  // x-jumps, strong coupling x: row solves
   std::vector<sweep::RowRef> cols;  // (k, j) line items when line_y
 };
+
+void PressureMg::compile_rung(Level& lv) {
+  const CompositeMesh& m = *lv.mesh;
+  const mesh::HaloPlan& plan = m.halo();
+  const bool outlet_right = m.spec().bc.right.type == mesh::BcType::kOutlet;
+  std::vector<int> entry_of;  // ghost offset -> halo entry, one patch
+  for (int k = 0; k < m.patch_count(); ++k) {
+    const PatchMesh& pm = m.patch_flat(k);
+    const int w = pm.nx + 2;
+    entry_of.assign(static_cast<std::size_t>(pm.ny + 2) * w, -1);
+    for (int q = plan.begin(k); q < plan.begin(k + 1); ++q) {
+      const mesh::HaloEntry& e = plan.entries()[static_cast<std::size_t>(q)];
+      if (e.kind != mesh::HaloEntry::kCorner) entry_of[e.dst] = q;
+    }
+    const JumpSides js = jump_sides(lv.stencil, k);
+    const int par = ((pm.pi * pm.ny) + (pm.pj * pm.nx)) & 1;
+    for (int i = 1; i <= pm.ny; ++i) {
+      if (i > 1 && i < pm.ny && pm.nx > 2) lv.inner_rows.push_back({k, i});
+      for (int j = 1; j <= pm.nx; ++j) {
+        if (i > 1 && i < pm.ny && j > 1 && j < pm.nx) continue;
+        CellOp c;
+        c.k = k;
+        c.off = i * w + j;
+        c.solid = pm.solid(i, j) != 0;
+        // Face f's neighbour (ni, nj): jump side, closed, domain side,
+        // interface ghost or own cell — assemble_pressure_cell's branches.
+        auto face = [&](int f, const JumpStencil::Side* jump, bool at_edge,
+                        bool domain, int ni, int nj, int t) {
+          if (jump != nullptr && at_edge) {
+            c.face[f] = CellOp::kJump;
+            c.arg[f] = t;
+          } else if (pm.solid(ni, nj) ||
+                     (domain && (f != 0 || !outlet_right))) {
+            c.face[f] = CellOp::kNone;  // only the east side is an outlet
+          } else if (domain) {
+            c.face[f] = CellOp::kOutlet;
+          } else if (at_edge) {
+            assert(entry_of[ni * w + nj] >= 0);
+            c.face[f] = CellOp::kCross;
+            c.arg[f] = entry_of[ni * w + nj];
+          } else {
+            c.face[f] = CellOp::kLocal;
+            c.arg[f] = (ni * w + nj) - c.off;
+          }
+        };
+        face(0, js.e, j == pm.nx, pm.pj == m.npx() - 1 && j == pm.nx, i,
+             j + 1, i);
+        face(1, js.w, j == 1, pm.pj == 0 && j == 1, i, j - 1, i);
+        face(2, js.n, i == pm.ny, pm.pi == m.npy() - 1 && i == pm.ny, i + 1,
+             j, j);
+        face(3, js.s, i == 1, pm.pi == 0 && i == 1, i - 1, j, j);
+        lv.cells[(i + j + par) & 1].push_back(c);
+      }
+    }
+  }
+  for (std::vector<CellOp>& cells : lv.cells) cells.shrink_to_fit();
+  lv.inner_rows.shrink_to_fit();
+  lv.compiled = true;
+}
 
 PressureMg::PressureMg(const CompositeMesh& fine, const SolverConfig& config)
     : cfg_(config) {
@@ -334,8 +440,11 @@ PressureMg::PressureMg(const CompositeMesh& fine, const SolverConfig& config)
       lv.smooth_mult = static_cast<int>(
           std::min(128.0, std::max(1.0, std::ceil(a * a / 8.0))));
     }
+    bool same_size = true;
     for (int k = 0; k < m->patch_count(); ++k) {
       const PatchMesh& pm = m->patch_flat(k);
+      same_size = same_size && pm.ny == m->patch_flat(0).ny &&
+                  pm.nx == m->patch_flat(0).nx;
       for (int i = 1; i <= pm.ny; ++i) lv.rows.push_back({k, i});
       if (lv.line_y) {
         for (int j = 1; j <= pm.nx; ++j) lv.cols.push_back({k, j});
@@ -348,6 +457,10 @@ PressureMg::PressureMg(const CompositeMesh& fine, const SolverConfig& config)
     lv.series =
         &util::metrics::series("solver.mg.residual.l" + std::to_string(d));
     lv.parallel = m->active_cells() >= kParallelCellFloor;
+    if (same_size && lv.half_exchange && !lv.line_y && !lv.line_x &&
+        cfg_.ordering == SweepOrdering::kRedBlack) {
+      compile_rung(lv);
+    }
   };
 
   levels_.emplace_back();
@@ -493,6 +606,31 @@ void PressureMg::set_coefficients(const CompositeScalar& ap_fine) {
   for (Level& lv : levels_) {
     if (!lv.stencil.empty()) lv.stencil.set_coefficients(lv.dp);
   }
+
+  // Compiled rungs' face couplings and diagonals, exactly as
+  // assemble_pressure_cell builds them.
+  for (Level& lv : levels_) {
+    if (!lv.compiled) continue;
+    const double dx = lv.mesh->patch_flat(0).dx;
+    const double dy = lv.mesh->patch_flat(0).dy;
+    for (std::vector<CellOp>& cells : lv.cells) {
+      for (CellOp& c : cells) {
+        const double dcell = lv.dp[c.k].data()[c.off];
+        const double rx = dcell * dy / dx;
+        const double ry = dcell * dx / dy;
+        double sum = 0.0;
+        for (int f = 0; f < 4; ++f) {
+          if (c.face[f] == CellOp::kNone) continue;
+          c.coupling[f] =
+              c.face[f] == CellOp::kJump
+                  ? lv.stencil.side(c.k, kCellEdge[f])->a[c.arg[f]]
+                  : (f < 2 ? rx : ry);
+          sum += c.coupling[f];
+        }
+        c.diag = sum;
+      }
+    }
+  }
 }
 
 void PressureMg::exchange(const Level& lv, CompositeScalar& x) const {
@@ -521,46 +659,122 @@ void PressureMg::smooth(Level& lv, CompositeScalar& x, int sweeps,
       lv.mesh->spec().bc.right.type == mesh::BcType::kOutlet;
   const int npx = lv.mesh->npx();
   const int npy = lv.mesh->npy();
+  // Updates row i of patch k at the cells of `color` (-1: every cell) in
+  // columns [jlo, jhi] (0, 0: the whole row).
+  auto update_row = [&](int k, int i, int color, int jlo = 0, int jhi = 0) {
+    const PatchMesh& pm = lv.mesh->patch_flat(k);
+    Grid2Dd& X = x[k];
+    const Grid2Dd& DP = lv.dp[k];
+    const Grid2Dd& B = lv.b[k];
+    const JumpSides jsd = jump_sides(lv.stencil, k);
+    // Globally consistent checkerboard: the parity base shifts the
+    // (i + j) coloring by the patch's global cell offset. It is 0
+    // whenever both patch dimensions are even (every fine level), and on
+    // odd-dimension coarse rungs it keeps the two colors a true
+    // checkerboard across interfaces of same-size patches.
+    const int par = ((pm.pi * pm.ny) + (pm.pj * pm.nx)) & 1;
+    const int js = sweep::color_jstep(color);
+    int j0 = sweep::color_j0(i + par, color);
+    if (j0 < jlo) j0 += js;
+    const int j1 = jhi > 0 ? jhi : pm.nx;
+    auto row = [&]<bool kJump>() {
+      for (int j = j0; j <= j1; j += js) {
+        if (pm.solid(i, j)) {
+          X(i, j) = 0.0;
+          continue;
+        }
+        double apc = 0.0;
+        double rhs = 0.0;
+        assemble_pressure_cell<kJump>(pm, DP, X, B(i, j), outlet_right, npx,
+                                      npy, jsd, i, j, &apc, &rhs);
+        if (apc <= 0.0) {
+          X(i, j) = 0.0;
+          continue;
+        }
+        X(i, j) += omega * (rhs / apc - X(i, j));
+      }
+    };
+    if (any_jump_side(jsd)) {
+      row.template operator()<true>();
+    } else {
+      row.template operator()<false>();
+    }
+  };
+  if (lv.compiled) {
+    // No exchange between or after the sweeps: perimeter cells read the
+    // neighbouring patches directly (Level::compiled). Entered with fresh
+    // or zeroed ghosts, every value read is bitwise the exchanged one. The
+    // coarsest solve ends with the one exchange its caller's prolongation
+    // reads; pre/post-smoothing legs leave it to v_cycle's own exchange.
+    const std::vector<mesh::HaloEntry>& entries = lv.mesh->halo().entries();
+    auto update_cell = [&](const CellOp& c) {
+      double* X = x[c.k].data();
+      if (c.solid) {
+        X[c.off] = 0.0;
+        return;
+      }
+      const double xo = X[c.off];
+      double b = lv.b[c.k].data()[c.off];
+      for (int f = 0; f < 4; ++f) {
+        const double r = c.coupling[f];
+        switch (c.face[f]) {
+          case CellOp::kNone:
+            break;
+          case CellOp::kLocal:
+            b += r * X[c.off + c.arg[f]];
+            break;
+          case CellOp::kCross: {
+            const mesh::HaloEntry& e = entries[c.arg[f]];
+            const double nb = x[e.nb].data()[e.src];
+            b += r * (xo + e.t_perp * (nb - xo));
+            break;
+          }
+          case CellOp::kOutlet:
+            b += r * (-xo);
+            break;
+          case CellOp::kJump:
+            lv.stencil.refresh_cell(c.k, kCellEdge[f], c.arg[f], x);
+            b += lv.stencil.side(c.k, kCellEdge[f])->ax[c.arg[f]];
+            break;
+        }
+      }
+      if (c.diag <= 0.0) {
+        X[c.off] = 0.0;
+      } else {
+        X[c.off] = xo + omega * (b / c.diag - xo);
+      }
+    };
+    // Interior rows skip their first and last column (perimeter cells).
+    auto update_inner_row = [&](int r, int color) {
+      const sweep::RowRef& rr = lv.inner_rows[r];
+      update_row(rr.k, rr.i, color, 2, lv.mesh->patch_flat(rr.k).nx - 1);
+    };
+    const int nr = static_cast<int>(lv.inner_rows.size());
+    for (int s = 0; s < sweeps; ++s) {
+      for (int color = 0; color < 2; ++color) {
+        const std::vector<CellOp>& cells = lv.cells[color];
+        const int nc = static_cast<int>(cells.size());
+        if (lv.parallel) {
+#pragma omp parallel
+          {
+#pragma omp for schedule(static) nowait
+            for (int q = 0; q < nc; ++q) update_cell(cells[q]);
+#pragma omp for schedule(static)
+            for (int r = 0; r < nr; ++r) update_inner_row(r, color);
+          }
+        } else {
+          for (int q = 0; q < nc; ++q) update_cell(cells[q]);
+          for (int r = 0; r < nr; ++r) update_inner_row(r, color);
+        }
+      }
+    }
+    if (exchange_each_sweep) exchange_iterate(lv, x);
+    return;
+  }
   auto half = [&](int color) {
     sweep::run_half_sweep(
         lv.rows, color,
-        [&](int /*r*/, int k, int i, int color_) {
-          const PatchMesh& pm = lv.mesh->patch_flat(k);
-          Grid2Dd& X = x[k];
-          const Grid2Dd& DP = lv.dp[k];
-          const Grid2Dd& B = lv.b[k];
-          const JumpSides jsd = jump_sides(lv.stencil, k);
-          // Globally consistent checkerboard: the parity base shifts the
-          // (i + j) coloring by the patch's global cell offset. It is 0
-          // whenever both patch dimensions are even (every fine level),
-          // and on odd-dimension coarse rungs it keeps the two colors a
-          // true checkerboard across interfaces of same-size patches.
-          const int par = ((pm.pi * pm.ny) + (pm.pj * pm.nx)) & 1;
-          const int js = sweep::color_jstep(color_);
-          auto row = [&]<bool kJump>() {
-            for (int j = sweep::color_j0(i + par, color_); j <= pm.nx;
-                 j += js) {
-              if (pm.solid(i, j)) {
-                X(i, j) = 0.0;
-                continue;
-              }
-              double apc = 0.0;
-              double rhs = 0.0;
-              assemble_pressure_cell<kJump>(pm, DP, X, B(i, j), outlet_right,
-                                            npx, npy, jsd, i, j, &apc, &rhs);
-              if (apc <= 0.0) {
-                X(i, j) = 0.0;
-                continue;
-              }
-              X(i, j) += omega * (rhs / apc - X(i, j));
-            }
-          };
-          if (any_jump_side(jsd)) {
-            row.template operator()<true>();
-          } else {
-            row.template operator()<false>();
-          }
-        },
+        [&](int /*r*/, int k, int i, int color_) { update_row(k, i, color_); },
         lv.parallel);
   };
   for (int s = 0; s < sweeps; ++s) {
@@ -832,12 +1046,15 @@ void PressureMg::v_cycle(int d, CompositeScalar& x, double series_x) {
   Level& lv = levels_[static_cast<std::size_t>(d)];
   if (d + 1 == depth()) {
     // Coarsest level: a handful of cells total — hammer it with plain
-    // Gauss-Seidel (exchange per sweep; the grid is tiny and the
-    // exchange serial, so per-sweep coupling is cheap here and the
-    // near-exact coarse solve is what the two-grid theory wants).
+    // Gauss-Seidel, every half-sweep seeing fresh interface values
+    // (compiled rungs read the neighbouring patch, the others exchange).
     // omega = 1, NOT the SOR path's 1.4: the deepest rungs are single-cell
     // patches whose every neighbour is an interface ghost, so the sweep
-    // degenerates to Jacobi — over-relaxed Jacobi diverges.
+    // degenerates to Jacobi — over-relaxed Jacobi diverges. The sweep
+    // count stays kCoarseSweeps x smooth_mult rather than an exact
+    // (direct) solve: on this anchored-stencil ladder the coarse operators
+    // are not Galerkin, and an exact coarse correction overshoots
+    // (DESIGN.md §11 records the experiment).
     smooth(lv, x, kCoarseSweeps * lv.smooth_mult, 1.0,
            /*exchange_each_sweep=*/true);
     return;

@@ -29,15 +29,28 @@
 //     exact tridiagonal solves along odd then even lines, which kill the
 //     aliasing modes and keep a real ladder where the old code refused at
 //     depth 1. Coarse levels too small to amortise an OpenMP fork/join
-//     run the identical schedule serially, and point-smoothed rungs whose
-//     strong direction is exhausted scale their sweep count by aspect^2
-//     (smooth_mult) — all mesh-derived decisions, never
-//     thread-count-derived ones.
-//   * Ghost exchanges are fused per V-cycle leg: one exchange after each
-//     smoothing leg and after prolongation, not one per sweep. Sweeps
-//     within a leg see interface ghosts frozen at the leg boundary — a
-//     block-Jacobi flavour at interfaces that trades a slightly weaker
-//     smoother for a large cut in exchange count and fork/joins.
+//     run the identical schedule serially (no parallel region at all),
+//     and point-smoothed rungs whose strong direction is exhausted scale
+//     their sweep count by aspect^2 (smooth_mult) — all mesh-derived
+//     decisions, never thread-count-derived ones.
+//   * Ghosts come from each rung mesh's halo plan (mesh/composite.hpp):
+//     the interface ghost writes compiled once into flat (destination,
+//     sources, weights) entries, so an exchange is one gather loop. Most
+//     rungs exchange once per V-cycle leg — after each smoothing leg and
+//     after prolongation, not per sweep — and their sweeps see interface
+//     ghosts frozen at the leg boundary (a block-Jacobi flavour at
+//     interfaces). Rungs whose smoother needs a fresh ghost at every
+//     red-black half-sweep (single-cell patches, strong anisotropy) are
+//     compiled when their patches all have one size: per colour, a list
+//     of the patch-perimeter cells with every branch of the 5-point
+//     operator taken once, whose cross-patch faces read the neighbouring
+//     patch's cell through its halo-plan entry (or a ratio-1 jump side's
+//     coupling); interior cells keep the row kernel. A same-size
+//     neighbour always holds the opposite colour, so the values read are
+//     bitwise the ones an exchange between the half-sweeps would have
+//     written, and the rung exchanges once per leg instead of twice per
+//     sweep. Mixed-size rungs of that kind and the line smoother still
+//     exchange between colours.
 //   * Restriction is exactly the transpose of prolongation (scatter form
 //     of the same per-dimension 3/4-1/4 weights), so <R u, v>_c =
 //     <u, P v>_f — tests/test_solver_mg.cpp asserts it. The interior
@@ -110,6 +123,8 @@ class PressureMg {
  private:
   struct Level;
 
+  /// Builds lv's compiled red-black schedule (Level::compiled).
+  static void compile_rung(Level& lv);
   void smooth(Level& lv, mesh::CompositeScalar& x, int sweeps, double omega,
               bool exchange_each_sweep) const;
   /// Zebra (odd/even line) tridiagonal smoothing along the level's strong

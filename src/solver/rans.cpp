@@ -70,7 +70,6 @@ double dirichlet_ghost(double face_value, double interior) {
 
 // Ghost for one domain-boundary cell given the side's BC, the variable,
 // and whether the boundary is normal to x (left/right) or y (bottom/top).
-// Shared by the per-channel and the fused apply_bc_ghosts paths.
 double bc_ghost(const SideBc& bc, int ch, bool normal_x, double interior) {
   switch (bc.type) {
     case BcType::kInlet:
@@ -110,6 +109,7 @@ using sweep::zero_rows;
 // exactly the channels it dirtied (DESIGN.md §11).
 constexpr unsigned kMaskUV = 0b0011u;    // momentum sweeps touch U, V
 constexpr unsigned kMaskUVNt = 0b1011u;  // pre-SA refresh: U, V, nuTilda
+constexpr unsigned kMaskNt = 1u << kNt;  // SA sweeps touch nuTilda
 constexpr unsigned kMaskAll = 0b1111u;
 
 // Momentum coefficients, pressure gradient and neighbour sums of one fluid
@@ -354,40 +354,6 @@ void RansSolver::initialize_freestream(CompositeField& f) const {
         f.V[k](i, j) = solid ? 0.0 : in.v;
         f.p[k](i, j) = 0.0;
         f.nuTilda[k](i, j) = solid ? 0.0 : in.nuTilda;
-      }
-    }
-  }
-}
-
-void RansSolver::apply_bc_ghosts(CompositeScalar& s, int channel) const {
-  const mesh::CaseSpec& spec = mesh_.spec();
-  const int npx = mesh_.npx();
-  const int npy = mesh_.npy();
-
-#pragma omp parallel for schedule(static)
-  for (int k = 0; k < mesh_.patch_count(); ++k) {
-    const PatchMesh& pm = mesh_.patch_flat(k);
-    Grid2Dd& a = s[k];
-    if (pm.pj == 0) {
-      for (int i = 1; i <= pm.ny; ++i) {
-        a(i, 0) = bc_ghost(spec.bc.left, channel, true, a(i, 1));
-      }
-    }
-    if (pm.pj == npx - 1) {
-      for (int i = 1; i <= pm.ny; ++i) {
-        a(i, pm.nx + 1) =
-            bc_ghost(spec.bc.right, channel, true, a(i, pm.nx));
-      }
-    }
-    if (pm.pi == 0) {
-      for (int j = 1; j <= pm.nx; ++j) {
-        a(0, j) = bc_ghost(spec.bc.bottom, channel, false, a(1, j));
-      }
-    }
-    if (pm.pi == npy - 1) {
-      for (int j = 1; j <= pm.nx; ++j) {
-        a(pm.ny + 1, j) =
-            bc_ghost(spec.bc.top, channel, false, a(pm.ny, j));
       }
     }
   }
@@ -1161,8 +1127,8 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
       }
       {
         const util::trace::Span t(kGhosts.site);
-        exchange_ghosts(f.nuTilda, mesh_);
-        apply_bc_ghosts(f.nuTilda, kNt);
+        exchange_ghosts(f, mesh_, kMaskNt);
+        apply_bc_ghosts(f, kMaskNt);
       }
     }
     res.sa = sum_rows(ws.acc_a) / std::max(sum_rows(ws.acc_b), 1e-30);

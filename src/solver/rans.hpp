@@ -227,11 +227,9 @@ class RansSolver {
   double assemble_faces_imbalance(const mesh::CompositeField& f,
                                   Workspace& ws) const;
 
-  void apply_bc_ghosts(mesh::CompositeScalar& s, int channel) const;
-
-  /// Fused variant: applies the boundary-condition ghosts of every channel
-  /// selected by `channel_mask` (bit c = channel c) in one thread-parallel
-  /// region over patches, instead of one fork/join per channel.
+  /// Applies the boundary-condition ghosts of every channel selected by
+  /// `channel_mask` (bit c = channel c) in one thread-parallel region over
+  /// patches, instead of one fork/join per channel.
   void apply_bc_ghosts(mesh::CompositeField& f, unsigned channel_mask) const;
 
   const mesh::CompositeMesh& mesh_;

@@ -2,7 +2,10 @@
 // and their ghost exchange / transfer operators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "data/cases.hpp"
 #include "mesh/bc.hpp"
@@ -12,6 +15,164 @@
 
 namespace am = adarnet::mesh;
 namespace ad = adarnet::data;
+
+namespace {
+
+// Test-only reference: the per-edge ghost fill that the halo plan was
+// compiled from, kept verbatim so the plan's gather loop can be checked
+// against it bit for bit. `edge`: 0 = my left ghosts, 1 = right,
+// 2 = bottom, 3 = top.
+void reference_fill_edge(adarnet::field::Grid2Dd& mine, const am::PatchMesh& pm,
+                         const adarnet::field::Grid2Dd& theirs,
+                         const am::PatchMesh& nb, int edge) {
+  const bool horizontal = (edge == 0 || edge == 1);
+  const int n_t = horizontal ? pm.ny : pm.nx;
+  const int nb_t = horizontal ? nb.ny : nb.nx;
+  const int nb_fixed = [&] {
+    switch (edge) {
+      case 0: return nb.nx;
+      case 1: return 1;
+      case 2: return nb.ny;
+      default: return 1;
+    }
+  }();
+  auto their_at = [&](int t) -> double {
+    t = std::clamp(t, 1, nb_t);
+    return horizontal ? theirs(t, nb_fixed) : theirs(nb_fixed, t);
+  };
+  auto my_ghost = [&](int t) -> double& {
+    switch (edge) {
+      case 0: return mine(t, 0);
+      case 1: return mine(t, pm.nx + 1);
+      case 2: return mine(0, t);
+      default: return mine(pm.ny + 1, t);
+    }
+  };
+  auto my_inner = [&](int t) -> double {
+    switch (edge) {
+      case 0: return mine(t, 1);
+      case 1: return mine(t, pm.nx);
+      case 2: return mine(1, t);
+      default: return mine(pm.ny, t);
+    }
+  };
+  const double h_m = horizontal ? pm.dx : pm.dy;
+  const double h_n = horizontal ? nb.dx : nb.dy;
+  const double t_perp = std::min(2.0 * h_m / (h_m + h_n), 1.0);
+  auto nb_sample = [&](int t) -> double {
+    if (nb_t == n_t) return their_at(t);
+    if (nb_t > n_t) {
+      const int ratio = nb_t / n_t;
+      double acc = 0.0;
+      for (int s = 0; s < ratio; ++s) acc += their_at((t - 1) * ratio + 1 + s);
+      return acc / ratio;
+    }
+    const double pos = (t - 0.5) / n_t;
+    const double u = pos * nb_t + 0.5;
+    const int k0 = static_cast<int>(std::floor(u));
+    const double f = u - k0;
+    return (1.0 - f) * their_at(k0) + f * their_at(k0 + 1);
+  };
+  for (int t = 1; t <= n_t; ++t) {
+    const double inner = my_inner(t);
+    my_ghost(t) = inner + t_perp * (nb_sample(t) - inner);
+  }
+}
+
+void reference_exchange(am::CompositeScalar& s, const am::CompositeMesh& mesh) {
+  const int npy = mesh.npy();
+  const int npx = mesh.npx();
+  for (int k = 0; k < mesh.patch_count(); ++k) {
+    const int pi = k / npx;
+    const int pj = k % npx;
+    const am::PatchMesh& pm = mesh.patch(pi, pj);
+    adarnet::field::Grid2Dd& mine = s[k];
+    if (pj > 0) {
+      reference_fill_edge(mine, pm, s[k - 1], mesh.patch(pi, pj - 1), 0);
+    }
+    if (pj + 1 < npx) {
+      reference_fill_edge(mine, pm, s[k + 1], mesh.patch(pi, pj + 1), 1);
+    }
+    if (pi > 0) {
+      reference_fill_edge(mine, pm, s[k - npx], mesh.patch(pi - 1, pj), 2);
+    }
+    if (pi + 1 < npy) {
+      reference_fill_edge(mine, pm, s[k + npx], mesh.patch(pi + 1, pj), 3);
+    }
+    mine(0, 0) = 0.5 * (mine(0, 1) + mine(1, 0));
+    mine(0, pm.nx + 1) = 0.5 * (mine(0, pm.nx) + mine(1, pm.nx + 1));
+    mine(pm.ny + 1, 0) = 0.5 * (mine(pm.ny, 0) + mine(pm.ny + 1, 1));
+    mine(pm.ny + 1, pm.nx + 1) =
+        0.5 * (mine(pm.ny, pm.nx + 1) + mine(pm.ny + 1, pm.nx));
+  }
+}
+
+// Pseudo-random values in every cell, ghosts included (LCG: no global RNG
+// state, bit-identical on every platform). Signed zeros and exact ties
+// are part of the draw so sign-of-zero handling is compared too.
+void fill_random(am::CompositeScalar& s, unsigned seed) {
+  unsigned r = seed;
+  for (auto& g : s) {
+    for (double& v : g) {
+      r = r * 1664525u + 1013904223u;
+      const unsigned pick = r >> 28;
+      v = pick == 0   ? -0.0
+          : pick == 1 ? 0.0
+                      : static_cast<double>(r >> 6) / 67108864.0 - 0.5;
+    }
+  }
+}
+
+// Bitwise equality of every cell, ghosts included.
+::testing::AssertionResult identical(const am::CompositeScalar& a,
+                                     const am::CompositeScalar& b) {
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    for (std::size_t n = 0; n < a[k].size(); ++n) {
+      if (std::memcmp(&a[k][n], &b[k][n], sizeof(double)) != 0) {
+        return ::testing::AssertionFailure()
+               << "patch " << k << " cell " << n << " (row "
+               << n / static_cast<std::size_t>(a[k].nx()) << ", col "
+               << n % static_cast<std::size_t>(a[k].nx()) << "): " << a[k][n]
+               << " != " << b[k][n];
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Meshes covering every halo-plan entry kind: same-level copies, finer
+// neighbours at ratios 2, 4 and 8 (averages), coarser neighbours
+// (interpolation), and single-cell patches next to refined ones.
+std::vector<am::CompositeMesh> halo_meshes() {
+  std::vector<am::CompositeMesh> meshes;
+  const auto channel = ad::channel_case(2.5e3, ad::GridPreset{16, 32, 8, 8});
+  meshes.emplace_back(channel, am::RefinementMap(2, 4, 0));
+  {
+    // Level pairs across interfaces: 0|1 (ratio 2), 1|3 (4), 3|0 (8),
+    // 2|0 (4) in x; 0|2, 1|0, 3|3, 0|1 in y.
+    am::RefinementMap map(2, 4, 0);
+    const int levels[2][4] = {{0, 1, 3, 0}, {2, 0, 3, 1}};
+    for (int pi = 0; pi < 2; ++pi) {
+      for (int pj = 0; pj < 4; ++pj) map.set_level(pi, pj, levels[pi][pj]);
+    }
+    meshes.emplace_back(channel, map);
+  }
+  {
+    // Single-cell level-0 patches beside level-1..3 ones on a body case
+    // (isotropic cells, immersed solid).
+    const auto body = ad::cylinder_case(1e5, ad::GridPreset{4, 4, 1, 1});
+    am::RefinementMap map(4, 4, 0);
+    map.set_level(1, 1, 3);
+    map.set_level(1, 2, 1);
+    map.set_level(2, 1, 2);
+    map.set_level(3, 3, 1);
+    meshes.emplace_back(body, map);
+    meshes.emplace_back(body, am::RefinementMap(4, 4, 0));
+  }
+  return meshes;
+}
+
+}  // namespace
 
 TEST(Geometry, ChannelWallDistance) {
   am::ChannelGeometry g(0.1);
@@ -75,6 +236,86 @@ TEST(Geometry, Naca0012SymmetricNaca1412Cambered) {
   // Thickness: max ~12% of chord, so |y| = 0.08 is outside everywhere.
   for (double x = -0.5; x <= 0.5; x += 0.05) {
     EXPECT_FALSE(sym->inside(x, 0.08));
+  }
+}
+
+namespace {
+
+// Test-only references: scans of every boundary segment, the loops the
+// chunked PolygonBody scans skip parts of.
+double reference_wall_distance(const am::PolygonBody& body, double x,
+                               double y) {
+  const auto& pts = body.boundary();
+  double best = std::numeric_limits<double>::max();
+  for (std::size_t i = 0, j = pts.size() - 1; i < pts.size(); j = i++) {
+    const am::Point& a = pts[j];
+    const am::Point& b = pts[i];
+    const double vx = b.x - a.x;
+    const double vy = b.y - a.y;
+    const double wx = x - a.x;
+    const double wy = y - a.y;
+    const double vv = vx * vx + vy * vy;
+    double t = vv > 0.0 ? (wx * vx + wy * vy) / vv : 0.0;
+    t = std::clamp(t, 0.0, 1.0);
+    const double dx = wx - t * vx;
+    const double dy = wy - t * vy;
+    best = std::min(best, std::sqrt(dx * dx + dy * dy));
+  }
+  return best;
+}
+
+bool reference_inside(const am::PolygonBody& body, double x, double y) {
+  const auto& pts = body.boundary();
+  bool in = false;
+  for (std::size_t i = 0, j = pts.size() - 1; i < pts.size(); j = i++) {
+    const am::Point& a = pts[i];
+    const am::Point& b = pts[j];
+    if ((a.y > y) != (b.y > y)) {
+      const double x_int = (b.x - a.x) * (y - a.y) / (b.y - a.y) + a.x;
+      if (x < x_int) in = !in;
+    }
+  }
+  return in;
+}
+
+}  // namespace
+
+// The chunked distance and ray-casting scans must return bitwise what a
+// scan of every segment returns: on a grid over the 8 x 8 chord box, at
+// every vertex and segment midpoint, and just off them (where rounding
+// decides which segment is nearest and whether a ray crosses).
+TEST(Geometry, ChunkedScansMatchEverySegmentBitwise) {
+  const std::shared_ptr<am::PolygonBody> bodies[] = {
+      am::make_ellipse(1.0, 1.0, 0.0, 0.0, 4.0, 4.0),
+      am::make_ellipse(1.0, 0.07, 3.0, 2.0, 4.0, 4.0),
+      am::make_naca4(1.0, 0.0, 0.0, 0.12, 0.0, 4.0, 4.0),
+      am::make_naca4(1.0, 0.01, 0.4, 0.12, 5.0, 4.0, 4.0),
+      am::make_ellipse(1.0, 0.5, 0.0, 0.0, 4.0, 4.0, 37),
+  };
+  for (const auto& body : bodies) {
+    std::vector<am::Point> probes;
+    for (double y = 0.013; y < 8.0; y += 0.0731) {
+      for (double x = 0.007; x < 8.0; x += 0.0693) probes.push_back({x, y});
+    }
+    const auto& pts = body->boundary();
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      const am::Point& a = pts[i];
+      const am::Point& b = pts[(i + 1) % pts.size()];
+      for (double d : {0.0, 1e-13, -1e-13, 1e-3, -1e-3}) {
+        probes.push_back({a.x + d, a.y});
+        probes.push_back({a.x, a.y + d});
+        probes.push_back({0.5 * (a.x + b.x) + d, 0.5 * (a.y + b.y) - d});
+      }
+    }
+    for (const am::Point& p : probes) {
+      const double got = body->wall_distance(p.x, p.y);
+      const double want = reference_wall_distance(*body, p.x, p.y);
+      ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << body->name() << " at (" << p.x << ", " << p.y << "): " << got
+          << " != " << want;
+      ASSERT_EQ(body->inside(p.x, p.y), reference_inside(*body, p.x, p.y))
+          << body->name() << " at (" << p.x << ", " << p.y << ")";
+    }
   }
 }
 
@@ -212,6 +453,56 @@ TEST(GhostExchange, LinearFieldAccurateAcrossLevelJump) {
   for (int i = 1; i <= fine.ny; ++i) {
     const double expect = linear(fine.xc(0), fine.yc(i));
     EXPECT_NEAR(s[kf](i, 0), expect, 3.0 * fine.dx + 2.0 * fine.dy);
+  }
+}
+
+// The halo plan is the per-edge fill compiled once: on random fields every
+// ghost (edges and corners, including ones next to domain-boundary ghosts)
+// must be bitwise what the reference writes, through the scalar overload
+// (parallel and serial schedules) and the masked-field overload.
+TEST(GhostExchange, HaloPlanMatchesPerEdgeReferenceBitwise) {
+  unsigned seed = 1;
+  for (const am::CompositeMesh& mesh : halo_meshes()) {
+    for (bool parallel : {true, false}) {
+      auto s = am::make_scalar(mesh);
+      fill_random(s, seed++);
+      auto ref = s;
+      reference_exchange(ref, mesh);
+      am::exchange_ghosts(s, mesh, parallel);
+      EXPECT_TRUE(identical(ref, s)) << "scalar, parallel=" << parallel;
+    }
+    for (unsigned mask : {0xFu, 0b0101u, 0b1000u}) {
+      auto f = am::make_field(mesh);
+      for (int c = 0; c < 4; ++c) fill_random(f.channel(c), seed++);
+      auto ref = f;
+      for (int c = 0; c < 4; ++c) {
+        if (mask & (1u << c)) reference_exchange(ref.channel(c), mesh);
+      }
+      am::exchange_ghosts(f, mesh, mask);
+      for (int c = 0; c < 4; ++c) {
+        EXPECT_TRUE(identical(ref.channel(c), f.channel(c)))
+            << "field, mask=" << mask << " channel=" << c;
+      }
+    }
+  }
+}
+
+// The plan writes one double per interface-edge ghost plus four corners
+// per patch, and the solver.ghosts.bytes counter is that size.
+TEST(GhostExchange, GhostBytesAreThePlanSize) {
+  for (const am::CompositeMesh& mesh : halo_meshes()) {
+    long long cells = 0;
+    for (int k = 0; k < mesh.patch_count(); ++k) {
+      const am::PatchMesh& pm = mesh.patch_flat(k);
+      if (pm.pj > 0) cells += pm.ny;
+      if (pm.pj + 1 < mesh.npx()) cells += pm.ny;
+      if (pm.pi > 0) cells += pm.nx;
+      if (pm.pi + 1 < mesh.npy()) cells += pm.nx;
+      cells += 4;
+      EXPECT_EQ(mesh.halo().begin(k + 1), cells) << "patch " << k;
+    }
+    EXPECT_EQ(mesh.ghost_bytes_per_scalar(),
+              cells * static_cast<long long>(sizeof(double)));
   }
 }
 

@@ -141,8 +141,10 @@ SolveStats run_iterations(const CompositeMesh& mesh, const SolverConfig& cfg,
 
 // Linear-solve harness: unit momentum diagonal (d = vol), pseudo-random
 // right-hand side, one PressureMg solve to `tol` with a generous cycle cap.
+// `x_out` (optional) receives the returned iterate, ghosts included.
 adarnet::solver::MgSolveInfo solve_linear(const CompositeMesh& mesh,
-                                          double tol, int max_cycles) {
+                                          double tol, int max_cycles,
+                                          CompositeScalar* x_out = nullptr) {
   SolverConfig cfg;
   cfg.mg_tol = tol;
   cfg.mg_max_cycles = max_cycles;
@@ -170,7 +172,20 @@ adarnet::solver::MgSolveInfo solve_linear(const CompositeMesh& mesh,
     }
   }
   CompositeScalar x = adarnet::mesh::make_scalar(mesh);
-  return mg.solve(x, imb);
+  const auto info = mg.solve(x, imb);
+  if (x_out != nullptr) *x_out = x;
+  return info;
+}
+
+// Exact (bitwise) equality of two composite scalars, ghosts included.
+::testing::AssertionResult scalars_identical(const CompositeScalar& a,
+                                             const CompositeScalar& b) {
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (std::memcmp(a[k].data(), b[k].data(), a[k].size() * sizeof(double))) {
+      return ::testing::AssertionFailure() << "patch " << k << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace
@@ -387,6 +402,136 @@ TEST(PressureMgSimple, JumpFaceFluxConservedAfterCorrector) {
           << "solver=" << (ps == PressureSolver::kSor ? "sor" : "mg");
     }
   }
+}
+
+// Compiled rungs (same-size patches smoothed red-black with a fresh ghost
+// per half-sweep) never exchange between sweeps: each row refreshes the
+// ghosts its cells read, and only the coarsest solve and the V-cycle legs
+// end with an exchange. The solve must still hand back an iterate whose
+// interface ghosts are exactly what a fresh exchange writes, and — the
+// pulls being race-free by colour — the same bits at every thread count.
+// Meshes: the shrink-8 cylinder LR mesh (single-cell coarsest rung), the
+// shrink-8 channel LR mesh (every rung compiled; the coarsest runs 40 x 29
+// sweeps), a composite cylinder ladder (mixed-size rungs above compiled
+// flattened ones, ratio-1 jump sides), and the shrink-2 channel, whose
+// 4096-cell fine rung runs the compiled schedule thread-parallel.
+TEST(PressureMgCompiled, SolveLeavesFreshGhostsAtEveryThreadCount) {
+  namespace ad = adarnet::data;
+  const auto body8 = ad::shrink(ad::paper_body_preset(), 8);
+  const auto wall8 = ad::shrink(ad::paper_wall_preset(), 8);
+  const auto wall2 = ad::shrink(ad::paper_wall_preset(), 2);
+  const auto cyl = ad::cylinder_case(1e5, body8);
+  RefinementMap ladder(cyl.npy(), cyl.npx(), 0);
+  for (int pi = 2; pi <= 5; ++pi) {
+    for (int pj = 2; pj <= 5; ++pj) {
+      const bool core = (pi == 3 || pi == 4) && (pj == 3 || pj == 4);
+      ladder.set_level(pi, pj, core ? 2 : 1);
+    }
+  }
+  const CompositeMesh meshes[] = {
+      CompositeMesh(cyl, RefinementMap(cyl.npy(), cyl.npx(), 0)),
+      CompositeMesh(ad::channel_case(2.5e3, wall8),
+                    RefinementMap(wall8.base_ny / wall8.ph,
+                                  wall8.base_nx / wall8.pw, 0)),
+      CompositeMesh(cyl, ladder),
+      CompositeMesh(ad::channel_case(2.5e3, wall2),
+                    RefinementMap(wall2.base_ny / wall2.ph,
+                                  wall2.base_nx / wall2.pw, 0)),
+  };
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+#endif
+  for (const CompositeMesh& mesh : meshes) {
+    CompositeScalar x1;
+    const auto info = solve_linear(mesh, 1e-12, 3, &x1);
+    EXPECT_EQ(info.cycles, 3);
+    CompositeScalar fresh = x1;
+    adarnet::mesh::exchange_ghosts(fresh, mesh);
+    EXPECT_TRUE(scalars_identical(x1, fresh))
+        << mesh.spec().name << ": exit ghosts are stale";
+#ifdef _OPENMP
+    for (int nt : {2, 4}) {
+      omp_set_num_threads(nt);
+      CompositeScalar xn;
+      solve_linear(mesh, 1e-12, 3, &xn);
+      EXPECT_TRUE(scalars_identical(x1, xn))
+          << mesh.spec().name << " threads=" << nt;
+    }
+    omp_set_num_threads(1);
+#endif
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+}
+
+// A mesh of single-cell patches cannot coarsen (depth 1), so one V-cycle
+// is exactly one coarsest solve: kCoarseSweeps = 40 compiled red-black
+// sweeps at omega 1, then one exchange. Replaying it with the shared
+// operator (assemble_pressure_cell) and an exchange between every
+// half-sweep must give the same bits, ghosts included — the compiled
+// cells' face branches, outlet fold, solid cells and cross-patch reads
+// are that kernel's arithmetic, not an approximation of it.
+TEST(PressureMgCompiled, CoarsestSolveMatchesExchangedRowKernelBitwise) {
+  const auto spec =
+      adarnet::data::cylinder_case(1e5, GridPreset{16, 16, 1, 1});
+  const CompositeMesh mesh(spec, RefinementMap(spec.npy(), spec.npx(), 0));
+  ASSERT_LT(mesh.fluid_cells(), mesh.active_cells()) << "no solid cells";
+  ASSERT_EQ(spec.bc.right.type, adarnet::mesh::BcType::kOutlet);
+  SolverConfig cfg;
+  cfg.mg_max_cycles = 1;
+  PressureMg mg(mesh, cfg);
+  ASSERT_EQ(mg.depth(), 1);
+
+  CompositeScalar ap = adarnet::mesh::make_scalar(mesh);
+  CompositeScalar imb = adarnet::mesh::make_scalar(mesh);
+  CompositeScalar dp = adarnet::mesh::make_scalar(mesh);
+  CompositeScalar b = adarnet::mesh::make_scalar(mesh);
+  for (int k = 0; k < mesh.patch_count(); ++k) {
+    const auto& pm = mesh.patch_flat(k);
+    fill_interior(imb[k], pm.ny, pm.nx, 31u * (k + 1));
+    for (int i = 1; i <= pm.ny; ++i) {
+      for (int j = 1; j <= pm.nx; ++j) {
+        ap[k](i, j) = 1.0 + 0.25 * imb[k](i, j);
+        dp[k](i, j) = pm.solid(i, j) ? 0.0 : pm.dx * pm.dy / ap[k](i, j);
+        b[k](i, j) = pm.solid(i, j) ? 0.0 : -imb[k](i, j);
+      }
+    }
+  }
+  mg.set_coefficients(ap);
+  CompositeScalar x = adarnet::mesh::make_scalar(mesh);
+  mg.solve(x, imb);
+
+  CompositeScalar ref = adarnet::mesh::make_scalar(mesh);
+  const bool outlet = true;
+  for (int sweep = 0; sweep < 40; ++sweep) {
+    for (int color = 0; color < 2; ++color) {
+      for (int k = 0; k < mesh.patch_count(); ++k) {
+        const auto& pm = mesh.patch_flat(k);
+        const int par = (pm.pi * pm.ny + pm.pj * pm.nx) & 1;
+        for (int i = 1; i <= pm.ny; ++i) {
+          for (int j = 1; j <= pm.nx; ++j) {
+            if (((i + j + par) & 1) != color) continue;
+            Grid2Dd& X = ref[k];
+            if (pm.solid(i, j)) {
+              X(i, j) = 0.0;
+              continue;
+            }
+            double apc = 0.0;
+            double rhs = 0.0;
+            adarnet::solver::assemble_pressure_cell<false>(
+                pm, dp[k], X, b[k](i, j), outlet, mesh.npx(), mesh.npy(),
+                {}, i, j, &apc, &rhs);
+            X(i, j) =
+                apc <= 0.0 ? 0.0 : X(i, j) + 1.0 * (rhs / apc - X(i, j));
+          }
+        }
+      }
+      adarnet::mesh::exchange_ghosts(ref, mesh);
+    }
+  }
+  EXPECT_TRUE(scalars_identical(ref, x));
 }
 
 #ifdef _OPENMP
