@@ -32,15 +32,12 @@ namespace {
 
 using namespace adarnet;
 
-// Both convolution engines are registered (gemm=0 is the direct per-tap
-// reference, gemm=1 the im2col+SGEMM engine) so the speedup — and any
-// regression in either path — shows up directly in the bench output.
+// The im2col+SGEMM convolution at the decoder's 16 -> 16 channel, k=3
+// shape over a range of patch sizes.
 void BM_Conv2DForward(benchmark::State& state) {
   const int hw = static_cast<int>(state.range(0));
   util::Rng rng(1);
   nn::Conv2D conv(16, 16, 3, rng);
-  conv.set_engine(state.range(1) ? nn::Conv2D::Engine::kGemm
-                                 : nn::Conv2D::Engine::kDirect);
   nn::Tensor in(1, 16, hw, hw);
   for (std::size_t k = 0; k < in.numel(); ++k) in[k] = 0.01f * (k % 97);
   for (auto _ : state) {
@@ -50,24 +47,23 @@ void BM_Conv2DForward(benchmark::State& state) {
                           16 * 16 * 9);
 }
 BENCHMARK(BM_Conv2DForward)
-    ->ArgNames({"hw", "gemm"})
-    ->ArgsProduct({{16, 32, 64, 128}, {0, 1}});
+    ->ArgName("hw")
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128);
 
 void BM_Conv2DBackward(benchmark::State& state) {
   const int hw = static_cast<int>(state.range(0));
   util::Rng rng(1);
   nn::Conv2D conv(16, 16, 3, rng);
-  conv.set_engine(state.range(1) ? nn::Conv2D::Engine::kGemm
-                                 : nn::Conv2D::Engine::kDirect);
   nn::Tensor in(1, 16, hw, hw);
   nn::Tensor out = conv.forward(in, true);
   for (auto _ : state) {
     benchmark::DoNotOptimize(conv.backward(out));
   }
 }
-BENCHMARK(BM_Conv2DBackward)
-    ->ArgNames({"hw", "gemm"})
-    ->ArgsProduct({{16, 64}, {0, 1}});
+BENCHMARK(BM_Conv2DBackward)->ArgName("hw")->Arg(16)->Arg(64);
 
 void BM_SimpleOuterIteration(benchmark::State& state) {
   const int level = static_cast<int>(state.range(0));
@@ -156,7 +152,6 @@ void roofline_conv_forward(bench::JsonObject& out, int hw,
                            double target_flops) {
   util::Rng rng(1);
   nn::Conv2D conv(16, 16, 3, rng);
-  conv.set_engine(nn::Conv2D::Engine::kGemm);
   nn::Tensor in(1, 16, hw, hw);
   for (std::size_t k = 0; k < in.numel(); ++k) in[k] = 0.01f * (k % 97);
   const double flops1 = static_cast<double>(conv.forward_flops(1, hw, hw));

@@ -53,8 +53,8 @@ int main() {
     // ITT = iterations-to-tolerance: the ITC a residual-plateau early exit
     // would have produced — the last solve is charged only up to the
     // iteration where its residual arrived (within 10% of final, or at
-    // tol). The ITC/ITT gap is the measurable head-room of ROADMAP item
-    // 2's early-exit work; it also keeps the composite-mesh MG gains
+    // tol). The ITC/ITT gap counts the iterations a solve spent after its
+    // residual stopped falling; it also keeps the composite-mesh MG gains
     // visible even while solves still run to the cap.
     const int adar_itt = adar.lr_iterations + adar.ps_iterations_to_tolerance;
     table.add_row({spec.name, util::fmt(amr_result.total_seconds, 4),

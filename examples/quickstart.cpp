@@ -2,7 +2,7 @@
 // print residual history and a velocity profile.
 //
 // Usage: quickstart [case] [Re] [shrink] [alpha_p] [alpha_u] [solve_sa]
-//                   [momentum_sweeps] [alpha_nt]
+//                   [alpha_nt]
 //   case: channel | plate | cylinder | naca0012 | naca1412  (default channel)
 #include <cstdio>
 #include <cstdlib>
@@ -50,8 +50,7 @@ int main(int argc, char** argv) {
   if (argc > 4) cfg.alpha_p = std::atof(argv[4]);
   if (argc > 5) cfg.alpha_u = std::atof(argv[5]);
   if (argc > 6) cfg.solve_sa = std::atoi(argv[6]) != 0;
-  if (argc > 7) cfg.momentum_sweeps = std::atoi(argv[7]);
-  if (argc > 8) cfg.alpha_nt = std::atof(argv[8]);
+  if (argc > 7) cfg.alpha_nt = std::atof(argv[7]);
 
   solver::RansSolver rans(mesh, cfg);
   auto f = mesh::make_field(mesh);

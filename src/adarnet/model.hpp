@@ -67,7 +67,7 @@ class AdarNet {
 
   /// Sets the inference-forward GEMM storage precision of every conv in
   /// the scorer and decoder and records it (published as the
-  /// nn.precision.active gauge: 0 fp32, 1 bf16, 2 fp16). Prefer
+  /// nn.precision.active gauge: 0 fp32, 1 bf16). Prefer
   /// core::apply_inference_precision (precision_guard.hpp), which
   /// accuracy-checks the request before committing to it.
   void set_inference_precision(nn::Precision p);

@@ -17,8 +17,6 @@ namespace adarnet::nn {
 
 namespace {
 
-std::atomic<Conv2D::Engine> g_default_engine{Conv2D::Engine::kGemm};
-
 // Process-wide inference-precision default, seeded once from the
 // environment on first use (Meyers singleton: no static-init-order
 // dependency on when the first layer is constructed).
@@ -28,7 +26,7 @@ Precision initial_default_precision() {
     if (parse_precision(env, &p)) return p;
     std::fprintf(stderr,
                  "adarnet: ignoring unknown ADARNET_INFER_PRECISION=\"%s\" "
-                 "(expected fp32|bf16|fp16)\n",
+                 "(expected fp32|bf16)\n",
                  env);
   }
   return Precision::kFp32;
@@ -39,11 +37,11 @@ std::atomic<Precision>& default_precision_atomic() {
   return v;
 }
 
-// Layer-level roofline accounting (both engines, forward and backward):
-// cumulative FLOPs / compulsory bytes / wall time plus the derived
-// achieved-GF/s and arithmetic-intensity gauges. The wall time is one
-// event-free scope per call feeding nn.conv.ns; the GEMM engine's inner
-// sgemm calls additionally land in the nn.gemm.* family.
+// Layer-level roofline accounting (forward and backward): cumulative
+// FLOPs / compulsory bytes / wall time plus the derived achieved-GF/s and
+// arithmetic-intensity gauges. The wall time is one event-free scope per
+// call feeding nn.conv.ns; the inner sgemm calls additionally land in the
+// nn.gemm.* family.
 struct ConvInstruments {
   adarnet::util::metrics::Counter& calls =
       adarnet::util::metrics::counter("nn.conv.calls");
@@ -90,9 +88,6 @@ inline std::size_t arena_round(std::size_t floats) {
 
 }  // namespace
 
-Conv2D::Engine Conv2D::default_engine() { return g_default_engine.load(); }
-void Conv2D::set_default_engine(Engine e) { g_default_engine.store(e); }
-
 Precision Conv2D::default_precision() {
   return default_precision_atomic().load();
 }
@@ -105,7 +100,6 @@ Conv2D::Conv2D(int in_channels, int out_channels, int kernel, util::Rng& rng,
     : in_channels_(in_channels),
       out_channels_(out_channels),
       kernel_(kernel),
-      pad_(kernel / 2),
       flipped_(flipped) {
   if (kernel % 2 == 0) {
     throw std::invalid_argument("Conv2D: kernel must be odd (same padding)");
@@ -136,7 +130,6 @@ std::string Deconv2D::name() const {
 }
 
 std::int64_t Conv2D::workspace_bytes(int, int, int h, int w) const {
-  if (engine_ != Engine::kGemm) return 0;
   const int kk = kernel_ * kernel_;
   const std::size_t K = static_cast<std::size_t>(in_channels_) * kk;
   const std::size_t N = static_cast<std::size_t>(h) * w;
@@ -199,8 +192,7 @@ Tensor Conv2D::forward(const Tensor& input, bool train) {
   // Reduced precision applies to inference forwards only; a training
   // forward must produce the activations backward() differentiates.
   const Precision prec = train ? Precision::kFp32 : precision_;
-  Tensor out = engine_ == Engine::kGemm ? forward_gemm(input, prec)
-                                        : forward_direct(input);
+  Tensor out = forward_gemm(input, prec);
   span.stop();
   if (util::metrics::enabled()) {
     account_conv(ins, forward_flops(input.n(), input.h(), input.w()),
@@ -215,8 +207,7 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
   }
   static ConvInstruments ins;
   util::trace::Span span(ins.scope);
-  Tensor grad = engine_ == Engine::kGemm ? backward_gemm(grad_output)
-                                         : backward_direct(grad_output);
+  Tensor grad = backward_gemm(grad_output);
   span.stop();
   if (util::metrics::enabled()) {
     const Tensor& in = cached_input_;
@@ -347,126 +338,6 @@ Tensor Conv2D::backward_gemm(const Tensor& grad_output) {
     }
   }
   arena.release(m0);
-  return grad_input;
-}
-
-Tensor Conv2D::forward_direct(const Tensor& input) {
-  const int n = input.n();
-  const int h = input.h();
-  const int w = input.w();
-  Tensor out(n, out_channels_, h, w);
-  // Row-wise accumulation: the inner loop over x is a contiguous
-  // multiply-add that the compiler vectorises.
-#pragma omp parallel for collapse(2) schedule(static)
-  for (int s = 0; s < n; ++s) {
-    for (int o = 0; o < out_channels_; ++o) {
-      float* out_plane = plane(out, s, o);
-      const float b = bias_->value[o];
-      for (int k = 0; k < h * w; ++k) out_plane[k] = b;
-      for (int i = 0; i < in_channels_; ++i) {
-        const float* in_plane = plane(input, s, i);
-        for (int ky = 0; ky < kernel_; ++ky) {
-          for (int kx = 0; kx < kernel_; ++kx) {
-            const float wv =
-                flipped_ ? weight_->value.at(o, i, kernel_ - 1 - ky,
-                                            kernel_ - 1 - kx)
-                         : weight_->value.at(o, i, ky, kx);
-            const int dy = ky - pad_;
-            const int dx = kx - pad_;
-            const int y0 = std::max(0, -dy);
-            const int y1 = std::min(h, h - dy);
-            const int x0 = std::max(0, -dx);
-            const int x1 = std::min(w, w - dx);
-            for (int y = y0; y < y1; ++y) {
-              float* orow = out_plane + static_cast<std::size_t>(y) * w;
-              const float* irow =
-                  in_plane + static_cast<std::size_t>(y + dy) * w + dx;
-              for (int x = x0; x < x1; ++x) orow[x] += wv * irow[x];
-            }
-          }
-        }
-      }
-    }
-  }
-  return out;
-}
-
-Tensor Conv2D::backward_direct(const Tensor& grad_output) {
-  const Tensor& input = cached_input_;
-  const int n = input.n();
-  const int h = input.h();
-  const int w = input.w();
-  Tensor grad_input(n, in_channels_, h, w);
-
-  // Parameter gradients (row-wise dot products) and input gradient
-  // (row-wise scatter of the output gradient through each kernel tap).
-#pragma omp parallel for schedule(static)
-  for (int o = 0; o < out_channels_; ++o) {
-    float gb = 0.0f;
-    for (int s = 0; s < n; ++s) {
-      const float* go_plane = plane(grad_output, s, o);
-      for (int k = 0; k < h * w; ++k) gb += go_plane[k];
-    }
-    bias_->grad[o] += gb;
-    for (int i = 0; i < in_channels_; ++i) {
-      for (int ky = 0; ky < kernel_; ++ky) {
-        for (int kx = 0; kx < kernel_; ++kx) {
-          const int dy = ky - pad_;
-          const int dx = kx - pad_;
-          const int y0 = std::max(0, -dy);
-          const int y1 = std::min(h, h - dy);
-          const int x0 = std::max(0, -dx);
-          const int x1 = std::min(w, w - dx);
-          float gw = 0.0f;
-          for (int s = 0; s < n; ++s) {
-            const float* go_plane = plane(grad_output, s, o);
-            const float* in_plane = plane(input, s, i);
-            for (int y = y0; y < y1; ++y) {
-              const float* grow = go_plane + static_cast<std::size_t>(y) * w;
-              const float* irow =
-                  in_plane + static_cast<std::size_t>(y + dy) * w + dx;
-              for (int x = x0; x < x1; ++x) gw += grow[x] * irow[x];
-            }
-          }
-          if (flipped_) {
-            weight_->grad.at(o, i, kernel_ - 1 - ky, kernel_ - 1 - kx) += gw;
-          } else {
-            weight_->grad.at(o, i, ky, kx) += gw;
-          }
-        }
-      }
-    }
-  }
-
-#pragma omp parallel for collapse(2) schedule(static)
-  for (int s = 0; s < n; ++s) {
-    for (int i = 0; i < in_channels_; ++i) {
-      float* gi_plane = plane(grad_input, s, i);
-      for (int o = 0; o < out_channels_; ++o) {
-        const float* go_plane = plane(grad_output, s, o);
-        for (int ky = 0; ky < kernel_; ++ky) {
-          for (int kx = 0; kx < kernel_; ++kx) {
-            const float wv =
-                flipped_ ? weight_->value.at(o, i, kernel_ - 1 - ky,
-                                            kernel_ - 1 - kx)
-                         : weight_->value.at(o, i, ky, kx);
-            const int dy = ky - pad_;
-            const int dx = kx - pad_;
-            const int y0 = std::max(0, -dy);
-            const int y1 = std::min(h, h - dy);
-            const int x0 = std::max(0, -dx);
-            const int x1 = std::min(w, w - dx);
-            for (int y = y0; y < y1; ++y) {
-              const float* grow = go_plane + static_cast<std::size_t>(y) * w;
-              float* girow =
-                  gi_plane + static_cast<std::size_t>(y + dy) * w + dx;
-              for (int x = x0; x < x1; ++x) girow[x] += wv * grow[x];
-            }
-          }
-        }
-      }
-    }
-  }
   return grad_input;
 }
 

@@ -7,13 +7,10 @@
 // Deconv2D shares the Conv2D implementation with `flipped = true`; it is
 // kept as a distinct layer type to mirror the paper's architecture figure.
 //
-// Two execution engines are available per layer:
-//  * kGemm (default): im2col + cache-blocked SGEMM over the shared
-//    workspace arena (see gemm.hpp / im2col.hpp). Forward, weight-gradient
-//    and input-gradient all reduce to GEMM calls.
-//  * kDirect: the original per-tap row-wise loops — kept as a reference
-//    implementation so tests can assert numerical equivalence and the
-//    benches can report the speedup.
+// Execution is im2col + cache-blocked SGEMM over the calling thread's
+// workspace arena (see gemm.hpp / im2col.hpp): forward, weight-gradient
+// and input-gradient all reduce to GEMM calls. tests/test_nn_gemm.cpp
+// checks them against direct per-tap reference loops.
 #pragma once
 
 #include "nn/gemm.hpp"
@@ -26,9 +23,6 @@ namespace adarnet::nn {
 /// sum_{i,ky,kx} w[o,i,ky,kx] * in[n,i,y+ky-p,x+kx-p] (zero padding).
 class Conv2D : public Layer {
  public:
-  /// Convolution execution engine.
-  enum class Engine { kDirect, kGemm };
-
   /// Creates a conv layer with He-normal initialised weights.
   Conv2D(int in_channels, int out_channels, int kernel, util::Rng& rng,
          bool flipped = false);
@@ -48,10 +42,10 @@ class Conv2D : public Layer {
                                              int w) const override;
   void output_shape(int& c, int&, int&) const override { c = out_channels_; }
 
-  /// Roofline model of one forward pass at this input shape, engine-
-  /// independent: FLOPs are the 2*K*N multiply-adds per output channel
-  /// plus the bias add; bytes are the compulsory traffic (input, weights,
-  /// bias, output each touched once).
+  /// Roofline model of one forward pass at this input shape: FLOPs are the
+  /// 2*K*N multiply-adds per output channel plus the bias add; bytes are
+  /// the compulsory traffic (input, weights, bias, output each touched
+  /// once).
   [[nodiscard]] std::int64_t forward_flops(int n, int h, int w) const;
   [[nodiscard]] std::int64_t forward_bytes(int n, int h, int w) const;
   /// Same model for backward (weight-gradient + input-gradient GEMMs plus
@@ -59,17 +53,9 @@ class Conv2D : public Layer {
   [[nodiscard]] std::int64_t backward_flops(int n, int h, int w) const;
   [[nodiscard]] std::int64_t backward_bytes(int n, int h, int w) const;
 
-  /// Selects the execution engine for this layer instance.
-  void set_engine(Engine e) { engine_ = e; }
-  [[nodiscard]] Engine engine() const { return engine_; }
-
-  /// Engine newly constructed layers start with (process-wide, kGemm).
-  static Engine default_engine();
-  static void set_default_engine(Engine e);
-
   /// Packed-operand storage precision for inference forwards (train =
-  /// false) on the GEMM engine. Training forwards and the whole backward
-  /// pass always run fp32, whatever is set here.
+  /// false). Training forwards and the whole backward pass always run
+  /// fp32, whatever is set here.
   void set_inference_precision(Precision p) override { precision_ = p; }
   [[nodiscard]] Precision inference_precision() const { return precision_; }
 
@@ -88,9 +74,7 @@ class Conv2D : public Layer {
   Parameter& bias() { return *bias_; }
 
  private:
-  Tensor forward_direct(const Tensor& input);
   Tensor forward_gemm(const Tensor& input, Precision precision);
-  Tensor backward_direct(const Tensor& grad_output);
   Tensor backward_gemm(const Tensor& grad_output);
   // Packs the (out, in*k*k) GEMM weight operand; spatially flipped taps
   // when `flipped_`. Returns weight_.value.data() directly when no flip is
@@ -100,9 +84,7 @@ class Conv2D : public Layer {
   int in_channels_;
   int out_channels_;
   int kernel_;
-  int pad_;
   bool flipped_;
-  Engine engine_ = default_engine();
   Precision precision_ = default_precision();
   // Owning pointers so parameters() can hand out mutable Parameter* from a
   // const layer (shallow const) without a const_cast.

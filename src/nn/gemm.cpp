@@ -49,7 +49,7 @@ void raw_free(float* p, std::size_t floats) {
 // Packed-operand storage converters. Arithmetic is fp32 in every mode;
 // these only define what the pack step writes (store) and what the
 // portable kernel widens on read (load). The AVX2 kernels widen with
-// shifts / VCVTPH2PS, which agree bitwise with these scalar helpers.
+// shifts, which agree bitwise with these scalar helpers.
 struct CvtF32 {
   using elt = float;
   static elt store(float v) { return v; }
@@ -60,12 +60,6 @@ struct CvtBf16 {
   using elt = std::uint16_t;
   static elt store(float v) { return half::f32_to_bf16(v); }
   static float load(elt v) { return half::bf16_to_f32(v); }
-};
-
-struct CvtFp16 {
-  using elt = std::uint16_t;
-  static elt store(float v) { return half::f32_to_fp16(v); }
-  static float load(elt v) { return half::fp16_to_f32(v); }
 };
 
 // op(A)(i, p): element (i, p) of the transposed-or-not operand.
@@ -143,7 +137,7 @@ void kernel_portable(int kc, const typename Cvt::elt* ap,
 
 // One k-step of the 6x16 register tile: 2 B vectors, 6 A broadcasts,
 // 12 FMAs. LOAD_B/BCAST_A abstract the storage format so the same body
-// serves fp32 panels and the 16-bit ones (widened on load).
+// serves fp32 panels and the bf16 ones (widened on load).
 #define ADARNET_GEMM_STEP(AP, BP, LOAD_B, BCAST_A) \
   {                                                \
     const __m256 b0 = LOAD_B(BP);                  \
@@ -232,11 +226,6 @@ void kernel_portable(int kc, const typename Cvt::elt* ap,
           _mm_load_si128(reinterpret_cast<const __m128i*>(P))),  \
       16))
 #define ADARNET_BCAST_BF16(P) _mm256_set1_ps(half::bf16_to_f32(*(P)))
-// fp16 panels: hardware F16C widening for the B stream; the 6 A broadcasts
-// per step go through the scalar helper (they are off the critical port).
-#define ADARNET_LOAD_FP16(P) \
-  _mm256_cvtph_ps(_mm_load_si128(reinterpret_cast<const __m128i*>(P)))
-#define ADARNET_BCAST_FP16(P) _mm256_set1_ps(half::fp16_to_f32(*(P)))
 
 ADARNET_DEF_AVX2_KERNEL(kernel_avx2_f32_u1, "avx2,fma", float,
                         ADARNET_LOAD_F32, ADARNET_BCAST_F32, 1)
@@ -250,21 +239,10 @@ ADARNET_DEF_AVX2_KERNEL(kernel_avx2_bf16_u2, "avx2,fma", std::uint16_t,
                         ADARNET_LOAD_BF16, ADARNET_BCAST_BF16, 2)
 ADARNET_DEF_AVX2_KERNEL(kernel_avx2_bf16_u4, "avx2,fma", std::uint16_t,
                         ADARNET_LOAD_BF16, ADARNET_BCAST_BF16, 4)
-ADARNET_DEF_AVX2_KERNEL(kernel_avx2_fp16_u1, "avx2,fma,f16c", std::uint16_t,
-                        ADARNET_LOAD_FP16, ADARNET_BCAST_FP16, 1)
-ADARNET_DEF_AVX2_KERNEL(kernel_avx2_fp16_u2, "avx2,fma,f16c", std::uint16_t,
-                        ADARNET_LOAD_FP16, ADARNET_BCAST_FP16, 2)
-ADARNET_DEF_AVX2_KERNEL(kernel_avx2_fp16_u4, "avx2,fma,f16c", std::uint16_t,
-                        ADARNET_LOAD_FP16, ADARNET_BCAST_FP16, 4)
 
 bool have_avx2() {
   static const bool ok = __builtin_cpu_supports("avx2") &&
                          __builtin_cpu_supports("fma");
-  return ok;
-}
-
-bool have_f16c() {
-  static const bool ok = have_avx2() && __builtin_cpu_supports("f16c");
   return ok;
 }
 #endif  // ADARNET_GEMM_X86
@@ -295,18 +273,6 @@ KernU16 select_bf16(int ku) {
 #endif
   (void)ku;
   return kernel_portable<CvtBf16>;
-}
-
-KernU16 select_fp16(int ku) {
-#ifdef ADARNET_GEMM_X86
-  if (have_f16c()) {
-    if (ku >= 4) return kernel_avx2_fp16_u4;
-    if (ku >= 2) return kernel_avx2_fp16_u2;
-    return kernel_avx2_fp16_u1;
-  }
-#endif
-  (void)ku;
-  return kernel_portable<CvtFp16>;
 }
 
 }  // namespace
@@ -544,19 +510,12 @@ void sgemm(Trans ta, Trans tb, int m, int n, int k, float alpha,
   if (k <= 0 || alpha == 0.0f) return;
 
   const TuneParams tp = tuning::resolve(m, n, k);
-  switch (precision) {
-    case Precision::kBf16:
-      sgemm_blocked<CvtBf16>(tp, select_bf16(tp.ku), ta, tb, m, n, k, alpha,
-                             a, lda, b, ldb, c, ldc);
-      break;
-    case Precision::kFp16:
-      sgemm_blocked<CvtFp16>(tp, select_fp16(tp.ku), ta, tb, m, n, k, alpha,
-                             a, lda, b, ldb, c, ldc);
-      break;
-    default:
-      sgemm_blocked<CvtF32>(tp, select_f32(tp.ku), ta, tb, m, n, k, alpha,
-                            a, lda, b, ldb, c, ldc);
-      break;
+  if (precision == Precision::kBf16) {
+    sgemm_blocked<CvtBf16>(tp, select_bf16(tp.ku), ta, tb, m, n, k, alpha, a,
+                           lda, b, ldb, c, ldc);
+  } else {
+    sgemm_blocked<CvtF32>(tp, select_f32(tp.ku), ta, tb, m, n, k, alpha, a,
+                          lda, b, ldb, c, ldc);
   }
   span.stop();
   if (util::metrics::enabled()) account_sgemm(ins, m, n, k, precision);

@@ -90,12 +90,11 @@ enum class Trans : std::uint8_t { kNo, kYes };
 /// accumulates in fp32; reduced precisions only change what the pack step
 /// writes into the A/B panels (and what the microkernel widens on load),
 /// halving pack-buffer footprint and panel bandwidth. kBf16 keeps the fp32
-/// exponent range (safe default); kFp16 has more mantissa but a narrow
-/// range, offered for ISAs with fast F16C loads. Inputs and outputs (the
-/// caller's A, B, C matrices) stay fp32 in all modes.
-enum class Precision : std::uint8_t { kFp32, kBf16, kFp16 };
+/// exponent range. Inputs and outputs (the caller's A, B, C matrices) stay
+/// fp32 in all modes.
+enum class Precision : std::uint8_t { kFp32, kBf16 };
 
-/// Human-readable precision name ("fp32" / "bf16" / "fp16").
+/// Human-readable precision name ("fp32" / "bf16").
 const char* precision_name(Precision p);
 
 /// Parses a precision name as spelled by ADARNET_INFER_PRECISION. Returns

@@ -1,15 +1,14 @@
-// Scalar 16-bit float conversions for the reduced-precision GEMM storage
-// path: bfloat16 (truncated fp32, 8-bit mantissa, fp32 range) and IEEE
-// binary16 ("fp16", 10-bit mantissa, narrow range). Both are *storage*
-// formats only — every arithmetic operation in the library accumulates in
+// Scalar bfloat16 conversions for the reduced-precision GEMM storage path
+// (truncated fp32: 8-bit mantissa, fp32 range). bf16 is a *storage*
+// format only — every arithmetic operation in the library accumulates in
 // fp32; these helpers convert at pack/load boundaries.
 //
 // The conversions are branchy scalar bit manipulation, deliberately
 // ISA-independent: the packed panels they produce are consumed either by
-// the AVX2 microkernels (which widen with shifts / VCVTPH2PS) or by the
-// portable kernels (which widen with these same helpers), so results are
-// identical across dispatch paths. Rounding is round-to-nearest-even,
-// matching hardware BF16/F16C behaviour.
+// the AVX2 microkernels (which widen with shifts) or by the portable
+// kernels (which widen with these same helpers), so results are identical
+// across dispatch paths. Rounding is round-to-nearest-even, matching
+// hardware BF16 behaviour.
 #pragma once
 
 #include <cstdint>
@@ -43,50 +42,6 @@ inline std::uint16_t f32_to_bf16(float f) {
 /// bf16 -> fp32 (exact: bf16 is fp32 with the low mantissa truncated).
 inline float bf16_to_f32(std::uint16_t h) {
   return bits_f32(static_cast<std::uint32_t>(h) << 16);
-}
-
-/// fp32 -> IEEE binary16, round-to-nearest-even with subnormal support;
-/// values past the fp16 range saturate to +-inf, NaN stays NaN.
-inline std::uint16_t f32_to_fp16(float f) {
-  std::uint32_t x = f32_bits(f);
-  const std::uint16_t sign = static_cast<std::uint16_t>((x >> 16) & 0x8000u);
-  x &= 0x7FFFFFFFu;
-  if (x >= 0x47800000u) {  // |v| >= 65536: inf/NaN or overflow
-    if (x > 0x7F800000u) return sign | 0x7E00u;  // NaN
-    return sign | 0x7C00u;                       // inf (saturate)
-  }
-  if (x < 0x38800000u) {  // |v| < 2^-14: subnormal or zero
-    if (x < 0x33000000u) return sign;  // below half the smallest subnormal
-    const int shift = 125 - static_cast<int>(x >> 23);  // bits dropped - 13
-    const std::uint32_t mant = (x & 0x7FFFFFu) | 0x800000u;
-    std::uint32_t out = mant >> (shift + 1);
-    const std::uint32_t rem = mant & ((1u << (shift + 1)) - 1u);
-    const std::uint32_t halfway = 1u << shift;
-    if (rem > halfway || (rem == halfway && (out & 1u))) ++out;
-    return sign | static_cast<std::uint16_t>(out);
-  }
-  std::uint32_t out = (((x >> 23) - 112u) << 10) | ((x >> 13) & 0x3FFu);
-  const std::uint32_t rem = x & 0x1FFFu;
-  if (rem > 0x1000u || (rem == 0x1000u && (out & 1u))) ++out;  // may carry
-  return sign | static_cast<std::uint16_t>(out);
-}
-
-/// IEEE binary16 -> fp32 (exact for every finite/special fp16 value).
-inline float fp16_to_f32(std::uint16_t h) {
-  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
-  const std::uint32_t exp = (h >> 10) & 0x1Fu;
-  std::uint32_t mant = h & 0x3FFu;
-  if (exp == 31u) return bits_f32(sign | 0x7F800000u | (mant << 13));
-  if (exp != 0u) return bits_f32(sign | ((exp + 112u) << 23) | (mant << 13));
-  if (mant == 0u) return bits_f32(sign);
-  int e = 112;  // normalise the subnormal
-  while ((mant & 0x400u) == 0u) {
-    mant <<= 1;
-    --e;
-  }
-  mant &= 0x3FFu;
-  return bits_f32(sign | (static_cast<std::uint32_t>(e + 1) << 23) |
-                  (mant << 13));
 }
 
 }  // namespace adarnet::nn::half

@@ -8,10 +8,10 @@
 //   (ky - k/2, kx - k/2) with zero padding, flattened over (y, x).
 //
 // The col matrix is always materialised in fp32, even on the
-// reduced-precision inference path: conversion to bf16/fp16 storage
-// happens inside sgemm's operand packing (nn/gemm.cpp), which touches
-// every col element exactly once anyway — so no second conversion pass
-// over the (c*k*k) x (h*w) panel exists.
+// reduced-precision inference path: conversion to bf16 storage happens
+// inside sgemm's operand packing (nn/gemm.cpp), which touches every col
+// element exactly once anyway — so no second conversion pass over the
+// (c*k*k) x (h*w) panel exists.
 #pragma once
 
 #include <cstddef>

@@ -96,7 +96,7 @@ HardwareKey hardware_key() {
   HardwareKey key;
 #if defined(__x86_64__) || defined(_M_X64)
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    key.isa = __builtin_cpu_supports("f16c") ? 2 : 1;
+    key.isa = 1;
   }
 #endif
 #if defined(_SC_LEVEL1_DCACHE_SIZE)
@@ -445,7 +445,6 @@ bool save_cache(const std::string& path, std::string* error) {
 const char* precision_name_impl(Precision p) {
   switch (p) {
     case Precision::kBf16: return "bf16";
-    case Precision::kFp16: return "fp16";
     default: return "fp32";
   }
 }
@@ -466,11 +465,6 @@ bool parse_precision(const char* s, Precision* out) {
   }
   if (std::strcmp(s, "bf16") == 0 || std::strcmp(s, "bfloat16") == 0) {
     *out = Precision::kBf16;
-    return true;
-  }
-  if (std::strcmp(s, "fp16") == 0 || std::strcmp(s, "f16") == 0 ||
-      std::strcmp(s, "half") == 0) {
-    *out = Precision::kFp16;
     return true;
   }
   return false;

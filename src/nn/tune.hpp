@@ -31,9 +31,9 @@ namespace adarnet::nn::tuning {
 std::string shape_key(int m, int n, int k);
 
 /// The hardware fingerprint the on-disk cache is keyed by. `isa` is a
-/// dispatch-tier id (0 portable, 1 AVX2+FMA, 2 AVX2+FMA+F16C); the cache
-/// sizes are sysconf-reported KiB (0 where the kernel does not report
-/// them — matched literally, so "unknown" only equals "unknown").
+/// dispatch-tier id (0 portable, 1 AVX2+FMA); the cache sizes are
+/// sysconf-reported KiB (0 where the kernel does not report them —
+/// matched literally, so "unknown" only equals "unknown").
 struct HardwareKey {
   int isa = 0;
   int l1d_kb = 0;

@@ -316,7 +316,7 @@ struct PressureMg::Level {
   // have written into the ghosts — and the interior cells, which read no
   // ghost, run the row kernel over rows 2..ny-1, columns 2..nx-1
   // (inner_rows). The rung then exchanges once per leg instead of twice
-  // per sweep. Mesh-derived only (plus the red-black ordering).
+  // per sweep. Mesh-derived only.
   bool compiled = false;
   std::vector<CellOp> cells[2];
   std::vector<sweep::RowRef> inner_rows;
@@ -457,8 +457,7 @@ PressureMg::PressureMg(const CompositeMesh& fine, const SolverConfig& config)
     lv.series =
         &util::metrics::series("solver.mg.residual.l" + std::to_string(d));
     lv.parallel = m->active_cells() >= kParallelCellFloor;
-    if (same_size && lv.half_exchange && !lv.line_y && !lv.line_x &&
-        cfg_.ordering == SweepOrdering::kRedBlack) {
+    if (same_size && lv.half_exchange && !lv.line_y && !lv.line_x) {
       compile_rung(lv);
     }
   };
@@ -659,8 +658,8 @@ void PressureMg::smooth(Level& lv, CompositeScalar& x, int sweeps,
       lv.mesh->spec().bc.right.type == mesh::BcType::kOutlet;
   const int npx = lv.mesh->npx();
   const int npy = lv.mesh->npy();
-  // Updates row i of patch k at the cells of `color` (-1: every cell) in
-  // columns [jlo, jhi] (0, 0: the whole row).
+  // Updates row i of patch k at the cells of `color` in columns
+  // [jlo, jhi] (0, 0: the whole row).
   auto update_row = [&](int k, int i, int color, int jlo = 0, int jhi = 0) {
     const PatchMesh& pm = lv.mesh->patch_flat(k);
     Grid2Dd& X = x[k];
@@ -673,12 +672,11 @@ void PressureMg::smooth(Level& lv, CompositeScalar& x, int sweeps,
     // odd-dimension coarse rungs it keeps the two colors a true
     // checkerboard across interfaces of same-size patches.
     const int par = ((pm.pi * pm.ny) + (pm.pj * pm.nx)) & 1;
-    const int js = sweep::color_jstep(color);
     int j0 = sweep::color_j0(i + par, color);
-    if (j0 < jlo) j0 += js;
+    if (j0 < jlo) j0 += 2;
     const int j1 = jhi > 0 ? jhi : pm.nx;
     auto row = [&]<bool kJump>() {
-      for (int j = j0; j <= j1; j += js) {
+      for (int j = j0; j <= j1; j += 2) {
         if (pm.solid(i, j)) {
           X(i, j) = 0.0;
           continue;
@@ -778,13 +776,9 @@ void PressureMg::smooth(Level& lv, CompositeScalar& x, int sweeps,
         lv.parallel);
   };
   for (int s = 0; s < sweeps; ++s) {
-    if (cfg_.ordering == SweepOrdering::kRedBlack) {
-      half(0);
-      if (lv.half_exchange) exchange_iterate(lv, x);
-      half(1);
-    } else {
-      half(-1);
-    }
+    half(0);
+    if (lv.half_exchange) exchange_iterate(lv, x);
+    half(1);
     if (exchange_each_sweep || lv.half_exchange) {
       exchange_iterate(lv, x);
     }

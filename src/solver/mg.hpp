@@ -3,7 +3,8 @@
 //
 // The flat SOR loop that preceded it converges at O(1 - h^2) per sweep: on
 // the uniform-HR meshes the low-frequency error barely moves and the
-// pressure phase dominated the solve (72-77% of wall time, ROADMAP item 1).
+// pressure phase dominated the solve (72-77% of the wall time
+// bench_solver_scaling measured before the multigrid).
 // The V-cycle implemented here attacks every frequency at its natural
 // resolution instead:
 //
@@ -92,8 +93,8 @@ struct MgSolveInfo {
 /// from the relaxed momentum diagonal and runs solve().
 class PressureMg {
  public:
-  /// Builds the coarsening ladder for `fine`. Only mg_tol, mg_max_cycles,
-  /// ordering and cancel of `config` are read.
+  /// Builds the coarsening ladder for `fine`. Only mg_tol, mg_max_cycles
+  /// and cancel of `config` are read.
   PressureMg(const mesh::CompositeMesh& fine, const SolverConfig& config);
   ~PressureMg();
 

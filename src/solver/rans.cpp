@@ -10,6 +10,7 @@
 #include "solver/jump.hpp"
 #include "solver/mg.hpp"
 #include "solver/sa_model.hpp"
+#include "solver/sweep.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
@@ -39,6 +40,10 @@ constexpr int kNt = 3;
 // Flat SOR reference path (PressureSolver::kSor): sweep cap and relaxation.
 constexpr int kSorSweeps = 60;
 constexpr double kSorOmega = 1.4;
+
+// Red-black Gauss-Seidel sweeps per momentum and per SA solve.
+constexpr int kMomentumSweeps = 2;
+constexpr int kSaSweeps = 2;
 
 // Phase scopes of the outer iteration (DESIGN.md §8): the self time of
 // each lands in its PhaseTimes field and its "<name>.ns" counter.
@@ -98,7 +103,6 @@ double bc_ghost(const SideBc& bc, int ch, bool normal_x, double interior) {
 // The (patch, row) sweep machinery lives in solver/sweep.hpp, shared with
 // the multigrid pressure solver.
 using sweep::color_j0;
-using sweep::color_jstep;
 using sweep::RowRef;
 using sweep::run_scan;
 using sweep::run_sweep;
@@ -779,17 +783,17 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
 
   // --- momentum predictor ---------------------------------------------------
   // Assemble upwind/central coefficients from the current face fluxes and do
-  // red-black (or lexicographic) Gauss-Seidel sweeps on U and V with
-  // implicit under-relaxation. The relaxed diagonal is kept in ws.ap for
+  // red-black Gauss-Seidel sweeps on U and V with implicit
+  // under-relaxation. The relaxed diagonal is kept in ws.ap for
   // Rhie-Chow and the corrector.
   zero_rows(ws.acc_a);
   zero_rows(ws.acc_b);
   zero_rows(ws.acc_c);
-  for (int sweep = 0; sweep < cfg.momentum_sweeps; ++sweep) {
-    const bool measure = (sweep + 1 == cfg.momentum_sweeps);
+  for (int sweep = 0; sweep < kMomentumSweeps; ++sweep) {
+    const bool measure = (sweep + 1 == kMomentumSweeps);
     {
       const util::trace::Span t(kMomentum.site);
-      run_sweep(ws.rows, cfg.ordering, [&](int r, int k, int i, int color) {
+      run_sweep(ws.rows, [&](int r, int k, int i, int color) {
         const PatchMesh& pm = mesh_.patch_flat(k);
         Grid2Dd& U = f.U[k];
         Grid2Dd& V = f.V[k];
@@ -802,8 +806,7 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
         double acc_u = 0.0;
         double acc_v = 0.0;
         double scale = 0.0;
-        const int js = color_jstep(color);
-        for (int j = color_j0(i, color); j <= pm.nx; j += js) {
+        for (int j = color_j0(i, color); j <= pm.nx; j += 2) {
           if (pm.solid(i, j)) {
             U(i, j) = 0.0;
             V(i, j) = 0.0;
@@ -911,7 +914,7 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
     zero_rows(ws.acc_a);
     {
       const util::trace::Span t(kPressure.site);
-      run_sweep(ws.rows, cfg.ordering, [&](int r, int k, int i, int color) {
+      run_sweep(ws.rows, [&](int r, int k, int i, int color) {
         const PatchMesh& pm = mesh_.patch_flat(k);
         Grid2Dd& PC = ws.pc[k];
         const Grid2Dd& DP = ws.dp[k];
@@ -921,9 +924,8 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
         // stencil buffers frozen at the last exchange.
         const JumpSides jsd = jump_sides(ws.stencil, k);
         double change = 0.0;
-        const int js = color_jstep(color);
         auto row = [&]<bool kJump>() {
-          for (int j = color_j0(i, color); j <= pm.nx; j += js) {
+          for (int j = color_j0(i, color); j <= pm.nx; j += 2) {
             if (pm.solid(i, j)) {
               PC(i, j) = 0.0;
               continue;
@@ -1085,11 +1087,11 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
 
     zero_rows(ws.acc_a);
     zero_rows(ws.acc_b);
-    for (int sweep = 0; sweep < cfg.sa_sweeps; ++sweep) {
-      const bool measure = (sweep + 1 == cfg.sa_sweeps);
+    for (int sweep = 0; sweep < kSaSweeps; ++sweep) {
+      const bool measure = (sweep + 1 == kSaSweeps);
       {
         const util::trace::Span t(kSa.site);
-        run_sweep(ws.rows, cfg.ordering, [&](int r, int k, int i, int color) {
+        run_sweep(ws.rows, [&](int r, int k, int i, int color) {
           const PatchMesh& pm = mesh_.patch_flat(k);
           const Grid2Dd& U = f.U[k];
           const Grid2Dd& V = f.V[k];
@@ -1098,8 +1100,7 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
           const double dy = pm.dy;
           double acc = 0.0;
           double scale = 0.0;
-          const int js = color_jstep(color);
-          for (int j = color_j0(i, color); j <= pm.nx; j += js) {
+          for (int j = color_j0(i, color); j <= pm.nx; j += 2) {
             if (pm.solid(i, j)) {
               NT(i, j) = 0.0;
               continue;

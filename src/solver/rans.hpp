@@ -15,8 +15,8 @@
 // is what makes the AMR cost model real: work per outer iteration is
 // proportional to the mesh's active cells.
 //
-// All in-place sweeps use red-black (checkerboard) coloring by default and
-// are thread-parallel over (patch, row) work items; every floating-point
+// All in-place sweeps use red-black (checkerboard) coloring and are
+// thread-parallel over (patch, row) work items; every floating-point
 // reduction goes through fixed-order per-row partial buffers, so results
 // are bitwise identical across thread counts (DESIGN.md §8).
 #pragma once
@@ -24,7 +24,6 @@
 #include <memory>
 
 #include "mesh/composite.hpp"
-#include "solver/sweep.hpp"
 #include "util/cancel.hpp"
 
 namespace adarnet::util::trace {
@@ -52,13 +51,10 @@ struct SolverConfig {
   double alpha_u = 0.5;       ///< momentum under-relaxation factor
   double alpha_p = 0.2;       ///< pressure under-relaxation factor
   double alpha_nt = 0.2;      ///< SA under-relaxation factor
-  int momentum_sweeps = 2;    ///< Gauss-Seidel sweeps per momentum solve
-  int sa_sweeps = 2;          ///< Gauss-Seidel sweeps for the SA equation
   bool solve_sa = true;       ///< disable to run a laminar solve
   double pseudo_cfl = 2.0;    ///< local pseudo-time-step CFL number; bounds
                               ///< Vol/aP in near-stagnation cells (stability)
   int log_every = 0;          ///< 0 = silent, n = log residual every n iters
-  SweepOrdering ordering = SweepOrdering::kRedBlack;  ///< sweep update order
 
   /// p' solve algorithm and its multigrid exit (ignored under kSor). The
   /// cycle shape — V(1,1), 40 coarsest-level sweeps, unlimited depth — is
@@ -110,8 +106,8 @@ struct SolveStats {
                                 ///< when the tolerance exit fired; on a
                                 ///< solve that plateaus above tol and burns
                                 ///< the cap, the gap `iterations - this` is
-                                ///< the post-plateau tail a future
-                                ///< early-exit could trim (ROADMAP item 2).
+                                ///< the tail spent after the residual
+                                ///< stopped falling.
                                 ///< 0 only for a dead solve (diverged or
                                 ///< cancelled before any iteration).
   bool converged = false;       ///< residual target reached before the cap

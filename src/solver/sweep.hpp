@@ -14,18 +14,7 @@
 #include <algorithm>
 #include <vector>
 
-namespace adarnet::solver {
-
-/// Update order of the in-place sweeps (momentum GS, pressure smoothing,
-/// SA GS).
-enum class SweepOrdering {
-  kRedBlack,       ///< two colored half-sweeps; thread-parallel, results
-                   ///< independent of thread count (the default)
-  kLexicographic,  ///< classic serial (k, i, j) order; kept as the serial
-                   ///< reference for parity tests
-};
-
-namespace sweep {
+namespace adarnet::solver::sweep {
 
 /// One interior row of one patch: the unit of thread-parallel sweep work.
 /// Rows are the natural grain because a red-black half-sweep touches every
@@ -36,11 +25,16 @@ struct RowRef {
   int i = 0;  ///< interior row (1-based)
 };
 
-/// Runs one colored half-sweep (color 0/1; -1 = every column, the
-/// lexicographic pass) over all rows, thread-parallel when `parallel`.
-/// Exposed separately from run_sweep so the multigrid smoother can
-/// refresh interface ghosts between the two colors on its degenerate
-/// coarse levels (solver/mg.cpp).
+/// Runs one colored half-sweep (color 0/1) over all rows, thread-parallel
+/// when `parallel`. Exposed separately from run_sweep so the multigrid
+/// smoother can refresh interface ghosts between the two colors on its
+/// degenerate coarse levels (solver/mg.cpp).
+///
+/// `parallel` gates the OpenMP region: the multigrid disables it for grids
+/// too small to amortise a fork/join (its coarse levels). The serial path
+/// visits the same colored schedule, so the result is bitwise identical
+/// either way — the flag is a pure scheduling decision and must only ever
+/// depend on the mesh, never on the thread count.
 template <typename RowFn>
 void run_half_sweep(const std::vector<RowRef>& rows, int color,
                     RowFn&& row_fn, bool parallel = true) {
@@ -57,25 +51,13 @@ void run_half_sweep(const std::vector<RowRef>& rows, int color,
   }
 }
 
-/// Runs one in-place sweep over all rows. Red-black: two colored
-/// half-sweeps, each thread-parallel over rows. Lexicographic: the classic
-/// serial (k, i, j) order. row_fn(r, k, i, color) updates row r's cells
-/// with (i + j) % 2 == color; color -1 means all columns.
-///
-/// `parallel` gates the OpenMP region: the caller disables it for grids
-/// too small to amortise a fork/join (the multigrid coarse levels). The
-/// serial path visits the same colored schedule, so the result is bitwise
-/// identical either way — the flag is a pure scheduling decision and must
-/// only ever depend on the mesh, never on the thread count.
+/// Runs one in-place red-black sweep over all rows: two colored
+/// half-sweeps, each thread-parallel over rows. row_fn(r, k, i, color)
+/// updates row r's cells with (i + j) % 2 == color.
 template <typename RowFn>
-void run_sweep(const std::vector<RowRef>& rows, SweepOrdering ordering,
-               RowFn&& row_fn, bool parallel = true) {
-  if (ordering == SweepOrdering::kRedBlack) {
-    for (int color = 0; color < 2; ++color) {
-      run_half_sweep(rows, color, row_fn, parallel);
-    }
-  } else {
-    run_half_sweep(rows, -1, row_fn, /*parallel=*/false);
+void run_sweep(const std::vector<RowRef>& rows, RowFn&& row_fn) {
+  for (int color = 0; color < 2; ++color) {
+    run_half_sweep(rows, color, row_fn);
   }
 }
 
@@ -97,13 +79,11 @@ void run_scan(const std::vector<RowRef>& rows, RowFn&& row_fn,
   }
 }
 
-/// First column of a row's cells with color (i + j) % 2 == color, and the
-/// column stride; color -1 visits every column.
+/// First column of a row's cells with color (i + j) % 2 == color; the
+/// cells of one color sit two columns apart.
 inline int color_j0(int i, int color) {
-  if (color < 0) return 1;
   return (((i + 1) & 1) == color) ? 1 : 2;
 }
-inline int color_jstep(int color) { return color < 0 ? 1 : 2; }
 
 /// Fixed-order serial sum of the per-row reduction partials.
 inline double sum_rows(const std::vector<double>& v) {
@@ -115,5 +95,4 @@ inline void zero_rows(std::vector<double>& v) {
   std::fill(v.begin(), v.end(), 0.0);
 }
 
-}  // namespace sweep
-}  // namespace adarnet::solver
+}  // namespace adarnet::solver::sweep

@@ -1,5 +1,5 @@
 // Hardened flow-as-a-service on top of the POSIX-socket machinery
-// (DESIGN.md §13, ROADMAP item 3).
+// (DESIGN.md §13).
 //
 // POST a scenario (case id + Re + solver knobs), get back the solved flow
 // summary. The design is robustness-first: a service that sheds load

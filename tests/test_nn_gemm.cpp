@@ -1,10 +1,11 @@
-// Tests for the im2col + blocked-SGEMM convolution engine: numerical
-// equivalence against the direct per-tap reference across kernel sizes,
-// deconv (flipped) mode, non-square inputs and batches; raw sgemm
-// correctness against a naive triple loop; and workspace-arena reuse
+// Tests for the im2col + blocked-SGEMM convolution: numerical equivalence
+// against the direct per-tap reference loops (the oracle below) across
+// kernel sizes, deconv (flipped) mode, non-square inputs and batches; raw
+// sgemm correctness against a naive triple loop; and workspace-arena reuse
 // (steady-state forwards perform no allocations).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -17,7 +18,6 @@
 namespace {
 
 using adarnet::nn::Conv2D;
-using adarnet::nn::Deconv2D;
 using adarnet::nn::Tensor;
 using adarnet::nn::Trans;
 using adarnet::util::Rng;
@@ -39,35 +39,162 @@ void expect_close(const Tensor& a, const Tensor& b, float tol = kTol) {
   }
 }
 
-// Runs forward(train) + backward on both engines of an identically
-// initialised conv pair and asserts outputs and all gradients agree.
-void check_engines_agree(int in_c, int out_c, int kernel, int n, int h,
-                         int w, bool flipped) {
-  Rng rng_a(91);
-  Rng rng_b(91);
-  Conv2D direct(in_c, out_c, kernel, rng_a, flipped);
-  Conv2D gemm(in_c, out_c, kernel, rng_b, flipped);
-  direct.set_engine(Conv2D::Engine::kDirect);
-  gemm.set_engine(Conv2D::Engine::kGemm);
+// ---------------------------------------------------------------------------
+// The oracle: direct per-tap convolution. Each output row accumulates one
+// shifted input row per tap, with the zero padding expressed as the row
+// range that stays inside the input.
+
+// Contiguous (h*w) plane of sample s, channel c.
+const float* plane(const Tensor& t, int s, int c) {
+  return t.data() + (static_cast<std::size_t>(s) * t.c() + c) *
+                        (static_cast<std::size_t>(t.h()) * t.w());
+}
+float* plane(Tensor& t, int s, int c) {
+  return t.data() + (static_cast<std::size_t>(s) * t.c() + c) *
+                        (static_cast<std::size_t>(t.h()) * t.w());
+}
+
+// Weight tap (ky, kx) of w (out, in, k, k) as the layer applies it:
+// spatially flipped for a deconvolution.
+float tap(const Tensor& w, int o, int i, int ky, int kx, bool flipped) {
+  const int k = w.h();
+  return flipped ? w.at(o, i, k - 1 - ky, k - 1 - kx) : w.at(o, i, ky, kx);
+}
+
+// Output cells [y0, y1) x [x0, x1) whose tap at offset (dy, dx) reads
+// inside an h x w input.
+struct TapRange {
+  int y0, y1, x0, x1;
+  TapRange(int dy, int dx, int h, int w)
+      : y0(std::max(0, -dy)),
+        y1(std::min(h, h - dy)),
+        x0(std::max(0, -dx)),
+        x1(std::min(w, w - dx)) {}
+};
+
+Tensor direct_forward(const Tensor& in, const Tensor& weight,
+                      const Tensor& bias, bool flipped) {
+  const int n = in.n(), h = in.h(), w = in.w();
+  const int out_c = weight.n(), in_c = weight.c(), k = weight.h();
+  Tensor out(n, out_c, h, w);
+  for (int s = 0; s < n; ++s) {
+    for (int o = 0; o < out_c; ++o) {
+      float* out_plane = plane(out, s, o);
+      std::fill_n(out_plane, h * w, bias[o]);
+      for (int i = 0; i < in_c; ++i) {
+        const float* in_plane = plane(in, s, i);
+        for (int ky = 0; ky < k; ++ky) {
+          for (int kx = 0; kx < k; ++kx) {
+            const float wv = tap(weight, o, i, ky, kx, flipped);
+            const int dy = ky - k / 2;
+            const int dx = kx - k / 2;
+            const TapRange r(dy, dx, h, w);
+            for (int y = r.y0; y < r.y1; ++y) {
+              float* orow = out_plane + static_cast<std::size_t>(y) * w;
+              const float* irow =
+                  in_plane + static_cast<std::size_t>(y + dy) * w + dx;
+              for (int x = r.x0; x < r.x1; ++x) orow[x] += wv * irow[x];
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Returns the input gradient; adds the weight and bias gradients into
+// `grad_w` (out, in, k, k) and `grad_b` (out, 1, 1, 1).
+Tensor direct_backward(const Tensor& in, const Tensor& grad_out,
+                       const Tensor& weight, bool flipped, Tensor& grad_w,
+                       Tensor& grad_b) {
+  const int n = in.n(), h = in.h(), w = in.w();
+  const int out_c = weight.n(), in_c = weight.c(), k = weight.h();
+  Tensor grad_in(n, in_c, h, w);
+  for (int o = 0; o < out_c; ++o) {
+    float gb = 0.0f;
+    for (int s = 0; s < n; ++s) {
+      const float* go_plane = plane(grad_out, s, o);
+      for (int q = 0; q < h * w; ++q) gb += go_plane[q];
+    }
+    grad_b[o] += gb;
+    for (int i = 0; i < in_c; ++i) {
+      for (int ky = 0; ky < k; ++ky) {
+        for (int kx = 0; kx < k; ++kx) {
+          const int dy = ky - k / 2;
+          const int dx = kx - k / 2;
+          const TapRange r(dy, dx, h, w);
+          float gw = 0.0f;
+          for (int s = 0; s < n; ++s) {
+            const float* go_plane = plane(grad_out, s, o);
+            const float* in_plane = plane(in, s, i);
+            for (int y = r.y0; y < r.y1; ++y) {
+              const float* grow = go_plane + static_cast<std::size_t>(y) * w;
+              const float* irow =
+                  in_plane + static_cast<std::size_t>(y + dy) * w + dx;
+              for (int x = r.x0; x < r.x1; ++x) gw += grow[x] * irow[x];
+            }
+          }
+          if (flipped) {
+            grad_w.at(o, i, k - 1 - ky, k - 1 - kx) += gw;
+          } else {
+            grad_w.at(o, i, ky, kx) += gw;
+          }
+        }
+      }
+    }
+  }
+  for (int s = 0; s < n; ++s) {
+    for (int i = 0; i < in_c; ++i) {
+      float* gi_plane = plane(grad_in, s, i);
+      for (int o = 0; o < out_c; ++o) {
+        const float* go_plane = plane(grad_out, s, o);
+        for (int ky = 0; ky < k; ++ky) {
+          for (int kx = 0; kx < k; ++kx) {
+            const float wv = tap(weight, o, i, ky, kx, flipped);
+            const int dy = ky - k / 2;
+            const int dx = kx - k / 2;
+            const TapRange r(dy, dx, h, w);
+            for (int y = r.y0; y < r.y1; ++y) {
+              const float* grow = go_plane + static_cast<std::size_t>(y) * w;
+              float* girow =
+                  gi_plane + static_cast<std::size_t>(y + dy) * w + dx;
+              for (int x = r.x0; x < r.x1; ++x) girow[x] += wv * grow[x];
+            }
+          }
+        }
+      }
+    }
+  }
+  return grad_in;
+}
+
+// Runs forward(train) + backward on a conv layer and on the oracle with
+// the layer's parameters, and asserts outputs and all gradients agree.
+void check_matches_direct(int in_c, int out_c, int kernel, int n, int h,
+                          int w, bool flipped) {
+  Rng rng(91);
+  Conv2D conv(in_c, out_c, kernel, rng, flipped);
+  const Tensor& weight = conv.weight().value;
 
   Rng rng_in(17);
   Tensor in = random_tensor(n, in_c, h, w, rng_in);
-  Tensor out_d = direct.forward(in, /*train=*/true);
-  Tensor out_g = gemm.forward(in, /*train=*/true);
+  Tensor out_d = direct_forward(in, weight, conv.bias().value, flipped);
+  Tensor out_g = conv.forward(in, /*train=*/true);
   expect_close(out_d, out_g);
 
   Rng rng_g(23);
   Tensor go = random_tensor(n, out_c, h, w, rng_g);
-  direct.weight().zero_grad();
-  direct.bias().zero_grad();
-  gemm.weight().zero_grad();
-  gemm.bias().zero_grad();
-  Tensor gi_d = direct.backward(go);
-  Tensor gi_g = gemm.backward(go);
+  Tensor grad_w(out_c, in_c, kernel, kernel);
+  Tensor grad_b(out_c, 1, 1, 1);
+  conv.weight().zero_grad();
+  conv.bias().zero_grad();
+  Tensor gi_d = direct_backward(in, go, weight, flipped, grad_w, grad_b);
+  Tensor gi_g = conv.backward(go);
   expect_close(gi_d, gi_g);
-  expect_close(direct.weight().grad, gemm.weight().grad,
+  expect_close(grad_w, conv.weight().grad,
                kTol * static_cast<float>(h * w));  // grads sum h*w products
-  expect_close(direct.bias().grad, gemm.bias().grad,
+  expect_close(grad_b, conv.bias().grad,
                kTol * static_cast<float>(n * h * w));
 }
 
@@ -76,41 +203,34 @@ void check_engines_agree(int in_c, int out_c, int kernel, int n, int h,
 TEST(GemmConv, MatchesDirectAcrossKernelSizes) {
   for (int kernel : {1, 3, 5}) {
     SCOPED_TRACE("kernel=" + std::to_string(kernel));
-    check_engines_agree(3, 5, kernel, 1, 8, 8, /*flipped=*/false);
+    check_matches_direct(3, 5, kernel, 1, 8, 8, /*flipped=*/false);
   }
 }
 
 TEST(GemmConv, MatchesDirectOnNonSquareInput) {
-  check_engines_agree(2, 4, 3, 1, 7, 13, /*flipped=*/false);
-  check_engines_agree(4, 2, 5, 1, 12, 5, /*flipped=*/false);
+  check_matches_direct(2, 4, 3, 1, 7, 13, /*flipped=*/false);
+  check_matches_direct(4, 2, 5, 1, 12, 5, /*flipped=*/false);
 }
 
 TEST(GemmConv, MatchesDirectOnBatches) {
-  check_engines_agree(3, 6, 3, 4, 9, 9, /*flipped=*/false);
+  check_matches_direct(3, 6, 3, 4, 9, 9, /*flipped=*/false);
 }
 
 TEST(GemmConv, MatchesDirectInFlippedDeconvMode) {
   for (int kernel : {1, 3, 5}) {
     SCOPED_TRACE("kernel=" + std::to_string(kernel));
-    check_engines_agree(4, 3, kernel, 2, 6, 10, /*flipped=*/true);
+    check_matches_direct(4, 3, kernel, 2, 6, 10, /*flipped=*/true);
   }
 }
 
 TEST(GemmConv, MatchesDirectAtBenchShape) {
   // The shape the acceptance bench uses (16 -> 16 channels, k=3, hw=64).
-  check_engines_agree(16, 16, 3, 1, 64, 64, /*flipped=*/false);
-}
-
-TEST(GemmConv, DeconvLayerUsesGemmByDefault) {
-  Rng rng(5);
-  Deconv2D deconv(3, 2, 3, rng);
-  EXPECT_EQ(deconv.engine(), Conv2D::default_engine());
+  check_matches_direct(16, 16, 3, 1, 64, 64, /*flipped=*/false);
 }
 
 TEST(GemmConv, WorkspaceArenaDoesNotGrowAcrossForwards) {
   Rng rng(29);
   Conv2D conv(8, 8, 3, rng);
-  conv.set_engine(Conv2D::Engine::kGemm);
   Tensor in = random_tensor(2, 8, 24, 24, rng);
   // The first forward/backward pair may grow the arena to this shape's
   // working set (backward needs the larger slice)...
@@ -132,16 +252,12 @@ TEST(GemmConv, WorkspaceArenaDoesNotGrowAcrossForwards) {
 TEST(GemmConv, WorkspaceEstimateCoversArenaUse) {
   Rng rng(31);
   Conv2D conv(6, 12, 3, rng);
-  conv.set_engine(Conv2D::Engine::kGemm);
   const std::int64_t est = conv.workspace_bytes(1, 6, 32, 32);
   EXPECT_GT(est, 0);
   adarnet::nn::Arena& arena = adarnet::nn::Arena::local();
   Tensor in = random_tensor(1, 6, 32, 32, rng);
   { Tensor out = conv.forward(in, false); }
   EXPECT_GE(static_cast<std::int64_t>(arena.capacity_bytes()), est);
-  // The direct engine needs no workspace.
-  conv.set_engine(Conv2D::Engine::kDirect);
-  EXPECT_EQ(conv.workspace_bytes(1, 6, 32, 32), 0);
 }
 
 TEST(Sgemm, MatchesNaiveTripleLoopAcrossTransposes) {

@@ -1,5 +1,5 @@
 // Tests for the GEMM autotuner and the reduced-precision inference path:
-// scalar bf16/fp16 conversions, sgemm correctness across the tuning-
+// scalar bf16 conversions, sgemm correctness across the tuning-
 // parameter space (randomized shapes incl. odd/degenerate, both Trans
 // flags, tuned/untuned/reduced-precision vs a naive reference), tuning-
 // cache durability (corrupt/truncated/mismatched files fall back to
@@ -80,31 +80,6 @@ TEST(HalfConv, Bf16SpecialValues) {
   EXPECT_EQ(std::signbit(half::bf16_to_f32(half::f32_to_bf16(-0.0f))), true);
 }
 
-TEST(HalfConv, Fp16RoundTripsRepresentableValues) {
-  for (float v : {0.0f, -0.0f, 1.0f, -1.0f, 0.5f, 2048.0f, 65504.0f,
-                  -65504.0f, 0x1p-14f, 0x1p-24f, -0x1p-24f}) {
-    EXPECT_EQ(half::fp16_to_f32(half::f32_to_fp16(v)), v) << v;
-  }
-}
-
-TEST(HalfConv, Fp16SaturatesAndHandlesSubnormals) {
-  const float inf = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(half::fp16_to_f32(half::f32_to_fp16(1e6f)), inf);
-  EXPECT_EQ(half::fp16_to_f32(half::f32_to_fp16(-1e6f)), -inf);
-  EXPECT_EQ(half::fp16_to_f32(half::f32_to_fp16(inf)), inf);
-  EXPECT_TRUE(std::isnan(half::fp16_to_f32(half::f32_to_fp16(NAN))));
-  // Below half the smallest subnormal flushes to (signed) zero.
-  EXPECT_EQ(half::fp16_to_f32(half::f32_to_fp16(0x1p-26f)), 0.0f);
-  EXPECT_TRUE(std::signbit(half::fp16_to_f32(half::f32_to_fp16(-0x1p-26f))));
-  // Subnormal rounding stays within one subnormal ulp (2^-24).
-  Rng rng(9);
-  for (int i = 0; i < 200; ++i) {
-    const float v = rng.uniformf(-0x1p-14f, 0x1p-14f);
-    const float r = half::fp16_to_f32(half::f32_to_fp16(v));
-    EXPECT_LE(std::abs(r - v), 0x1p-25f) << v;
-  }
-}
-
 // ------------------------------------------------------- sgemm vs naive
 
 float at(const std::vector<float>& x, int ld, Trans t, int i, int p) {
@@ -124,9 +99,6 @@ std::vector<float> naive_gemm(Trans ta, Trans tb, int m, int n, int k,
   if (prec == Precision::kBf16) {
     for (float& v : a) v = half::bf16_to_f32(half::f32_to_bf16(v));
     for (float& v : b) v = half::bf16_to_f32(half::f32_to_bf16(v));
-  } else if (prec == Precision::kFp16) {
-    for (float& v : a) v = half::fp16_to_f32(half::f32_to_fp16(v));
-    for (float& v : b) v = half::fp16_to_f32(half::f32_to_fp16(v));
   }
   std::vector<float> c = c0;
   for (int i = 0; i < m; ++i) {
@@ -212,18 +184,15 @@ TEST(SgemmTuned, ReducedPrecisionMatchesQuantizedNaive) {
   tuning::reset();
   const TuneParams grid[] = {{}, {12, 48, 32, 2, 8}};
   Rng rng(202);
-  for (Precision prec : {Precision::kBf16, Precision::kFp16}) {
-    for (const TuneParams& tp : grid) {
-      tuning::ScopedOverride pin(tp);
-      for (const ShapeCase& s : kShapes) {
-        check_sgemm(s.m, s.n, s.k, Trans::kNo, Trans::kNo, 1.0f, 0.0f, prec,
-                    rng);
-      }
-      check_sgemm(13, 31, 29, Trans::kYes, Trans::kNo, 1.0f, 1.0f, prec,
-                  rng);
-      check_sgemm(13, 31, 29, Trans::kNo, Trans::kYes, 1.0f, 1.0f, prec,
+  const Precision prec = Precision::kBf16;
+  for (const TuneParams& tp : grid) {
+    tuning::ScopedOverride pin(tp);
+    for (const ShapeCase& s : kShapes) {
+      check_sgemm(s.m, s.n, s.k, Trans::kNo, Trans::kNo, 1.0f, 0.0f, prec,
                   rng);
     }
+    check_sgemm(13, 31, 29, Trans::kYes, Trans::kNo, 1.0f, 1.0f, prec, rng);
+    check_sgemm(13, 31, 29, Trans::kNo, Trans::kYes, 1.0f, 1.0f, prec, rng);
   }
 }
 
@@ -466,11 +435,14 @@ TEST(PrecisionPath, ParseAndNames) {
   EXPECT_EQ(p, Precision::kBf16);
   EXPECT_TRUE(adarnet::nn::parse_precision("bfloat16", &p));
   EXPECT_EQ(p, Precision::kBf16);
-  EXPECT_TRUE(adarnet::nn::parse_precision("fp16", &p));
-  EXPECT_EQ(p, Precision::kFp16);
   EXPECT_TRUE(adarnet::nn::parse_precision("f32", &p));
   EXPECT_EQ(p, Precision::kFp32);
-  EXPECT_FALSE(adarnet::nn::parse_precision("int8", &p));
+  // Unknown spellings, the removed fp16 ones included, leave `out` alone.
+  for (const char* bad : {"int8", "fp16", "f16", "half"}) {
+    p = Precision::kBf16;
+    EXPECT_FALSE(adarnet::nn::parse_precision(bad, &p)) << bad;
+    EXPECT_EQ(p, Precision::kBf16) << bad;
+  }
   EXPECT_STREQ(adarnet::nn::precision_name(Precision::kBf16), "bf16");
   EXPECT_STREQ(adarnet::nn::precision_name(Precision::kFp32), "fp32");
 }
