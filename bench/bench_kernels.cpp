@@ -32,8 +32,9 @@ namespace {
 
 using namespace adarnet;
 
-// The im2col+SGEMM convolution at the decoder's 16 -> 16 channel, k=3
-// shape over a range of patch sizes.
+// The implicit-GEMM convolution forward (B panels packed straight from
+// the input) at the decoder's 16 -> 16 channel, k=3 shape over a range of
+// patch sizes.
 void BM_Conv2DForward(benchmark::State& state) {
   const int hw = static_cast<int>(state.range(0));
   util::Rng rng(1);

@@ -14,6 +14,22 @@ namespace adarnet::core {
 
 using field::Grid2Df;
 
+namespace {
+
+// Samples [s0, s0 + count) of a batch: the batch itself when that is all
+// of it, else a copy.
+nn::Tensor sample_slice(const nn::Tensor& batch, int s0, int count) {
+  if (s0 == 0 && count == batch.n()) return batch.share();
+  nn::Tensor out(count, batch.c(), batch.h(), batch.w());
+  const std::size_t sample =
+      static_cast<std::size_t>(batch.c()) * batch.h() * batch.w();
+  std::copy_n(batch.data() + static_cast<std::size_t>(s0) * sample,
+              static_cast<std::size_t>(count) * sample, out.data());
+  return out;
+}
+
+}  // namespace
+
 AdarNet::AdarNet(AdarNetConfig config, util::Rng& rng)
     : config_(config),
       scorer_(field::kNumFlowVars, config.ph, config.pw, rng),
@@ -160,14 +176,22 @@ InferenceResult AdarNet::infer(const field::FlowField& lr) {
     modeled += decoder_
                    .estimate_memory(batch.n(), batch.h(), batch.w())
                    .total();
+    // One slice at a time through all six layers: the live activations
+    // are a slice's, not the bin's.
     const Span span(kDecoder);
-    nn::Tensor out = decoder_.forward(batch, /*train=*/false);
-    for (std::size_t s = 0; s < bin.patch_ids.size(); ++s) {
-      PatchPrediction pred;
-      pred.id = bin.patch_ids[s];
-      pred.level = bin.level;
-      pred.values = data::from_tensor_sample(out, static_cast<int>(s), stats_);
-      result.patches[pred.id] = std::move(pred);
+    const int per_slice =
+        std::max(1, kDecoderChunkPixels / (batch.h() * batch.w()));
+    for (int s0 = 0; s0 < batch.n(); s0 += per_slice) {
+      const int count = std::min(per_slice, batch.n() - s0);
+      const nn::Tensor out = decoder_.forward(
+          sample_slice(batch, s0, count), /*train=*/false);
+      for (int s = 0; s < count; ++s) {
+        PatchPrediction pred;
+        pred.id = bin.patch_ids[static_cast<std::size_t>(s0 + s)];
+        pred.level = bin.level;
+        pred.values = data::from_tensor_sample(out, s, stats_);
+        result.patches[pred.id] = std::move(pred);
+      }
     }
   }
 

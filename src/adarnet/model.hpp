@@ -4,7 +4,10 @@
 // refinement map plus the predicted flow values of every patch at its
 // target resolution. Patches are processed bin-by-bin with a dynamic batch
 // size (each bin holds a different number of patches), exactly as the
-// paper describes.
+// paper describes. Within a bin the decoder runs on cache-sized slices of
+// the bin batch (kDecoderChunkPixels), each through all six layers before
+// the next starts, so no whole-bin activation is ever live; every slice's
+// outputs are bitwise those of one whole-bin forward.
 #pragma once
 
 #include <memory>
@@ -19,6 +22,12 @@
 #include "mesh/composite.hpp"
 
 namespace adarnet::core {
+
+/// Pixel budget of one decoder slice in AdarNet::infer: a slice holds
+/// max(1, kDecoderChunkPixels / (h * w)) patches of a bin. 4096 is one
+/// 64x64 level-3 patch at shrink 2, whose widest activation pair (64
+/// channels in and out) is then 2 MiB, an L2's worth.
+inline constexpr int kDecoderChunkPixels = 4096;
 
 /// Model hyperparameters (paper Section 4.2 defaults).
 struct AdarNetConfig {
@@ -40,7 +49,9 @@ struct InferenceResult {
   std::vector<PatchPrediction> patches;    ///< all N patches, id order
   double seconds = 0.0;                    ///< wall time of the inference
   std::int64_t measured_peak_bytes = 0;    ///< allocator high-water mark
+                                           ///< (decoder: one slice live)
   std::int64_t modeled_bytes = 0;          ///< analytic activation model
+                                           ///< (whole-bin, layer by layer)
 };
 
 /// The ADARNet model: scorer + ranker + shared decoder.

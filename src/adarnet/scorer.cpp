@@ -49,7 +49,7 @@ nn::MemoryEstimate Scorer::estimate_memory(int n, int h, int w) const {
       static_cast<std::int64_t>(n) * (h / ph_) * (w / pw_) * f;
   est.sum_activations += 2 * scores;
   est.peak_pairwise = plane * (8 + 16);
-  // Convolution (im2col/GEMM) scratch: the arena is shared, so take the
+  // Convolution (GEMM pack) scratch: the arena is shared, so take the
   // symbolic walk's max over the feature convs.
   est.workspace_bytes =
       nn::estimate_memory(features_, n, in_channels_, h, w).workspace_bytes;

@@ -130,14 +130,14 @@ std::string Deconv2D::name() const {
 }
 
 std::int64_t Conv2D::workspace_bytes(int, int, int h, int w) const {
-  const int kk = kernel_ * kernel_;
-  const std::size_t K = static_cast<std::size_t>(in_channels_) * kk;
-  const std::size_t N = static_cast<std::size_t>(h) * w;
-  std::size_t floats = arena_round(K * N);  // im2col panel (per sample)
-  if (flipped_) floats += arena_round(K * out_channels_);
-  return static_cast<std::int64_t>(floats * sizeof(float)) +
-         static_cast<std::int64_t>(sgemm_workspace_bytes(
-             out_channels_, static_cast<int>(N), static_cast<int>(K)));
+  const std::size_t flipped_weights =
+      flipped_ ? arena_round(static_cast<std::size_t>(out_channels_) *
+                             in_channels_ * kernel_ * kernel_)
+               : 0;
+  return static_cast<std::int64_t>(flipped_weights * sizeof(float) +
+                                   sgemm_conv_workspace_bytes(
+                                       out_channels_, in_channels_, h, w,
+                                       kernel_));
 }
 
 std::int64_t Conv2D::forward_flops(int n, int h, int w) const {
@@ -242,9 +242,7 @@ Tensor Conv2D::forward_gemm(const Tensor& input, Precision precision) {
   const int h = input.h();
   const int w = input.w();
   const int M = out_channels_;
-  const int kk = kernel_ * kernel_;
-  const int K = in_channels_ * kk;
-  const int N = h * w;
+  const std::size_t N = static_cast<std::size_t>(h) * w;
   Tensor out(n, M, h, w);
 
   Arena& arena = Arena::local();
@@ -252,19 +250,17 @@ Tensor Conv2D::forward_gemm(const Tensor& input, Precision precision) {
                                                          w)));
   const std::size_t m0 = arena.mark();
   const float* A = gemm_weights();
-  float* col = arena.alloc_floats(static_cast<std::size_t>(K) * N);
   for (int s = 0; s < n; ++s) {
-    im2col(plane(input, s, 0), in_channels_, h, w, kernel_, col);
     float* out_s = plane(out, s, 0);
     for (int o = 0; o < M; ++o) {
       std::fill_n(out_s + static_cast<std::size_t>(o) * N, N,
                   bias_->value[o]);
     }
-    // Weights and the im2col panel convert to the reduced storage format
-    // inside sgemm's pack step; the fp32 workspace_bytes() reservation
-    // above upper-bounds every precision's pack footprint.
-    sgemm(Trans::kNo, Trans::kNo, M, N, K, 1.0f, A, K, col, N, 1.0f, out_s,
-          N, precision);
+    // Implicit GEMM: B panels are packed from the input planes (and
+    // converted to the reduced storage format there); the fp32
+    // workspace_bytes() reservation above bounds every precision.
+    sgemm_conv(M, in_channels_, h, w, kernel_, A, plane(input, s, 0), out_s,
+               precision);
   }
   arena.release(m0);
   return out;

@@ -7,10 +7,12 @@
 // Deconv2D shares the Conv2D implementation with `flipped = true`; it is
 // kept as a distinct layer type to mirror the paper's architecture figure.
 //
-// Execution is im2col + cache-blocked SGEMM over the calling thread's
-// workspace arena (see gemm.hpp / im2col.hpp): forward, weight-gradient
-// and input-gradient all reduce to GEMM calls. tests/test_nn_gemm.cpp
-// checks them against direct per-tap reference loops.
+// Execution is cache-blocked SGEMM over the calling thread's workspace
+// arena (see gemm.hpp / im2col.hpp). Forward is one implicit-GEMM call per
+// sample (sgemm_conv), whose B panels are packed straight from the input
+// planes; only backward materialises im2col panels, for its
+// weight-gradient and input-gradient GEMMs. tests/test_nn_gemm.cpp checks
+// all three against direct per-tap reference loops.
 #pragma once
 
 #include "nn/gemm.hpp"

@@ -1,10 +1,13 @@
 // Cache-blocked single-precision GEMM and the workspace arena that backs
-// the convolution engine's scratch buffers (im2col panels, GEMM pack
-// buffers, gradient accumulators).
+// the convolution engine's scratch buffers (GEMM pack buffers and the
+// implicit-GEMM tap table; in backward also the im2col panels and the
+// gradient accumulators).
 //
 // The GEMM follows the classic Goto/BLIS structure: the operands are
 // packed into contiguous panels blocked as (Mc x Kc) and (Kc x Nc), and an
-// (MR x NR) register-tiled microkernel runs over the packed panels. On
+// (MR x NR) register-tiled microkernel runs over the packed panels. The
+// convolution forward uses the same loop as an implicit GEMM (sgemm_conv):
+// its B panels are packed straight from the input planes. On
 // x86-64 the microkernel is compiled for AVX2+FMA and selected at runtime
 // (the rest of the library stays at the baseline ISA); elsewhere a
 // portable kernel that the compiler auto-vectorises is used.
@@ -131,6 +134,24 @@ void sgemm(Trans ta, Trans tb, int m, int n, int k, float alpha,
 /// (resolved against the same tuning registry sgemm consults).
 std::size_t sgemm_workspace_bytes(int m, int n, int k,
                                   Precision precision = Precision::kFp32);
+
+/// Implicit-GEMM convolution of one sample: C (m x h*w, row-major) +=
+/// A (m x c*k*k, row-major) * im2col(src) for a same-padded, stride-1
+/// convolution (`src` is c contiguous h x w planes, k odd; see
+/// nn/im2col.hpp for the im2col layout). The B panels are packed straight
+/// from the input planes, so the (c*k*k) x (h*w) col matrix is never
+/// built. Blocking (tuning key (m, h*w, c*k*k)), microkernels, precision
+/// and the nn.gemm accounting are sgemm's, so C is bitwise what im2col
+/// followed by sgemm(kNo, kNo, m, h*w, c*k*k, 1, a, c*k*k, col, h*w, 1,
+/// out, h*w, precision) produces.
+void sgemm_conv(int m, int c, int h, int w, int k, const float* a,
+                const float* src, float* out,
+                Precision precision = Precision::kFp32);
+
+/// Arena bytes one sgemm_conv call of this shape draws at fp32 (an upper
+/// bound for bf16): sgemm's pack buffers for (m, h*w, c*k*k) plus the
+/// per-row tap table.
+std::size_t sgemm_conv_workspace_bytes(int m, int c, int h, int w, int k);
 
 /// Floating-point operations one sgemm call of this shape performs
 /// (2*m*n*k multiply-adds; the roofline numerator).

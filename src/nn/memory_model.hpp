@@ -7,6 +7,13 @@
 // Both models are reported; the benchmarks use the conservative sum model,
 // which matches how TF/PyTorch hold activations during a default forward and
 // is validated against the tensor allocator's measured peak in tests.
+//
+// The model stays this framework-equivalent, whole-batch, layer-by-layer
+// figure even where this code runs smaller: AdarNet::infer pushes each bin
+// through the decoder in cache-sized slices, so its measured peak holds one
+// slice's activations, not the batch's. The workspace term is the GEMM
+// engine's per-sample scratch (pack buffers; the forward builds no im2col
+// panel).
 #pragma once
 
 #include "nn/sequential.hpp"
@@ -19,9 +26,9 @@ struct MemoryEstimate {
   std::int64_t sum_activations = 0;   ///< all layer outputs summed
   std::int64_t peak_pairwise = 0;     ///< max over layers of (in + out)
   std::int64_t parameter_bytes = 0;   ///< weights + biases
-  std::int64_t workspace_bytes = 0;   ///< GEMM/im2col arena: max over
-                                      ///< layers (the arena is shared and
-                                      ///< reused, not per-layer)
+  std::int64_t workspace_bytes = 0;   ///< GEMM arena of one forward: max
+                                      ///< over layers (the arena is shared
+                                      ///< and reused, not per-layer)
 
   /// The figure the benchmarks report: input + all activations + weights
   /// + convolution workspace.

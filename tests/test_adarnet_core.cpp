@@ -2,7 +2,9 @@
 // and the full inference path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "adarnet/decoder.hpp"
@@ -40,6 +42,88 @@ FlowField smooth_field(int ny, int nx, double amp = 1.0) {
     }
   }
   return f;
+}
+
+// A uniform inflow: the scorer sees no feature, so most patches rank into
+// the deepest bin.
+FlowField uniform_inflow(int ny, int nx) {
+  FlowField f(ny, nx);
+  f.U.fill(1.0);
+  return f;
+}
+
+// Patch ids per refinement level of an inference, in id order (the order
+// infer's bins hold them in).
+std::vector<std::vector<int>> ids_by_level(
+    const adarnet::core::InferenceResult& result, int levels) {
+  std::vector<std::vector<int>> ids(static_cast<std::size_t>(levels));
+  for (const auto& p : result.patches) {
+    ids[static_cast<std::size_t>(p.level)].push_back(p.id);
+  }
+  return ids;
+}
+
+// Patches of one decoder slice at a (h, w) level (see kDecoderChunkPixels).
+int patches_per_slice(int h, int w) {
+  return std::max(1, adarnet::core::kDecoderChunkPixels / (h * w));
+}
+
+// A model whose decoder output depends on every layer: the residual head
+// is zero-initialised (the decoder then returns its input), so give it
+// random weights.
+AdarNet model_with_live_head(const AdarNetConfig& cfg, Rng& rng) {
+  AdarNet model(cfg, rng);
+  const auto params = model.decoder().parameters();
+  for (std::size_t i = params.size() - 2; i < params.size(); ++i) {
+    Tensor& v = params[i]->value;
+    for (std::size_t k = 0; k < v.numel(); ++k) {
+      v[k] = static_cast<float>(rng.normal(0.0, 0.1));
+    }
+  }
+  return model;
+}
+
+// AdarNet::infer runs each bin's decoder slice by slice; every patch
+// prediction must equal, bit for bit, the same sample of one whole-bin
+// Decoder::forward.
+void check_sliced_infer_matches_whole_bins(int ph, int pw, int npy, int npx) {
+  Rng rng(19);
+  AdarNetConfig cfg;
+  cfg.ph = ph;
+  cfg.pw = pw;
+  AdarNet model = model_with_live_head(cfg, rng);
+  const FlowField lr = uniform_inflow(ph * npy, pw * npx);
+  model.stats() = adarnet::data::NormStats::fit({smooth_field(8, 8)});
+  const auto result = model.infer(lr);
+  const auto ids = ids_by_level(result, cfg.bins);
+  // The deepest bin spans several slices plus a remainder.
+  const int deepest = cfg.bins - 1;
+  const int count = static_cast<int>(ids[deepest].size());
+  const int per_slice = patches_per_slice(ph << deepest, pw << deepest);
+  ASSERT_GT(count, 2 * per_slice);
+  ASSERT_NE(count % per_slice, 0);
+
+  const Tensor lr_norm = adarnet::data::to_tensor(lr, model.stats());
+  for (int level = 0; level < cfg.bins; ++level) {
+    const auto& bin = ids[static_cast<std::size_t>(level)];
+    if (bin.empty()) continue;
+    SCOPED_TRACE("level " + std::to_string(level));
+    const Tensor out = model.decoder().forward(
+        model.make_decoder_batch(lr_norm, bin, level, npx, npy));
+    for (std::size_t s = 0; s < bin.size(); ++s) {
+      const FlowField want = adarnet::data::from_tensor_sample(
+          out, static_cast<int>(s), model.stats());
+      const FlowField& got = result.patches[bin[s]].values;
+      for (int c = 0; c < adarnet::field::kNumFlowVars; ++c) {
+        const auto& g = got.channel(c);
+        const auto& wv = want.channel(c);
+        ASSERT_EQ(g.size(), wv.size());
+        ASSERT_EQ(std::memcmp(g.data(), wv.data(), g.size() * sizeof(double)),
+                  0)
+            << "patch " << bin[s] << " channel " << c;
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -301,6 +385,40 @@ TEST(AdarNetModel, InferenceShapesAndBookkeeping) {
   EXPECT_GT(result.seconds, 0.0);
   EXPECT_GT(result.measured_peak_bytes, 0);
   EXPECT_GT(result.modeled_bytes, 0);
+}
+
+TEST(AdarNetModel, SlicedInferenceMatchesWholeBinDecoderBitwise) {
+  // Level-3 patches 8 cells wide (the GEMM packer's row-segment path) and
+  // 16 wide (its one-row fast path).
+  {
+    SCOPED_TRACE("8 wide");
+    check_sliced_infer_matches_whole_bins(2, 1, 10, 12);
+  }
+  {
+    SCOPED_TRACE("16 wide");
+    check_sliced_infer_matches_whole_bins(2, 2, 6, 9);
+  }
+}
+
+TEST(AdarNetModel, SlicedInferencePeakStaysBelowWholeBinActivations) {
+  // A whole-bin forward holds the 64-channel activation pair of every
+  // patch (about 0.4 of the summed activations); slices hold one slice's.
+  Rng rng(19);
+  AdarNetConfig cfg;
+  cfg.ph = 4;
+  cfg.pw = 4;
+  AdarNet model(cfg, rng);
+  const FlowField lr = uniform_inflow(6 * cfg.ph, 6 * cfg.pw);
+  model.stats() = adarnet::data::NormStats::fit({smooth_field(8, 8)});
+  const auto result = model.infer(lr);
+  const auto ids = ids_by_level(result, cfg.bins);
+  const int n = static_cast<int>(ids[3].size());
+  ASSERT_GE(n, 16);
+  const std::int64_t whole_bin =
+      model.decoder()
+          .estimate_memory(n, cfg.ph << 3, cfg.pw << 3)
+          .sum_activations;
+  EXPECT_LT(result.measured_peak_bytes, whole_bin / 4);
 }
 
 TEST(AdarNetModel, ToCompositeRespectsMapAndSolids) {

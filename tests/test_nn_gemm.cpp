@@ -1,23 +1,30 @@
-// Tests for the im2col + blocked-SGEMM convolution: numerical equivalence
-// against the direct per-tap reference loops (the oracle below) across
-// kernel sizes, deconv (flipped) mode, non-square inputs and batches; raw
-// sgemm correctness against a naive triple loop; and workspace-arena reuse
-// (steady-state forwards perform no allocations).
+// Tests for the blocked-SGEMM convolution: numerical equivalence against
+// the direct per-tap reference loops (the oracle below) across kernel
+// sizes, deconv (flipped) mode, non-square inputs and batches; the
+// implicit-GEMM forward entry against im2col + sgemm, bitwise; raw sgemm
+// correctness against a naive triple loop; and the workspace arena (its
+// estimate covers a forward, steady-state forwards perform no
+// allocations).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <thread>
 #include <vector>
 
 #include "nn/conv2d.hpp"
 #include "nn/gemm.hpp"
 #include "nn/im2col.hpp"
 #include "nn/tensor.hpp"
+#include "nn/tune.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
+using adarnet::nn::Arena;
 using adarnet::nn::Conv2D;
+using adarnet::nn::Precision;
 using adarnet::nn::Tensor;
 using adarnet::nn::Trans;
 using adarnet::util::Rng;
@@ -250,14 +257,89 @@ TEST(GemmConv, WorkspaceArenaDoesNotGrowAcrossForwards) {
 }
 
 TEST(GemmConv, WorkspaceEstimateCoversArenaUse) {
-  Rng rng(31);
-  Conv2D conv(6, 12, 3, rng);
-  const std::int64_t est = conv.workspace_bytes(1, 6, 32, 32);
-  EXPECT_GT(est, 0);
-  adarnet::nn::Arena& arena = adarnet::nn::Arena::local();
-  Tensor in = random_tensor(1, 6, 32, 32, rng);
-  { Tensor out = conv.forward(in, false); }
-  EXPECT_GE(static_cast<std::int64_t>(arena.capacity_bytes()), est);
+  // Each forward runs on a fresh thread, whose arena starts below the
+  // estimate. The forward reserves exactly the estimate up front, and
+  // anything it draws past that comes from an overflow block the closing
+  // release folds in, so the capacity afterwards equals the estimate only
+  // if the estimate covered every draw. Shapes grow case by case, so an
+  // arena recycled from the previous case's thread is still too small.
+  struct Case {
+    const char* name;
+    bool flipped;
+    Precision precision;
+    int hw;
+  };
+  const Case cases[] = {{"conv", false, Precision::kFp32, 32},
+                        {"deconv", true, Precision::kFp32, 32},
+                        {"bf16", false, Precision::kBf16, 40}};
+  for (const Case& cs : cases) {
+    SCOPED_TRACE(cs.name);
+    Rng rng(31);
+    Conv2D conv(6, 12, 3, rng, cs.flipped);
+    conv.set_inference_precision(cs.precision);
+    const std::int64_t est = conv.workspace_bytes(1, 6, cs.hw, cs.hw);
+    Tensor in = random_tensor(1, 6, cs.hw, cs.hw, rng);
+    std::int64_t before = 0;
+    std::int64_t after = 0;
+    std::thread([&] {
+      const Arena& arena = Arena::local();
+      before = static_cast<std::int64_t>(arena.capacity_bytes());
+      { Tensor out = conv.forward(in, /*train=*/false); }
+      after = static_cast<std::int64_t>(arena.capacity_bytes());
+    }).join();
+    ASSERT_LT(before, est);
+    EXPECT_EQ(after, est);
+  }
+}
+
+// sgemm_conv against the col matrix it never builds: C starts bias-filled
+// and must come out bitwise equal to im2col + sgemm(kNo, kNo, beta 1).
+// Widths below 16, between multiples and past one panel take the
+// row-segment packer; 16 and 64 the one-row fast path. h != w throughout.
+void check_implicit_matches_im2col(Precision precision) {
+  Rng rng(53);
+  const int m = 13, c = 5;
+  for (int k : {1, 3, 5}) {
+    for (int w : {1, 2, 4, 5, 8, 13, 16, 17, 64}) {
+      const int h = w == 64 ? 6 : w + 3;
+      SCOPED_TRACE("k=" + std::to_string(k) + " w=" + std::to_string(w));
+      const int kdim = c * k * k;
+      const int n = h * w;
+      Tensor src = random_tensor(1, c, h, w, rng);
+      Tensor a = random_tensor(1, 1, m, kdim, rng);
+      std::vector<float> want(static_cast<std::size_t>(m) * n);
+      for (int i = 0; i < m; ++i) {
+        std::fill_n(want.begin() + static_cast<std::ptrdiff_t>(i) * n, n,
+                    rng.uniformf(-1.f, 1.f));
+      }
+      std::vector<float> got = want;
+      std::vector<float> col(static_cast<std::size_t>(kdim) * n);
+      adarnet::nn::im2col(src.data(), c, h, w, k, col.data());
+      adarnet::nn::sgemm(Trans::kNo, Trans::kNo, m, n, kdim, 1.0f, a.data(),
+                         kdim, col.data(), n, 1.0f, want.data(), n,
+                         precision);
+      adarnet::nn::sgemm_conv(m, c, h, w, k, a.data(), src.data(),
+                              got.data(), precision);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(float)),
+                0);
+    }
+  }
+}
+
+TEST(GemmConv, ImplicitPackingMatchesIm2colBitwise) {
+  for (Precision precision : {Precision::kFp32, Precision::kBf16}) {
+    SCOPED_TRACE(adarnet::nn::precision_name(precision));
+    check_implicit_matches_im2col(precision);
+    // kc blocks that end mid-channel; panels and nc blocks that straddle
+    // image rows.
+    adarnet::nn::TuneParams small;
+    small.mc = 12;
+    small.kc = 20;
+    small.nc = 48;
+    const adarnet::nn::tuning::ScopedOverride pin(small);
+    check_implicit_matches_im2col(precision);
+  }
 }
 
 TEST(Sgemm, MatchesNaiveTripleLoopAcrossTransposes) {
