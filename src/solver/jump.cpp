@@ -208,11 +208,6 @@ void JumpStencil::refresh(const mesh::CompositeScalar& x) {
   }
 }
 
-void JumpStencil::refresh_cell(int k, int edge, int t,
-                               const mesh::CompositeScalar& x) {
-  refresh_side(*lookup_[static_cast<std::size_t>(k) * 4 + edge], t, x);
-}
-
 double interface_flux_mismatch(const mesh::CompositeMesh& mesh,
                                const mesh::CompositeScalar& face_u,
                                const mesh::CompositeScalar& face_v) {

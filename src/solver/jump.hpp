@@ -137,12 +137,6 @@ class JumpStencil {
   /// Call wherever the ghost ring of `x` is exchanged.
   void refresh(const mesh::CompositeScalar& x);
 
-  /// refresh() for one owner cell: tangential index t of patch k's side
-  /// `edge`, which must be a jump side. Bitwise the value refresh() would
-  /// store there; the multigrid's compiled rungs call it just before the
-  /// cell's own update instead of refreshing every side between half-sweeps.
-  void refresh_cell(int k, int edge, int t, const mesh::CompositeScalar& x);
-
  private:
   void refresh_side(Side& sd, int t, const mesh::CompositeScalar& x);
 

@@ -42,15 +42,18 @@
 //     ghosts frozen at the leg boundary (a block-Jacobi flavour at
 //     interfaces). Rungs whose smoother needs a fresh ghost at every
 //     red-black half-sweep (single-cell patches, strong anisotropy) are
-//     compiled when their patches all have one size: per colour, a list
-//     of the patch-perimeter cells with every branch of the 5-point
-//     operator taken once, whose cross-patch faces read the neighbouring
-//     patch's cell through its halo-plan entry (or a ratio-1 jump side's
-//     coupling); interior cells keep the row kernel. A same-size
-//     neighbour always holds the opposite colour, so the values read are
-//     bitwise the ones an exchange between the half-sweeps would have
-//     written, and the rung exchanges once per leg instead of twice per
-//     sweep. Mixed-size rungs of that kind and the line smoother still
+//     compiled when their patches all have one size: the rung numbers its
+//     cells densely once, and each smoothing call gathers x and b into
+//     that copy, sweeps there and scatters x back. Per colour, interior
+//     cells with fluid surroundings run as row runs (neighbours at +-1
+//     and +-nx) and every other cell is a list entry with every branch of
+//     the 5-point operator taken once, whose cross-patch faces read the
+//     neighbouring patch's cell directly (through its ghost's halo-plan
+//     factor, or a ratio-1 jump side's coupling). A same-size neighbour
+//     always holds the opposite colour, so the values read are bitwise
+//     the ones an exchange between the half-sweeps would have written,
+//     and the rung exchanges once per leg instead of twice per sweep.
+//     Mixed-size rungs of that kind and the line smoother still
 //     exchange between colours.
 //   * Restriction is exactly the transpose of prolongation (scatter form
 //     of the same per-dimension 3/4-1/4 weights), so <R u, v>_c =
@@ -75,8 +78,10 @@ namespace adarnet::solver {
 
 /// Outcome of one multigrid pressure solve (one outer SIMPLE iteration).
 /// Its cost is timed by scopes (DESIGN.md §11): the inclusive
-/// solver.mg.ns and solver.mg.{smooth,residual,transfer}.ns counters, and
-/// the caller's pressure/ghosts phases.
+/// solver.mg.ns and solver.mg.{smooth,coarse,residual,transfer}.ns
+/// counters, and the caller's pressure/ghosts phases; the
+/// solver.mg.{smooth,coarse}.cells counters count the cell updates the
+/// smoother and the coarsest solve make.
 struct MgSolveInfo {
   int cycles = 0;            ///< V-cycles run (<= mg_max_cycles)
   double initial_norm = 0.0; ///< L1 norm of the right-hand side
@@ -128,6 +133,9 @@ class PressureMg {
   static void compile_rung(Level& lv);
   void smooth(Level& lv, mesh::CompositeScalar& x, int sweeps, double omega,
               bool exchange_each_sweep) const;
+  /// smooth() on a compiled rung: every sweep on the rung's dense copy.
+  void smooth_compiled(Level& lv, mesh::CompositeScalar& x, int sweeps,
+                       double omega) const;
   /// Zebra (odd/even line) tridiagonal smoothing along the level's strong
   /// direction; used instead of the point kernel on levels whose jumps
   /// run perpendicular to strong anisotropy. One sweep = both colors.
