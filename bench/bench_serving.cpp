@@ -247,7 +247,6 @@ int main() {
   const double adm_p50 = percentile(admitted_lat, 0.5);
   const double adm_p99 = percentile(admitted_lat, 0.99);
   const double rss_after_mb = peak_rss_mb();
-  const auto storm_stats = server.stats();
 
   // --- observability: pull a storm request's trace through telemetry ------
   // The contract the ISSUE gates: a request completed during the overload

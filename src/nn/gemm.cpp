@@ -22,7 +22,8 @@ namespace adarnet::nn {
 
 namespace {
 
-// Register tile (fixed: the microkernels are compiled for it). The cache
+// Register tile (fixed: the microkernels are compiled for it; tier 2 runs
+// two adjacent B panels at once, a 6x32 tile). The cache
 // blocking (Mc/Kc/Nc) and the microkernel schedule (k-unroll, prefetch
 // distance) are runtime TuneParams resolved per shape class (nn/tune.hpp);
 // TuneParams' defaults reproduce the historical constants kMc=72, kKc=256,
@@ -49,7 +50,7 @@ void raw_free(float* p, std::size_t floats) {
 
 // Packed-operand storage converters. Arithmetic is fp32 in every mode;
 // these only define what the pack step writes (store) and what the
-// portable kernel widens on read (load). The AVX2 kernels widen with
+// portable kernel widens on read (load). The vector kernels widen with
 // shifts, which agree bitwise with these scalar helpers.
 struct CvtF32 {
   using elt = float;
@@ -192,9 +193,10 @@ struct ConvB {
   }
 };
 
-// Portable microkernel: acc(MR x NR) = packed_a panel * packed_b panel.
-// The compiler vectorises the NR loop at the baseline ISA. Ignores the
-// prefetch distance (hardware prefetch covers the streaming panels).
+// Portable microkernel (tier 0): acc(MR x NR) = packed_a panel * packed_b
+// panel. The compiler vectorises the NR loop at the baseline ISA, without
+// FMA (a multiply and an add, two roundings). Ignores the prefetch distance
+// (hardware prefetch covers the streaming panels).
 template <class Cvt>
 void kernel_portable(int kc, const typename Cvt::elt* ap,
                      const typename Cvt::elt* bp, float* acc, int /*pf*/) {
@@ -214,147 +216,214 @@ void kernel_portable(int kc, const typename Cvt::elt* ap,
 
 #ifdef ADARNET_GEMM_X86
 
-// One k-step of the 6x16 register tile: 2 B vectors, 6 A broadcasts,
-// 12 FMAs. LOAD_B/BCAST_A abstract the storage format so the same body
-// serves fp32 panels and the bf16 ones (widened on load).
-#define ADARNET_GEMM_STEP(AP, BP, LOAD_B, BCAST_A) \
-  {                                                \
-    const __m256 b0 = LOAD_B(BP);                  \
-    const __m256 b1 = LOAD_B((BP) + 8);            \
-    __m256 av;                                     \
-    av = BCAST_A((AP) + 0);                        \
-    c0a = _mm256_fmadd_ps(av, b0, c0a);            \
-    c0b = _mm256_fmadd_ps(av, b1, c0b);            \
-    av = BCAST_A((AP) + 1);                        \
-    c1a = _mm256_fmadd_ps(av, b0, c1a);            \
-    c1b = _mm256_fmadd_ps(av, b1, c1b);            \
-    av = BCAST_A((AP) + 2);                        \
-    c2a = _mm256_fmadd_ps(av, b0, c2a);            \
-    c2b = _mm256_fmadd_ps(av, b1, c2b);            \
-    av = BCAST_A((AP) + 3);                        \
-    c3a = _mm256_fmadd_ps(av, b0, c3a);            \
-    c3b = _mm256_fmadd_ps(av, b1, c3b);            \
-    av = BCAST_A((AP) + 4);                        \
-    c4a = _mm256_fmadd_ps(av, b0, c4a);            \
-    c4b = _mm256_fmadd_ps(av, b1, c4b);            \
-    av = BCAST_A((AP) + 5);                        \
-    c5a = _mm256_fmadd_ps(av, b0, c5a);            \
-    c5b = _mm256_fmadd_ps(av, b1, c5b);            \
-  }
+// The vector tiers of the microkernel. Each names its register, its lane
+// count and the few operations the one kernel body below is written in.
+// Every member is compiled for its tier's ISA and always inlined into a
+// kernel of the same tier, so no vector value crosses a function boundary
+// compiled for a narrower ISA.
+#define ADARNET_TIER_OP(TARGET) \
+  __attribute__((target(TARGET), always_inline)) static inline
 
-// AVX2+FMA microkernel family: 12 ymm accumulators, UNROLL k-steps per
-// iteration, optional software prefetch `pf` k-steps ahead. Per-
-// accumulator FMA order is identical across unroll factors (u-sequential),
-// so fp32 results are bitwise-independent of ku/pf — only the cache
-// blocking changes summation grouping. Compiled for the stated target in
-// this TU only and gated by the runtime CPU checks below.
-#define ADARNET_DEF_AVX2_KERNEL(NAME, TARGET, ELT, LOAD_B, BCAST_A, UNROLL) \
+// Tier 1: AVX2 + FMA, a panel row is two 8-lane registers.
+struct Ymm {
+  using reg = __m256;
+  static constexpr int kLanes = 8;
+  ADARNET_TIER_OP("avx2,fma") reg load(const float* p) {
+    return _mm256_load_ps(p);
+  }
+  // bf16 panels: widen 8 x u16 to u32 lanes and shift into the fp32 high
+  // halves -- exact, since bf16 is truncated fp32. Panel rows are 32-byte
+  // aligned (16 x u16 from a 64-byte-aligned base).
+  ADARNET_TIER_OP("avx2,fma") reg load(const std::uint16_t* p) {
+    return _mm256_castsi256_ps(_mm256_slli_epi32(
+        _mm256_cvtepu16_epi32(
+            _mm_load_si128(reinterpret_cast<const __m128i*>(p))),
+        16));
+  }
+  ADARNET_TIER_OP("avx2,fma") reg bcast(const float* p) {
+    return _mm256_broadcast_ss(p);
+  }
+  ADARNET_TIER_OP("avx2,fma") reg bcast(const std::uint16_t* p) {
+    return _mm256_set1_ps(half::bf16_to_f32(*p));
+  }
+  ADARNET_TIER_OP("avx2,fma") reg fma(reg a, reg b, reg c) {
+    return _mm256_fmadd_ps(a, b, c);
+  }
+  ADARNET_TIER_OP("avx2,fma") void store(float* p, reg v) {
+    _mm256_store_ps(p, v);
+  }
+};
+
+// Tier 2: AVX-512F, a panel row is one 16-lane register. bf16 widens as
+// above; the zero-masked forms with an all-ones mask are the same
+// instructions, spelled so that GCC 12's headers do not trip
+// -Wmaybe-uninitialized on the unmasked forms' undefined source operand.
+struct Zmm {
+  using reg = __m512;
+  static constexpr int kLanes = 16;
+  ADARNET_TIER_OP("avx512f") reg load(const float* p) {
+    return _mm512_load_ps(p);
+  }
+  ADARNET_TIER_OP("avx512f") reg load(const std::uint16_t* p) {
+    return _mm512_castsi512_ps(_mm512_maskz_slli_epi32(
+        0xFFFF,
+        _mm512_maskz_cvtepu16_epi32(
+            0xFFFF, _mm256_load_si256(reinterpret_cast<const __m256i*>(p))),
+        16));
+  }
+  ADARNET_TIER_OP("avx512f") reg bcast(const float* p) {
+    return _mm512_set1_ps(*p);
+  }
+  ADARNET_TIER_OP("avx512f") reg bcast(const std::uint16_t* p) {
+    return _mm512_set1_ps(half::bf16_to_f32(*p));
+  }
+  ADARNET_TIER_OP("avx512f") reg fma(reg a, reg b, reg c) {
+    return _mm512_fmadd_ps(a, b, c);
+  }
+  ADARNET_TIER_OP("avx512f") void store(float* p, reg v) {
+    _mm512_store_ps(p, v);
+  }
+};
+
+// Every loop with a compile-time trip count in the kernel below is unrolled
+// up front: the accumulator array is only promoted to registers once all of
+// its indices are constants, and GCC otherwise leaves part of it on the
+// stack (a store per FMA).
+#if defined(__clang__)
+#define ADARNET_UNROLL _Pragma("unroll")
+#else
+#define ADARNET_UNROLL _Pragma("GCC unroll 16")
+#endif
+
+// The microkernel, one body for every tier: acc = the MR-row A panel times
+// kPanels adjacent B panels (the packer stores them kc * NR elements
+// apart), written out as kPanels MR x NR tiles. A row of the register tile
+// is kPanels * NR / V::kLanes vectors; a k-step loads that many B vectors
+// and, per row, broadcasts one A element into that many FMAs. The k-loop
+// runs kUnroll steps per iteration and prefetches every stream pf k-steps
+// ahead (pf 0: none). Whatever the tier, panel count, unroll or prefetch
+// distance, each accumulator lane starts at +0 and takes one FMA per k-step
+// in ascending p, so every output bit is the same on all of them; only the
+// cache blocking changes the summation grouping. A target attribute takes
+// a string literal, so the body is stamped out once per tier (its name,
+// target and vector type) by this macro, and the tier is picked at run
+// time (gemm_isa_tier()).
+#define ADARNET_DEF_MICROKERNEL(NAME, TARGET, V)                             \
+  template <class Elt, int kPanels>                                         \
+  __attribute__((target(TARGET), always_inline)) inline void NAME##_step(   \
+      const Elt* ap, const Elt* bp, std::size_t panel,                      \
+      V::reg (&c)[kMR][kPanels * kNR / V::kLanes]) {                        \
+    constexpr int kPanelVecs = kNR / V::kLanes;                             \
+    constexpr int kRowVecs = kPanels * kPanelVecs;                          \
+    V::reg b[kRowVecs];                                                     \
+    ADARNET_UNROLL                                                          \
+    for (int v = 0; v < kRowVecs; ++v) {                                    \
+      b[v] = V::load(bp + v / kPanelVecs * panel +                          \
+                     v % kPanelVecs * V::kLanes);                           \
+    }                                                                       \
+    ADARNET_UNROLL                                                          \
+    for (int r = 0; r < kMR; ++r) {                                         \
+      const V::reg a = V::bcast(ap + r);                                    \
+      ADARNET_UNROLL                                                        \
+      for (int v = 0; v < kRowVecs; ++v) c[r][v] = V::fma(a, b[v], c[r][v]); \
+    }                                                                       \
+  }                                                                         \
+  template <class Elt, int kUnroll, int kPanels>                            \
   __attribute__((target(TARGET))) void NAME(                                \
-      int kc, const ELT* ap, const ELT* bp, float* acc, int pf) {           \
-    __m256 c0a = _mm256_setzero_ps(), c0b = _mm256_setzero_ps();            \
-    __m256 c1a = _mm256_setzero_ps(), c1b = _mm256_setzero_ps();            \
-    __m256 c2a = _mm256_setzero_ps(), c2b = _mm256_setzero_ps();            \
-    __m256 c3a = _mm256_setzero_ps(), c3b = _mm256_setzero_ps();            \
-    __m256 c4a = _mm256_setzero_ps(), c4b = _mm256_setzero_ps();            \
-    __m256 c5a = _mm256_setzero_ps(), c5b = _mm256_setzero_ps();            \
+      int kc, const Elt* ap, const Elt* bp, float* acc, int pf) {           \
+    constexpr int kPanelVecs = kNR / V::kLanes;                             \
+    constexpr int kRowVecs = kPanels * kPanelVecs;                          \
+    const std::size_t panel = static_cast<std::size_t>(kc) * kNR;           \
+    V::reg c[kMR][kRowVecs] = {}; /* every lane +0 */                       \
     int p = 0;                                                              \
-    const int kmain = kc - kc % (UNROLL);                                   \
-    for (; p < kmain; p += (UNROLL)) {                                      \
+    for (; p + kUnroll <= kc; p += kUnroll) {                               \
       if (pf > 0) {                                                         \
-        _mm_prefetch(reinterpret_cast<const char*>(                         \
-                         bp + static_cast<std::size_t>(pf) * kNR),          \
-                     _MM_HINT_T0);                                          \
+        ADARNET_UNROLL                                                      \
+        for (int t = 0; t < kPanels; ++t) {                                 \
+          _mm_prefetch(reinterpret_cast<const char*>(                       \
+                           bp + t * panel +                                 \
+                           static_cast<std::size_t>(pf) * kNR),             \
+                       _MM_HINT_T0);                                        \
+        }                                                                   \
         _mm_prefetch(reinterpret_cast<const char*>(                         \
                          ap + static_cast<std::size_t>(pf) * kMR),          \
                      _MM_HINT_T0);                                          \
       }                                                                     \
-      for (int u = 0; u < (UNROLL); ++u) {                                  \
-        ADARNET_GEMM_STEP(ap + u * kMR, bp + u * kNR, LOAD_B, BCAST_A)      \
+      ADARNET_UNROLL                                                        \
+      for (int u = 0; u < kUnroll; ++u) {                                   \
+        NAME##_step<Elt, kPanels>(ap + u * kMR, bp + u * kNR, panel, c);    \
       }                                                                     \
-      ap += (UNROLL) * kMR;                                                 \
-      bp += (UNROLL) * kNR;                                                 \
+      ap += kUnroll * kMR;                                                  \
+      bp += kUnroll * kNR;                                                  \
     }                                                                       \
-    for (; p < kc; ++p) {                                                   \
-      ADARNET_GEMM_STEP(ap, bp, LOAD_B, BCAST_A)                            \
-      ap += kMR;                                                            \
-      bp += kNR;                                                            \
+    for (; p < kc; ++p, ap += kMR, bp += kNR) {                             \
+      NAME##_step<Elt, kPanels>(ap, bp, panel, c);                          \
     }                                                                       \
-    _mm256_store_ps(acc + 0 * kNR, c0a);                                    \
-    _mm256_store_ps(acc + 0 * kNR + 8, c0b);                                \
-    _mm256_store_ps(acc + 1 * kNR, c1a);                                    \
-    _mm256_store_ps(acc + 1 * kNR + 8, c1b);                                \
-    _mm256_store_ps(acc + 2 * kNR, c2a);                                    \
-    _mm256_store_ps(acc + 2 * kNR + 8, c2b);                                \
-    _mm256_store_ps(acc + 3 * kNR, c3a);                                    \
-    _mm256_store_ps(acc + 3 * kNR + 8, c3b);                                \
-    _mm256_store_ps(acc + 4 * kNR, c4a);                                    \
-    _mm256_store_ps(acc + 4 * kNR + 8, c4b);                                \
-    _mm256_store_ps(acc + 5 * kNR, c5a);                                    \
-    _mm256_store_ps(acc + 5 * kNR + 8, c5b);                                \
+    /* Register (r, v) is row r of tile v / kPanelVecs. */                  \
+    ADARNET_UNROLL                                                          \
+    for (int i = 0; i < kMR * kRowVecs; ++i) {                              \
+      const int r = i / kRowVecs;                                           \
+      const int v = i % kRowVecs;                                           \
+      V::store(acc + (v / kPanelVecs * kMR + r) * kNR +                     \
+                   v % kPanelVecs * V::kLanes,                              \
+               c[r][v]);                                                    \
+    }                                                                       \
   }
 
-// fp32 panels: plain aligned loads / broadcasts.
-#define ADARNET_LOAD_F32(P) _mm256_load_ps(P)
-#define ADARNET_BCAST_F32(P) _mm256_broadcast_ss(P)
-// bf16 panels (AVX2 emulation): widen 8 x u16 to u32 lanes and shift into
-// the fp32 high halves — exact, since bf16 is truncated fp32. Panel rows
-// are 32-byte aligned (16 x u16 from a 64-byte-aligned base).
-#define ADARNET_LOAD_BF16(P)                                     \
-  _mm256_castsi256_ps(_mm256_slli_epi32(                         \
-      _mm256_cvtepu16_epi32(                                     \
-          _mm_load_si128(reinterpret_cast<const __m128i*>(P))),  \
-      16))
-#define ADARNET_BCAST_BF16(P) _mm256_set1_ps(half::bf16_to_f32(*(P)))
+ADARNET_DEF_MICROKERNEL(kernel_avx2, "avx2,fma", Ymm)
+ADARNET_DEF_MICROKERNEL(kernel_avx512, "avx512f", Zmm)
 
-ADARNET_DEF_AVX2_KERNEL(kernel_avx2_f32_u1, "avx2,fma", float,
-                        ADARNET_LOAD_F32, ADARNET_BCAST_F32, 1)
-ADARNET_DEF_AVX2_KERNEL(kernel_avx2_f32_u2, "avx2,fma", float,
-                        ADARNET_LOAD_F32, ADARNET_BCAST_F32, 2)
-ADARNET_DEF_AVX2_KERNEL(kernel_avx2_f32_u4, "avx2,fma", float,
-                        ADARNET_LOAD_F32, ADARNET_BCAST_F32, 4)
-ADARNET_DEF_AVX2_KERNEL(kernel_avx2_bf16_u1, "avx2,fma", std::uint16_t,
-                        ADARNET_LOAD_BF16, ADARNET_BCAST_BF16, 1)
-ADARNET_DEF_AVX2_KERNEL(kernel_avx2_bf16_u2, "avx2,fma", std::uint16_t,
-                        ADARNET_LOAD_BF16, ADARNET_BCAST_BF16, 2)
-ADARNET_DEF_AVX2_KERNEL(kernel_avx2_bf16_u4, "avx2,fma", std::uint16_t,
-                        ADARNET_LOAD_BF16, ADARNET_BCAST_BF16, 4)
-
-bool have_avx2() {
-  static const bool ok = __builtin_cpu_supports("avx2") &&
-                         __builtin_cpu_supports("fma");
-  return ok;
-}
 #endif  // ADARNET_GEMM_X86
 
-using KernF32 = void (*)(int, const float*, const float*, float*, int);
-using KernU16 = void (*)(int, const std::uint16_t*, const std::uint16_t*,
-                         float*, int);
+template <class Elt>
+using Kern = void (*)(int, const Elt*, const Elt*, float*, int);
 
-KernF32 select_f32(int ku) {
+// What one sgemm call runs: `one` computes the MR x NR tile of one B
+// panel; `two`, tier 2 only, the tiles of two adjacent panels at once.
+template <class Elt>
+struct Microkernels {
+  Kern<Elt> one;
+  Kern<Elt> two = nullptr;
+};
+
+template <class Cvt, int kUnroll>
+Microkernels<typename Cvt::elt> tier_kernels(int tier) {
 #ifdef ADARNET_GEMM_X86
-  if (have_avx2()) {
-    if (ku >= 4) return kernel_avx2_f32_u4;
-    if (ku >= 2) return kernel_avx2_f32_u2;
-    return kernel_avx2_f32_u1;
+  using Elt = typename Cvt::elt;
+  if (tier >= 2) {
+    return {kernel_avx512<Elt, kUnroll, 1>, kernel_avx512<Elt, kUnroll, 2>};
   }
+  if (tier == 1) return {kernel_avx2<Elt, kUnroll, 1>};
 #endif
-  (void)ku;
-  return kernel_portable<CvtF32>;
+  (void)tier;
+  return {kernel_portable<Cvt>};
 }
 
-KernU16 select_bf16(int ku) {
-#ifdef ADARNET_GEMM_X86
-  if (have_avx2()) {
-    if (ku >= 4) return kernel_avx2_bf16_u4;
-    if (ku >= 2) return kernel_avx2_bf16_u2;
-    return kernel_avx2_bf16_u1;
-  }
-#endif
-  (void)ku;
-  return kernel_portable<CvtBf16>;
+// The tier's kernels at the schedule's unroll (the portable kernel has
+// none).
+template <class Cvt>
+Microkernels<typename Cvt::elt> select_kernels(int ku) {
+  const int tier = gemm_isa_tier();
+  if (ku >= 4) return tier_kernels<Cvt, 4>(tier);
+  if (ku >= 2) return tier_kernels<Cvt, 2>(tier);
+  return tier_kernels<Cvt, 1>(tier);
 }
 
 }  // namespace
+
+int gemm_isa_tier() {
+#ifdef ADARNET_GEMM_X86
+  static const int tier = [] {
+    if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma")) {
+      return 0;
+    }
+    return __builtin_cpu_supports("avx512f") ? 2 : 1;
+  }();
+  return tier;
+#else
+  return 0;
+#endif
+}
 
 Arena::~Arena() {
   raw_free(base_, cap_floats_);
@@ -457,7 +526,8 @@ namespace {
 
 // Roofline accounting: cumulative FLOPs, compulsory bytes, and wall time
 // of every sgemm call, published as counters plus two derived gauges
-// (achieved GF/s and arithmetic intensity). The wall time is one
+// (achieved GF/s and arithmetic intensity) and the dispatch tier that
+// achieved them (nn.gemm.isa, gemm_isa_tier()). The wall time is one
 // event-free scope per call (sgemm runs per sample per layer) feeding
 // nn.gemm.ns and the caller's phase; an enabled process adds a handful of
 // relaxed RMWs — both noise against a GEMM.
@@ -470,6 +540,7 @@ struct GemmInstruments {
       util::metrics::gauge("nn.gemm.gflops_per_s");
   util::metrics::Gauge& intensity =
       util::metrics::gauge("nn.gemm.arithmetic_intensity");
+  util::metrics::Gauge& isa = util::metrics::gauge("nn.gemm.isa");
   const util::trace::Site scope{"nn.gemm", &ns, util::trace::kInherit,
                                 false};
 };
@@ -489,17 +560,20 @@ void account_sgemm(GemmInstruments& ins, int m, int n, int k,
   const double total_bytes = static_cast<double>(ins.bytes.value());
   if (total_ns > 0.0) ins.gflops.set(total_flops / total_ns);  // FLOP/ns=GF/s
   if (total_bytes > 0.0) ins.intensity.set(total_flops / total_bytes);
+  ins.isa.set(gemm_isa_tier());
 }
 
 // The Goto/BLIS block loop over packed panels, generic in the packed
 // storage type and in where the B panels come from (DenseB, ConvB). The
-// caller has already applied beta and selected the microkernel; all block
-// updates here are "+=" merges.
+// caller has already applied beta and selected the microkernels; all block
+// updates here are "+=" merges. With a paired kernel (tier 2) the threads
+// share out pairs of adjacent panels, the last one alone when the block has
+// an odd count; each C element is still computed by one kernel call per
+// (kc, mc) block, in the same order.
 template <class Cvt, class BSource>
 void sgemm_blocked(const TuneParams& tp,
-                   void (*kern)(int, const typename Cvt::elt*,
-                                const typename Cvt::elt*, float*, int),
-                   Trans ta, int m, int n, int k, float alpha,
+                   const Microkernels<typename Cvt::elt>& kern, Trans ta,
+                   int m, int n, int k, float alpha,
                    const float* a, int lda, const BSource& b, float* c,
                    int ldc) {
   using elt = typename Cvt::elt;
@@ -518,6 +592,7 @@ void sgemm_blocked(const TuneParams& tp,
   elt* bpack = alloc_elts(static_cast<std::size_t>(kc_max) * nc_max);
   elt* apack = alloc_elts(static_cast<std::size_t>(mc_max) * kc_max);
   const int pf = tp.pf;
+  const int group = kern.two != nullptr ? 2 : 1;
 
   for (int jc = 0; jc < n; jc += tp.nc) {
     const int nc = std::min(tp.nc, n - jc);
@@ -529,23 +604,31 @@ void sgemm_blocked(const TuneParams& tp,
         const int mc = std::min(tp.mc, m - ic);
         pack_a<Cvt>(a, lda, ta, ic, pc, mc, kc, apack);
         const int n_panels = nc_pad / kNR;
+        const int n_groups = (n_panels + group - 1) / group;
 #pragma omp parallel for schedule(static)
-        for (int jp = 0; jp < n_panels; ++jp) {
-          const int jr = jp * kNR;
-          const int nr = std::min(kNR, nc - jr);
+        for (int g = 0; g < n_groups; ++g) {
+          const int jp = g * group;
+          const int np = std::min(group, n_panels - jp);
+          const Kern<elt> run = np == 2 ? kern.two : kern.one;
           const elt* bp = bpack + static_cast<std::size_t>(jp) * kc * kNR;
           for (int ir = 0; ir < mc; ir += kMR) {
             const int mr = std::min(kMR, mc - ir);
             const elt* ap =
                 apack + static_cast<std::size_t>(ir) * kc;  // MR-row panel
-            alignas(64) float acc[kMR * kNR];
-            kern(kc, ap, bp, acc, pf);
-            // Merge the tile: C += alpha * acc (edges clipped).
-            for (int r = 0; r < mr; ++r) {
-              float* crow = c + static_cast<std::size_t>(ic + ir + r) * ldc +
-                            jc + jr;
-              const float* arow = acc + r * kNR;
-              for (int q = 0; q < nr; ++q) crow[q] += alpha * arow[q];
+            alignas(64) float acc[2 * kMR * kNR];
+            run(kc, ap, bp, acc, pf);
+            // Merge each tile: C += alpha * acc (edges clipped).
+            for (int t = 0; t < np; ++t) {
+              const int jr = (jp + t) * kNR;
+              const int nr = std::min(kNR, nc - jr);
+              const float* tile = acc + t * kMR * kNR;
+              for (int r = 0; r < mr; ++r) {
+                float* crow = c +
+                              static_cast<std::size_t>(ic + ir + r) * ldc +
+                              jc + jr;
+                const float* arow = tile + r * kNR;
+                for (int q = 0; q < nr; ++q) crow[q] += alpha * arow[q];
+              }
             }
           }
         }
@@ -563,11 +646,11 @@ void sgemm_dispatch(Trans ta, int m, int n, int k, float alpha,
                     int ldc, Precision precision) {
   const TuneParams tp = tuning::resolve(m, n, k);
   if (precision == Precision::kBf16) {
-    sgemm_blocked<CvtBf16>(tp, select_bf16(tp.ku), ta, m, n, k, alpha, a,
-                           lda, b, c, ldc);
+    sgemm_blocked<CvtBf16>(tp, select_kernels<CvtBf16>(tp.ku), ta, m, n, k,
+                           alpha, a, lda, b, c, ldc);
   } else {
-    sgemm_blocked<CvtF32>(tp, select_f32(tp.ku), ta, m, n, k, alpha, a, lda,
-                          b, c, ldc);
+    sgemm_blocked<CvtF32>(tp, select_kernels<CvtF32>(tp.ku), ta, m, n, k,
+                          alpha, a, lda, b, c, ldc);
   }
 }
 

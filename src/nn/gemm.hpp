@@ -5,12 +5,21 @@
 //
 // The GEMM follows the classic Goto/BLIS structure: the operands are
 // packed into contiguous panels blocked as (Mc x Kc) and (Kc x Nc), and an
-// (MR x NR) register-tiled microkernel runs over the packed panels. The
-// convolution forward uses the same loop as an implicit GEMM (sgemm_conv):
-// its B panels are packed straight from the input planes. On
-// x86-64 the microkernel is compiled for AVX2+FMA and selected at runtime
-// (the rest of the library stays at the baseline ISA); elsewhere a
-// portable kernel that the compiler auto-vectorises is used.
+// (MR x NR) = 6 x 16 register-tiled microkernel runs over the packed
+// panels. The convolution forward uses the same loop as an implicit GEMM
+// (sgemm_conv): its B panels are packed straight from the input planes.
+// The microkernel has three tiers, picked once per process from the CPU
+// (gemm_isa_tier()); only the kernels are compiled for them, the rest of
+// the library stays at the baseline ISA:
+//   0  portable: a kernel the compiler vectorises, multiply then add;
+//   1  AVX2 + FMA: the 6 x 16 tile on 12 ymm accumulators;
+//   2  AVX-512F: two adjacent B panels at once, a 6 x 32 tile on 12 zmm
+//      accumulators (6 x 16 on 6 zmm for an odd last panel).
+// Tiers 1 and 2 are one kernel body stamped out per vector width. Every C
+// element takes the same FMA sequence on both -- per Kc block an
+// accumulator from +0, one FMA per k in ascending order, then C += alpha *
+// acc -- so their outputs are bitwise identical; the unroll and prefetch
+// schedule never change a bit either.
 //
 // All scratch comes from the calling thread's Arena, whose capacity is
 // tracked through the nn::memory counters, so the measured inference
@@ -85,6 +94,12 @@ class Arena {
   std::size_t depth_ = 0;       // open mark() scopes
   std::vector<Block> overflow_;
 };
+
+/// The microkernel tier sgemm dispatches to on this CPU: 0 portable,
+/// 1 AVX2 + FMA, 2 AVX-512F (see the file comment). Probed once per
+/// process; the tuning cache is keyed by it (nn/tune.hpp HardwareKey) and
+/// sgemm publishes it as the nn.gemm.isa gauge.
+int gemm_isa_tier();
 
 /// Transpose flag for sgemm operands.
 enum class Trans : std::uint8_t { kNo, kYes };

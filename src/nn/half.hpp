@@ -5,10 +5,12 @@
 //
 // The conversions are branchy scalar bit manipulation, deliberately
 // ISA-independent: the packed panels they produce are consumed either by
-// the AVX2 microkernels (which widen with shifts) or by the portable
-// kernels (which widen with these same helpers), so results are identical
-// across dispatch paths. Rounding is round-to-nearest-even, matching
-// hardware BF16 behaviour.
+// the vector microkernels of the AVX2 and AVX-512 tiers (which widen with
+// shifts) or by the portable kernel (which widens with these same
+// helpers), so every tier reads the same fp32 values. Rounding is
+// round-to-nearest-even, like hardware BF16 conversion; the hardware
+// instructions (AVX512_BF16, AMX) are not used, since they flush
+// denormals and would change the stored values.
 #pragma once
 
 #include <cstdint>

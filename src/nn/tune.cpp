@@ -24,7 +24,9 @@ namespace adarnet::nn::tuning {
 
 namespace {
 
-constexpr int kCacheVersion = 1;
+// 2: ISA tier 2 is AVX-512F. Version-1 files used it for AVX2+FMA+F16C,
+// whose schedules were tuned for another kernel.
+constexpr int kCacheVersion = 2;
 
 struct Entry {
   TuneParams params;
@@ -94,11 +96,7 @@ std::string shape_key(int m, int n, int k) {
 
 HardwareKey hardware_key() {
   HardwareKey key;
-#if defined(__x86_64__) || defined(_M_X64)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    key.isa = 1;
-  }
-#endif
+  key.isa = gemm_isa_tier();
 #if defined(_SC_LEVEL1_DCACHE_SIZE)
   const long l1 = ::sysconf(_SC_LEVEL1_DCACHE_SIZE);
   if (l1 > 0) key.l1d_kb = static_cast<int>(l1 / 1024);
@@ -306,19 +304,24 @@ void ensure_loaded_locked() {
   if (::stat(path.c_str(), &st) != 0) return;  // no cache yet: defaults
   std::string error;
   if (!load_cache_locked(path, &error)) {
-    util::metrics::counter("nn.gemm.tune.cache_error").add();
     std::fprintf(stderr, "[tune] ignoring cache %s: %s\n", path.c_str(),
                  error.c_str());
   }
 }
 
+// Replaces the registry with the cache at `path`. A file that cannot be
+// used leaves it empty and is counted on nn.gemm.tune.cache_error.
 bool load_cache_locked(const std::string& path, std::string* error) {
   g_table.clear();
+  const auto reject = [error](const std::string& why) {
+    util::metrics::counter("nn.gemm.tune.cache_error").add();
+    if (error != nullptr) *error = why;
+    return false;
+  };
   std::map<std::string, double> flat;
   std::string parse_error;
   if (!util::bench_compare::flatten_json_file(path, flat, &parse_error)) {
-    if (error != nullptr) *error = parse_error;
-    return false;
+    return reject(parse_error);
   }
   const auto field = [&flat](const char* name, double* out) {
     const auto it = flat.find(name);
@@ -332,18 +335,15 @@ bool load_cache_locked(const std::string& path, std::string* error) {
   double l2 = -1.0;
   if (!field("version", &version) || !field("isa", &isa) ||
       !field("l1d_kb", &l1) || !field("l2_kb", &l2)) {
-    if (error != nullptr) *error = "missing header fields";
-    return false;
+    return reject("missing header fields");
   }
   if (static_cast<int>(version) != kCacheVersion) {
-    if (error != nullptr) *error = "version mismatch";
-    return false;
+    return reject("version mismatch");
   }
   const HardwareKey hw = hardware_key();
   if (static_cast<int>(isa) != hw.isa || static_cast<int>(l1) != hw.l1d_kb ||
       static_cast<int>(l2) != hw.l2_kb) {
-    if (error != nullptr) *error = "hardware key mismatch";
-    return false;
+    return reject("hardware key mismatch");
   }
   // shapes/<key>/<field> leaves; an entry missing any schedule field is
   // dropped (robustness to truncated or hand-edited files).

@@ -15,9 +15,10 @@
 // atomically renamed into place, so concurrent first-run processes racing
 // to publish their sweep cannot tear the file — last rename wins and every
 // intermediate state is a complete document. A cache that fails to parse,
-// or was produced by a different library version / ISA / cache hierarchy,
-// is ignored wholesale (defaults apply) and counted on
-// nn.gemm.tune.cache_error.
+// or was produced by a different library version / ISA tier / cache
+// hierarchy, is ignored wholesale (defaults apply) and counted on
+// nn.gemm.tune.cache_error, whether the lazy first use or load_cache read
+// it.
 #pragma once
 
 #include <string>
@@ -30,10 +31,12 @@ namespace adarnet::nn::tuning {
 /// (next power of two per dimension, clamped to [16, 4096]).
 std::string shape_key(int m, int n, int k);
 
-/// The hardware fingerprint the on-disk cache is keyed by. `isa` is a
-/// dispatch-tier id (0 portable, 1 AVX2+FMA); the cache sizes are
-/// sysconf-reported KiB (0 where the kernel does not report them —
-/// matched literally, so "unknown" only equals "unknown").
+/// The hardware fingerprint the on-disk cache is keyed by. `isa` is the
+/// microkernel tier sgemm dispatches to, from the same CPU probe
+/// (gemm_isa_tier(): 0 portable, 1 AVX2+FMA, 2 AVX-512F), because a
+/// schedule tuned for one kernel says little about another; the cache
+/// sizes are sysconf-reported KiB (0 where the kernel does not report
+/// them — matched literally, so "unknown" only equals "unknown").
 struct HardwareKey {
   int isa = 0;
   int l1d_kb = 0;
@@ -102,8 +105,9 @@ SweepResult tune_shape(int m, int n, int k, const SweepOptions& opt = {});
 std::string cache_path();
 
 /// Replaces the registry with the entries of a cache file. Returns false
-/// (registry left empty, error filled) on unreadable/corrupt files or a
-/// version/hardware-key mismatch; the process then runs on defaults.
+/// (registry left empty, error filled, nn.gemm.tune.cache_error counted)
+/// on unreadable/corrupt files or a version/hardware-key mismatch; the
+/// process then runs on defaults.
 bool load_cache(const std::string& path, std::string* error = nullptr);
 
 /// Atomically persists the registry (temp + rename; parent directories are

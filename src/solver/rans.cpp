@@ -112,7 +112,6 @@ using sweep::zero_rows;
 // Channel masks for the fused ghost exchanges: each phase exchanges
 // exactly the channels it dirtied (DESIGN.md §11).
 constexpr unsigned kMaskUV = 0b0011u;    // momentum sweeps touch U, V
-constexpr unsigned kMaskUVNt = 0b1011u;  // pre-SA refresh: U, V, nuTilda
 constexpr unsigned kMaskNt = 1u << kNt;  // SA sweeps touch nuTilda
 constexpr unsigned kMaskAll = 0b1111u;
 
@@ -1079,10 +1078,12 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
 
   // --- SA transport ----------------------------------------------------------
   if (cfg.solve_sa) {
+    // The corrector moved U and V; nuTilda's ghosts are still the ones the
+    // iteration-start refresh left, since nothing has written it since.
     {
       const util::trace::Span t(kGhosts.site);
-      exchange_ghosts(f, mesh_, kMaskUVNt);
-      apply_bc_ghosts(f, kMaskUVNt);
+      exchange_ghosts(f, mesh_, kMaskUV);
+      apply_bc_ghosts(f, kMaskUV);
     }
 
     zero_rows(ws.acc_a);

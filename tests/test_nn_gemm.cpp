@@ -2,22 +2,27 @@
 // the direct per-tap reference loops (the oracle below) across kernel
 // sizes, deconv (flipped) mode, non-square inputs and batches; the
 // implicit-GEMM forward entry against im2col + sgemm, bitwise; raw sgemm
-// correctness against a naive triple loop; and the workspace arena (its
-// estimate covers a forward, steady-state forwards perform no
-// allocations).
+// correctness against a naive triple loop; sgemm and sgemm_conv against a
+// scalar FMA oracle in the microkernel's order, bitwise, on whichever ISA
+// tier the host dispatches to; and the workspace arena (its estimate
+// covers a forward, steady-state forwards perform no allocations).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "nn/conv2d.hpp"
 #include "nn/gemm.hpp"
+#include "nn/half.hpp"
 #include "nn/im2col.hpp"
 #include "nn/tensor.hpp"
 #include "nn/tune.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -404,6 +409,177 @@ TEST(Sgemm, MatchesNaiveTripleLoopAcrossTransposes) {
           << " tb=" << static_cast<int>(cs.tb) << " idx=" << idx;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The FMA oracle: what the vector tiers compute, element by element. sgemm
+// first applies beta (0: C = 0, 1: C as is, else C *= beta). Then, per kc
+// block of the schedule sgemm resolves for the shape, each C element's
+// accumulator starts at +0 and takes one std::fma(a, b, acc) per k in
+// ascending order, and C += alpha * acc (a multiply, then an add). bf16
+// operands are rounded as the pack step stores them. Every tier with FMA
+// must match this bit for bit, whatever its vector width, panel pairing,
+// unroll or prefetch distance; the portable tier (multiply, then add) is
+// checked against the naive loops above instead.
+
+namespace {
+
+float stored(float v, Precision precision) {
+  return precision == Precision::kBf16
+             ? adarnet::nn::half::bf16_to_f32(
+                   adarnet::nn::half::f32_to_bf16(v))
+             : v;
+}
+
+// C as sgemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
+// precision) must leave it, with `kc` the schedule's K blocking.
+std::vector<float> fma_oracle(Trans ta, Trans tb, int m, int n, int k,
+                              float alpha, const float* a, int lda,
+                              const float* b, int ldb, float beta,
+                              std::vector<float> c, int ldc,
+                              Precision precision, int kc) {
+  const auto op = [](const float* x, int ld, Trans t, int i, int p) {
+    return t == Trans::kNo ? x[static_cast<std::size_t>(i) * ld + p]
+                           : x[static_cast<std::size_t>(p) * ld + i];
+  };
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      float& out = c[static_cast<std::size_t>(i) * ldc + j];
+      if (beta == 0.0f) {
+        out = 0.0f;
+      } else if (beta != 1.0f) {
+        out *= beta;
+      }
+      for (int p0 = 0; p0 < k; p0 += kc) {
+        float acc = 0.0f;
+        for (int p = p0; p < std::min(k, p0 + kc); ++p) {
+          acc = std::fma(stored(op(a, lda, ta, i, p), precision),
+                         stored(op(b, ldb, tb, p, j), precision), acc);
+        }
+        const float scaled = alpha * acc;
+        out = out + scaled;
+      }
+    }
+  }
+  return c;
+}
+
+void expect_bitwise(const std::vector<float>& got,
+                    const std::vector<float>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t idx = 0; idx < got.size(); ++idx) {
+    ASSERT_EQ(std::memcmp(&got[idx], &want[idx], sizeof(float)), 0)
+        << "at flat index " << idx << ": " << got[idx] << " vs "
+        << want[idx];
+  }
+}
+
+std::vector<float> random_floats(std::size_t count, Rng& rng) {
+  std::vector<float> v(count);
+  for (float& x : v) x = rng.uniformf(-1.f, 1.f);
+  return v;
+}
+
+// sgemm at every transpose pair, against the oracle, at the blocking the
+// registry resolves for (m, n, k) right now.
+void check_sgemm_oracle(int m, int n, int k, float alpha, float beta,
+                        Precision precision, Rng& rng) {
+  SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+               " k=" + std::to_string(k) + " alpha=" +
+               std::to_string(alpha) + " beta=" + std::to_string(beta));
+  const int kc = adarnet::nn::tuning::params_for(m, n, k).kc;
+  const std::vector<float> a =
+      random_floats(static_cast<std::size_t>(m) * k, rng);
+  const std::vector<float> b =
+      random_floats(static_cast<std::size_t>(k) * n, rng);
+  const std::vector<float> c0 =
+      random_floats(static_cast<std::size_t>(m) * n, rng);
+  for (Trans ta : {Trans::kNo, Trans::kYes}) {
+    for (Trans tb : {Trans::kNo, Trans::kYes}) {
+      SCOPED_TRACE("ta=" + std::to_string(static_cast<int>(ta)) +
+                   " tb=" + std::to_string(static_cast<int>(tb)));
+      // The same numbers stored as op(X) asks: m x k or k x m for A.
+      const int lda = ta == Trans::kNo ? k : m;
+      const int ldb = tb == Trans::kNo ? n : k;
+      std::vector<float> c = c0;
+      adarnet::nn::sgemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(),
+                         ldb, beta, c.data(), n, precision);
+      expect_bitwise(c, fma_oracle(ta, tb, m, n, k, alpha, a.data(), lda,
+                                   b.data(), ldb, beta, c0, n, precision,
+                                   kc));
+    }
+  }
+}
+
+// sgemm_conv against the oracle on the col matrix it never builds
+// (alpha 1, beta 1: the call accumulates into C).
+void check_conv_oracle(int m, int c, int h, int w, int k,
+                       Precision precision, Rng& rng) {
+  SCOPED_TRACE("m=" + std::to_string(m) + " c=" + std::to_string(c) +
+               " h=" + std::to_string(h) + " w=" + std::to_string(w) +
+               " k=" + std::to_string(k));
+  const int kdim = c * k * k;
+  const int n = h * w;
+  const int kc = adarnet::nn::tuning::params_for(m, n, kdim).kc;
+  const std::vector<float> src =
+      random_floats(static_cast<std::size_t>(c) * n, rng);
+  const std::vector<float> a =
+      random_floats(static_cast<std::size_t>(m) * kdim, rng);
+  const std::vector<float> c0 =
+      random_floats(static_cast<std::size_t>(m) * n, rng);
+  std::vector<float> col(static_cast<std::size_t>(kdim) * n);
+  adarnet::nn::im2col(src.data(), c, h, w, k, col.data());
+  std::vector<float> out = c0;
+  adarnet::nn::sgemm_conv(m, c, h, w, k, a.data(), src.data(), out.data(),
+                          precision);
+  expect_bitwise(out, fma_oracle(Trans::kNo, Trans::kNo, m, n, kdim, 1.0f,
+                                 a.data(), kdim, col.data(), n, 1.0f, c0, n,
+                                 precision, kc));
+}
+
+}  // namespace
+
+TEST(Sgemm, MatchesScalarFmaOracleBitwise) {
+  const int tier = adarnet::nn::gemm_isa_tier();
+  RecordProperty("gemm_isa_tier", tier);
+  std::printf("[   INFO   ] sgemm dispatches to ISA tier %d\n", tier);
+  if (tier == 0) GTEST_SKIP() << "the portable tier has no FMA";
+  namespace tuning = adarnet::nn::tuning;
+  tuning::reset();
+  Rng rng(61);
+  for (Precision precision : {Precision::kFp32, Precision::kBf16}) {
+    SCOPED_TRACE(adarnet::nn::precision_name(precision));
+    // Default blocking: k past one kc block; m % 6 != 0; n % 16 != 0 with
+    // an odd panel count (5) and an even one (8).
+    check_sgemm_oracle(13, 71, 300, 0.7f, -0.3f, precision, rng);
+    check_sgemm_oracle(13, 125, 300, 1.0f, 0.0f, precision, rng);
+    check_sgemm_oracle(7, 16, 9, 1.0f, 1.0f, precision, rng);
+    // Default blocking for the implicit GEMM: the m16 / 3x3 deconv shape
+    // with k = 288 past one kc block; full panels (w = 16) and row
+    // segments (w = 13, n % 16 != 0).
+    check_conv_oracle(16, 32, 8, 16, 3, precision, rng);
+    check_conv_oracle(13, 32, 5, 13, 3, precision, rng);
+    // Pinned schedules: kc = 20 ends mid-channel (9 K rows a channel),
+    // nc = 48 makes 3 panels a block, odd; every unroll, with and without
+    // prefetch.
+    for (int ku : {1, 2, 4}) {
+      for (int pf : {0, 8}) {
+        SCOPED_TRACE("ku=" + std::to_string(ku) + " pf=" + std::to_string(pf));
+        const tuning::ScopedOverride pin(adarnet::nn::TuneParams{
+            12, 20, 48, ku, pf});
+        check_sgemm_oracle(13, 71, 45, 0.7f, -0.3f, precision, rng);
+        check_sgemm_oracle(19, 100, 61, 1.0f, 0.0f, precision, rng);
+        check_conv_oracle(13, 5, 7, 16, 3, precision, rng);
+        check_conv_oracle(13, 5, 6, 13, 3, precision, rng);
+      }
+    }
+  }
+  // Every accounted GEMM publishes the tier that ran it.
+  const bool was_enabled = adarnet::util::metrics::enabled();
+  adarnet::util::metrics::set_enabled(true);
+  check_sgemm_oracle(7, 16, 9, 1.0f, 1.0f, Precision::kFp32, rng);
+  EXPECT_EQ(adarnet::util::metrics::gauge("nn.gemm.isa").value(), tier);
+  adarnet::util::metrics::set_enabled(was_enabled);
 }
 
 TEST(Im2Col, RoundTripMatchesAdjointIdentity) {

@@ -379,6 +379,46 @@ TEST(TuneCache, VersionOrHardwareMismatchIsRejectedWholesale) {
   tuning::reset();
 }
 
+TEST(TuneCache, CacheFromAnotherIsaTierIsIgnoredAndCounted) {
+  // The cache is keyed by the tier sgemm dispatches to, from the one probe.
+  const int tier = adarnet::nn::gemm_isa_tier();
+  EXPECT_EQ(tuning::hardware_key().isa, tier);
+  const bool was_enabled = adarnet::util::metrics::enabled();
+  adarnet::util::metrics::set_enabled(true);
+  adarnet::util::metrics::Counter& errors =
+      adarnet::util::metrics::counter("nn.gemm.tune.cache_error");
+  tuning::reset();
+  tuning::set_params(64, 64, 64, TuneParams{36, 128, 512, 2, 8});
+  const std::string path = temp_path("adarnet_tuning_tier.json");
+  std::string err;
+  ASSERT_TRUE(tuning::save_cache(path, &err)) << err;
+  std::string text;
+  {
+    std::ifstream in(path);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const std::string own = "\"isa\": " + std::to_string(tier) + ",";
+  ASSERT_NE(text.find(own), std::string::npos) << text;
+  for (int other : {0, 1, 2}) {
+    if (other == tier) continue;
+    SCOPED_TRACE("recorded at tier " + std::to_string(other));
+    std::string t = text;
+    t.replace(t.find(own), own.size(),
+              "\"isa\": " + std::to_string(other) + ",");
+    write_file(path, t);
+    const long long before = errors.value();
+    EXPECT_FALSE(tuning::load_cache(path, &err));
+    EXPECT_EQ(err, "hardware key mismatch");
+    EXPECT_EQ(errors.value(), before + 1);
+    EXPECT_EQ(tuning::table_size(), 0);
+    EXPECT_EQ(tuning::params_for(64, 64, 64), TuneParams{});
+  }
+  adarnet::util::metrics::set_enabled(was_enabled);
+  std::remove(path.c_str());
+  tuning::reset();
+}
+
 TEST(TuneCache, ConcurrentWritersDoNotTearTheFile) {
   tuning::reset();
   tuning::set_params(64, 64, 64, TuneParams{36, 128, 512, 2, 8});
