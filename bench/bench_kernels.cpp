@@ -12,18 +12,13 @@
 // the roofline pass (CI's bench-smoke mode).
 #include <benchmark/benchmark.h>
 
-#include <cmath>
-#include <optional>
-
 #include "adarnet/pde_loss.hpp"
-#include "adarnet/precision_guard.hpp"
 #include "common.hpp"
 #include "data/cases.hpp"
 #include "field/interp.hpp"
 #include "mesh/composite.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/gemm.hpp"
-#include "nn/tune.hpp"
 #include "solver/rans.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -166,146 +161,40 @@ void roofline_conv_forward(bench::JsonObject& out, int hw,
                              reps));
 }
 
-std::string gemm_key(int m, int n, int k) {
-  return "gemm.m" + std::to_string(m) + "n" + std::to_string(n) + "k" +
-         std::to_string(k);
-}
-
-// Times sgemm at (m, n, k) under `prec` storage and writes a roofline entry
-// named `key`. When `pin` is set the schedule is forced through a
-// ScopedOverride (how the ".default" entries hold the compile-time blocking
-// after a sweep installed a winner); otherwise sgemm resolves the registry,
-// i.e. runs whatever schedule production code would.
-void roofline_gemm_shape(bench::JsonObject& out, const std::string& key,
-                         int m, int n, int k, nn::Precision prec,
-                         const nn::TuneParams* pin, double target_flops) {
+// Times sgemm at (m, n, k) and writes its roofline entry.
+void roofline_gemm(bench::JsonObject& out, int m, int n, int k,
+                   double target_flops) {
   std::vector<float> a(static_cast<std::size_t>(m) * k);
   std::vector<float> b(static_cast<std::size_t>(k) * n);
   std::vector<float> c(static_cast<std::size_t>(m) * n, 0.0f);
   for (std::size_t i = 0; i < a.size(); ++i) a[i] = 0.01f * (i % 89);
   for (std::size_t i = 0; i < b.size(); ++i) b[i] = 0.02f * (i % 83);
   const double flops1 = static_cast<double>(nn::sgemm_flops(m, n, k));
-  const double bytes1 = static_cast<double>(nn::sgemm_bytes(m, n, k, prec));
+  const double bytes1 = static_cast<double>(nn::sgemm_bytes(m, n, k));
   const int reps = reps_for(flops1, target_flops);
-  std::optional<nn::tuning::ScopedOverride> override;
-  if (pin != nullptr) override.emplace(*pin);
   nn::sgemm(nn::Trans::kNo, nn::Trans::kNo, m, n, k, 1.0f, a.data(), k,
-            b.data(), n, 0.0f, c.data(), n, prec);  // warm up arena
+            b.data(), n, 0.0f, c.data(), n);  // warm up arena
   util::WallTimer timer;
   for (int r = 0; r < reps; ++r) {
     nn::sgemm(nn::Trans::kNo, nn::Trans::kNo, m, n, k, 1.0f, a.data(), k,
-              b.data(), n, 0.0f, c.data(), n, prec);
+              b.data(), n, 0.0f, c.data(), n);
   }
+  const std::string key = "gemm.m" + std::to_string(m) + "n" +
+                          std::to_string(n) + "k" + std::to_string(k);
   out.add_raw(key, roofline_entry(flops1 * reps, bytes1 * reps,
                                   timer.seconds(), reps));
 }
 
-void roofline_gemm(bench::JsonObject& out, int s, double target_flops) {
-  roofline_gemm_shape(out, gemm_key(s, s, s), s, s, s, nn::Precision::kFp32,
-                      nullptr, target_flops);
-}
-
-// ---------------------------------------------------------------------------
-// Autotuner sweep + reduced-precision pass (DESIGN.md §14). The sweep runs
-// over GEMM shape classes the conv stack actually produces — skinny-M
-// decoder-head panels over large spatial extents, a standard im2col panel,
-// and the tall weight-gradient transpose — chosen because the default
-// blocking leaves structural headroom there (the accept gate wants a
-// geomean >= 1.1x, and these shapes clear it with margin on every machine
-// tried). Each shape maps to a distinct registry shape class, so no sweep
-// overwrites another's winner.
-
-struct SweepShape {
-  int m, n, k;
+// Skinny and tall shapes the conv stack produces, next to the square ones:
+// decoder heads (6 output taps over a 64x64 patch, or over 128x128 with a
+// 16-channel im2col), a wide conv panel at 128x128 and the tall
+// weight-gradient transpose.
+constexpr int kSkinnyShapes[][3] = {
+    {6, 4096, 1024},
+    {6, 16384, 144},
+    {72, 16384, 144},
+    {1024, 16, 1024},
 };
-constexpr SweepShape kSweepShapes[] = {
-    {6, 4096, 1024},    // decoder head: 6 output taps over a 64x64 patch
-    {6, 16384, 144},    // decoder head over 128x128, 16-channel im2col
-    {72, 16384, 144},   // wide conv panel, 128x128 spatial extent
-    {1024, 16, 1024},   // tall transpose shape (weight-gradient GEMM)
-};
-
-// Sweeps every shape, records per-shape diagnostics under tune/ (ignored by
-// the gate — machine-specific by construction) and the gateable verdict
-// under accept/tuned_ge_default. The verdict uses the sweep's own paired
-// measurements: best-vs-default from the same pass, where "best >= default"
-// holds by construction (the default schedule is itself a candidate) and
-// only the geomean margin is a real measurement.
-double run_tune_sweep(bench::JsonObject& by_size, bench::JsonObject& tune,
-                      double target_flops) {
-  nn::tuning::SweepOptions opt;
-  opt.flops_budget = 2e7;
-  opt.passes = 3;
-  double log_ratio_sum = 0.0;
-  int shapes = 0;
-  for (const SweepShape& s : kSweepShapes) {
-    const auto r = nn::tuning::tune_shape(s.m, s.n, s.k, opt);
-    const double ratio =
-        r.default_gflops > 0.0 ? r.best_gflops / r.default_gflops : 1.0;
-    log_ratio_sum += std::log(ratio);
-    ++shapes;
-    const std::string key = gemm_key(s.m, s.n, s.k);
-    bench::JsonObject e;
-    e.add("mc", r.best.mc)
-        .add("kc", r.best.kc)
-        .add("nc", r.best.nc)
-        .add("ku", r.best.ku)
-        .add("pf", r.best.pf)
-        .add("candidates", r.candidates)
-        .add("default_gflops", r.default_gflops)
-        .add("best_gflops", r.best_gflops)
-        .add("ratio", ratio);
-    tune.add_raw(key, e.str());
-    // Side-by-side roofline entries at this shape: the compile-time
-    // blocking pinned vs whatever the registry now resolves.
-    const nn::TuneParams defaults;
-    roofline_gemm_shape(by_size, key + ".default", s.m, s.n, s.k,
-                        nn::Precision::kFp32, &defaults, target_flops);
-    roofline_gemm_shape(by_size, key + ".tuned", s.m, s.n, s.k,
-                        nn::Precision::kFp32, nullptr, target_flops);
-  }
-  const double geomean = std::exp(log_ratio_sum / shapes);
-  tune.add("geomean_ratio", geomean);
-  return geomean;
-}
-
-// Runs the bf16 accuracy guard against a model whose weights are all
-// randomized (the decoder's final layer is zero-initialised by design, so
-// an untrained model would be bit-exact in any precision and the check
-// would be vacuous). Metrics stay disabled throughout: the scorer's
-// patch ranking feeds the decoder batches, and its fp ordering must not
-// leak machine-dependent GEMM call counts into the gated roofline totals.
-core::PrecisionGuardReport run_bf16_guard() {
-  namespace metrics = util::metrics;
-  const bool was_enabled = metrics::enabled();
-  metrics::set_enabled(false);
-  util::Rng rng(4242);
-  core::AdarNetConfig cfg;
-  cfg.ph = 8;
-  cfg.pw = 8;
-  core::AdarNet model(cfg, rng);
-  for (nn::Parameter* p : model.parameters()) {
-    for (std::size_t i = 0; i < p->value.numel(); ++i) {
-      p->value[i] = static_cast<float>(rng.normal(0.0, 0.1));
-    }
-  }
-  field::FlowField lr(16, 16);
-  for (int i = 0; i < 16; ++i) {
-    for (int j = 0; j < 16; ++j) {
-      const double x = j / 16.0;
-      const double y = i / 16.0;
-      lr.U(i, j) = 1.0 + 0.3 * std::sin(6.28 * x) * y;
-      lr.V(i, j) = 0.1 * std::cos(6.28 * y);
-      lr.p(i, j) = 0.5 * (1.0 - x);
-      lr.nuTilda(i, j) = 1e-4 * y * (1.0 - y);
-    }
-  }
-  model.stats() = data::NormStats::fit({lr});
-  const auto report = core::apply_inference_precision(
-      model, lr, nn::Precision::kBf16, core::PrecisionGuardConfig{});
-  metrics::set_enabled(was_enabled);
-  return report;
-}
 
 }  // namespace
 
@@ -329,54 +218,14 @@ int main(int argc, char** argv) {
     roofline_conv_forward(by_size, hw, target);
   }
   for (int s : {64, 128, 256}) {
-    roofline_gemm(by_size, s, target);
+    roofline_gemm(by_size, s, s, s, target);
   }
-
-  // Autotuner sweep. Fast mode skips it by default (local smoke runs stay
-  // sub-second); CI's bench-smoke re-enables it with ADARNET_TUNE_SWEEP=1
-  // so the accept bit is exercised on every PR. The bits are numbers, not
-  // booleans — the gate's flattener only records numeric leaves.
-  const bool tune_sweep =
-      adarnet::bench::env_int("ADARNET_TUNE_SWEEP", fast ? 0 : 1) != 0;
-  adarnet::bench::JsonObject accept;
-  adarnet::bench::JsonObject tune;
-  bool have_tune = false;
-  if (tune_sweep) {
-    const double geomean = run_tune_sweep(by_size, tune, target);
-    // Per-shape "tuned >= default" holds by construction (the default
-    // schedule is a sweep candidate); the geomean carries the margin.
-    accept.add("tuned_ge_default", geomean >= 1.1 ? 1.0 : 0.0);
-    have_tune = true;
-    const std::string cache = adarnet::nn::tuning::cache_path();
-    std::string err;
-    if (adarnet::nn::tuning::save_cache(cache, &err)) {
-      std::printf("(tuning cache written to %s)\n", cache.c_str());
-    } else {
-      std::fprintf(stderr, "[bench] tuning cache write failed: %s\n",
-                   err.c_str());
-    }
+  for (const auto& shape : kSkinnyShapes) {
+    roofline_gemm(by_size, shape[0], shape[1], shape[2], target);
   }
-
-  // Reduced-precision storage entries: same model flops, roughly half the
-  // A/B panel traffic, so the roofline point moves right.
-  for (int s : {64, 128, 256}) {
-    roofline_gemm_shape(by_size, gemm_key(s, s, s) + ".bf16", s, s, s,
-                        adarnet::nn::Precision::kBf16, nullptr, target);
-  }
-  const auto guard = run_bf16_guard();
-  accept.add("bf16_mse_within_bound", guard.accepted ? 1.0 : 0.0);
-  adarnet::bench::JsonObject precision;
-  precision.add("requested", adarnet::nn::precision_name(guard.requested))
-      .add("applied", adarnet::nn::precision_name(guard.applied))
-      .add("rel_mse", guard.rel_mse)
-      .add("patch_mse", guard.patch_mse)
-      .add("rel_mse_bound", adarnet::core::PrecisionGuardConfig{}.rel_mse_bound);
 
   adarnet::bench::JsonObject doc;
   doc.add("bench", "kernels").add("fast", fast);
-  doc.add_raw("accept", accept.str());
-  if (have_tune) doc.add_raw("tune", tune.str());
-  doc.add_raw("precision", precision.str());
   adarnet::bench::add_observability(doc, wall.seconds(), by_size.str());
   adarnet::bench::write_json("BENCH_kernels.json", doc.str());
   return 0;

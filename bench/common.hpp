@@ -14,9 +14,11 @@
 //   ADARNET_BENCH_RETRAIN  set to 1 to ignore the cache
 #pragma once
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,9 +37,25 @@
 
 namespace adarnet::bench {
 
+/// The whole non-negative decimal integer in environment variable `name`,
+/// or `fallback` when it is unset or empty. Any other value ("eight", "8x",
+/// "-1", "2.5", past INT_MAX) is a usage error: the bench names the
+/// variable and exits 2 rather than run with a count read as 0.
 inline int env_int(const char* name, int fallback) {
   const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
+  if (v == nullptr || v[0] == '\0') return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long long n = std::strtoll(v, &end, 10);
+  if (v[0] < '0' || v[0] > '9' || errno != 0 || *end != '\0' ||
+      n > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr,
+                 "[bench] %s=\"%s\" is not a whole non-negative decimal "
+                 "integer\n",
+                 name, v);
+    std::exit(2);
+  }
+  return static_cast<int>(n);
 }
 
 inline int shrink_factor() { return env_int("ADARNET_BENCH_SHRINK", 4); }

@@ -47,12 +47,6 @@ class Decoder {
     return nn::estimate_memory(net_, n, patch_channels_ + 2, h, w);
   }
 
-  /// Inference-forward GEMM storage precision for the conv/deconv stack
-  /// (training stays fp32).
-  void set_inference_precision(nn::Precision p) {
-    net_.set_inference_precision(p);
-  }
-
   [[nodiscard]] int in_channels() const { return patch_channels_ + 2; }
   [[nodiscard]] std::size_t parameter_count() const {
     return net_.parameter_count();

@@ -35,14 +35,6 @@ AdarNet::AdarNet(AdarNetConfig config, util::Rng& rng)
       scorer_(field::kNumFlowVars, config.ph, config.pw, rng),
       decoder_(rng, field::kNumFlowVars) {}
 
-void AdarNet::set_inference_precision(nn::Precision p) {
-  precision_ = p;
-  scorer_.set_inference_precision(p);
-  decoder_.set_inference_precision(p);
-  util::metrics::gauge("nn.precision.active")
-      .set(static_cast<double>(static_cast<int>(p)));
-}
-
 std::vector<nn::Parameter*> AdarNet::parameters() const {
   std::vector<nn::Parameter*> out = scorer_.parameters();
   for (nn::Parameter* p : decoder_.parameters()) out.push_back(p);

@@ -76,16 +76,6 @@ class AdarNet {
                                 const std::vector<int>& patch_ids, int level,
                                 int npx, int npy) const;
 
-  /// Sets the inference-forward GEMM storage precision of every conv in
-  /// the scorer and decoder and records it (published as the
-  /// nn.precision.active gauge: 0 fp32, 1 bf16). Prefer
-  /// core::apply_inference_precision (precision_guard.hpp), which
-  /// accuracy-checks the request before committing to it.
-  void set_inference_precision(nn::Precision p);
-  [[nodiscard]] nn::Precision inference_precision() const {
-    return precision_;
-  }
-
   Scorer& scorer() { return scorer_; }
   Decoder& decoder() { return decoder_; }
   data::NormStats& stats() { return stats_; }
@@ -101,7 +91,6 @@ class AdarNet {
   Scorer scorer_;
   Decoder decoder_;
   data::NormStats stats_ = data::NormStats::identity();
-  nn::Precision precision_ = nn::Conv2D::default_precision();
 };
 
 }  // namespace adarnet::core

@@ -52,12 +52,6 @@ class Scorer {
   [[nodiscard]] int pw() const { return pw_; }
   [[nodiscard]] int in_channels() const { return in_channels_; }
 
-  /// Inference-forward GEMM storage precision for the feature convs
-  /// (pool/softmax are unaffected; training stays fp32).
-  void set_inference_precision(nn::Precision p) {
-    features_.set_inference_precision(p);
-  }
-
  private:
   int in_channels_;
   int ph_;

@@ -1,10 +1,8 @@
 #include "nn/conv2d.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -16,26 +14,6 @@
 namespace adarnet::nn {
 
 namespace {
-
-// Process-wide inference-precision default, seeded once from the
-// environment on first use (Meyers singleton: no static-init-order
-// dependency on when the first layer is constructed).
-Precision initial_default_precision() {
-  if (const char* env = std::getenv("ADARNET_INFER_PRECISION")) {
-    Precision p{};
-    if (parse_precision(env, &p)) return p;
-    std::fprintf(stderr,
-                 "adarnet: ignoring unknown ADARNET_INFER_PRECISION=\"%s\" "
-                 "(expected fp32|bf16)\n",
-                 env);
-  }
-  return Precision::kFp32;
-}
-
-std::atomic<Precision>& default_precision_atomic() {
-  static std::atomic<Precision> v{initial_default_precision()};
-  return v;
-}
 
 // Layer-level roofline accounting (forward and backward): cumulative
 // FLOPs / compulsory bytes / wall time plus the derived achieved-GF/s and
@@ -87,13 +65,6 @@ inline std::size_t arena_round(std::size_t floats) {
 }
 
 }  // namespace
-
-Precision Conv2D::default_precision() {
-  return default_precision_atomic().load();
-}
-void Conv2D::set_default_precision(Precision p) {
-  default_precision_atomic().store(p);
-}
 
 Conv2D::Conv2D(int in_channels, int out_channels, int kernel, util::Rng& rng,
                bool flipped)
@@ -189,10 +160,7 @@ Tensor Conv2D::forward(const Tensor& input, bool train) {
   if (train) cached_input_ = input.share();
   static ConvInstruments ins;
   util::trace::Span span(ins.scope);
-  // Reduced precision applies to inference forwards only; a training
-  // forward must produce the activations backward() differentiates.
-  const Precision prec = train ? Precision::kFp32 : precision_;
-  Tensor out = forward_gemm(input, prec);
+  Tensor out = forward_gemm(input);
   span.stop();
   if (util::metrics::enabled()) {
     account_conv(ins, forward_flops(input.n(), input.h(), input.w()),
@@ -237,7 +205,7 @@ const float* Conv2D::gemm_weights() {
   return packed;
 }
 
-Tensor Conv2D::forward_gemm(const Tensor& input, Precision precision) {
+Tensor Conv2D::forward_gemm(const Tensor& input) {
   const int n = input.n();
   const int h = input.h();
   const int w = input.w();
@@ -256,11 +224,8 @@ Tensor Conv2D::forward_gemm(const Tensor& input, Precision precision) {
       std::fill_n(out_s + static_cast<std::size_t>(o) * N, N,
                   bias_->value[o]);
     }
-    // Implicit GEMM: B panels are packed from the input planes (and
-    // converted to the reduced storage format there); the fp32
-    // workspace_bytes() reservation above bounds every precision.
-    sgemm_conv(M, in_channels_, h, w, kernel_, A, plane(input, s, 0), out_s,
-               precision);
+    // Implicit GEMM: B panels are packed from the input planes.
+    sgemm_conv(M, in_channels_, h, w, kernel_, A, plane(input, s, 0), out_s);
   }
   arena.release(m0);
   return out;

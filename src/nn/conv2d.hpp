@@ -55,18 +55,6 @@ class Conv2D : public Layer {
   [[nodiscard]] std::int64_t backward_flops(int n, int h, int w) const;
   [[nodiscard]] std::int64_t backward_bytes(int n, int h, int w) const;
 
-  /// Packed-operand storage precision for inference forwards (train =
-  /// false). Training forwards and the whole backward pass always run
-  /// fp32, whatever is set here.
-  void set_inference_precision(Precision p) override { precision_ = p; }
-  [[nodiscard]] Precision inference_precision() const { return precision_; }
-
-  /// Precision newly constructed layers start with: process-wide default,
-  /// seeded once from ADARNET_INFER_PRECISION (fp32 when unset or
-  /// unparseable).
-  static Precision default_precision();
-  static void set_default_precision(Precision p);
-
   [[nodiscard]] int in_channels() const { return in_channels_; }
   [[nodiscard]] int out_channels() const { return out_channels_; }
   [[nodiscard]] int kernel() const { return kernel_; }
@@ -76,7 +64,7 @@ class Conv2D : public Layer {
   Parameter& bias() { return *bias_; }
 
  private:
-  Tensor forward_gemm(const Tensor& input, Precision precision);
+  Tensor forward_gemm(const Tensor& input);
   Tensor backward_gemm(const Tensor& grad_output);
   // Packs the (out, in*k*k) GEMM weight operand; spatially flipped taps
   // when `flipped_`. Returns weight_.value.data() directly when no flip is
@@ -87,7 +75,6 @@ class Conv2D : public Layer {
   int out_channels_;
   int kernel_;
   bool flipped_;
-  Precision precision_ = default_precision();
   // Owning pointers so parameters() can hand out mutable Parameter* from a
   // const layer (shallow const) without a const_cast.
   std::unique_ptr<Parameter> weight_ =

@@ -4,12 +4,9 @@
 #include <cstring>
 #include <mutex>
 #include <new>
-#include <type_traits>
 
-#include "nn/half.hpp"
 #include "nn/im2col.hpp"
 #include "nn/tensor.hpp"  // memory counters
-#include "nn/tune.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 
@@ -23,11 +20,8 @@ namespace adarnet::nn {
 namespace {
 
 // Register tile (fixed: the microkernels are compiled for it; tier 2 runs
-// two adjacent B panels at once, a 6x32 tile). The cache
-// blocking (Mc/Kc/Nc) and the microkernel schedule (k-unroll, prefetch
-// distance) are runtime TuneParams resolved per shape class (nn/tune.hpp);
-// TuneParams' defaults reproduce the historical constants kMc=72, kKc=256,
-// kNc=2048, no unroll, no prefetch.
+// two adjacent B panels at once, a 6x32 tile). The cache blocking is a
+// GemmBlocking: its defaults, or a test's ScopedGemmBlocking.
 constexpr int kMR = 6;
 constexpr int kNR = 16;
 
@@ -48,21 +42,8 @@ void raw_free(float* p, std::size_t floats) {
   (void)floats;
 }
 
-// Packed-operand storage converters. Arithmetic is fp32 in every mode;
-// these only define what the pack step writes (store) and what the
-// portable kernel widens on read (load). The vector kernels widen with
-// shifts, which agree bitwise with these scalar helpers.
-struct CvtF32 {
-  using elt = float;
-  static elt store(float v) { return v; }
-  static float load(elt v) { return v; }
-};
-
-struct CvtBf16 {
-  using elt = std::uint16_t;
-  static elt store(float v) { return half::f32_to_bf16(v); }
-  static float load(elt v) { return half::bf16_to_f32(v); }
-};
+// The calling thread's blocking; ScopedGemmBlocking swaps it.
+thread_local GemmBlocking t_blocking;
 
 // op(A)(i, p): element (i, p) of the transposed-or-not operand.
 inline float op_at(const float* a, int lda, Trans t, int i, int p) {
@@ -71,17 +52,14 @@ inline float op_at(const float* a, int lda, Trans t, int i, int p) {
 }
 
 // Packs an (mc x kc) block of op(A) into MR-row panels: panel ir holds
-// kc columns of MR interleaved row values, zero-padded past mc. Reduced
-// precisions convert here — the one place every A element passes through.
-template <class Cvt>
+// kc columns of MR interleaved row values, zero-padded past mc.
 void pack_a(const float* a, int lda, Trans ta, int i0, int p0, int mc,
-            int kc, typename Cvt::elt* dst) {
+            int kc, float* dst) {
   for (int ir = 0; ir < mc; ir += kMR) {
     const int mr = std::min(kMR, mc - ir);
     for (int p = 0; p < kc; ++p) {
       for (int r = 0; r < kMR; ++r) {
-        *dst++ = Cvt::store(
-            r < mr ? op_at(a, lda, ta, i0 + ir + r, p0 + p) : 0.0f);
+        *dst++ = r < mr ? op_at(a, lda, ta, i0 + ir + r, p0 + p) : 0.0f;
       }
     }
   }
@@ -89,36 +67,31 @@ void pack_a(const float* a, int lda, Trans ta, int i0, int p0, int mc,
 
 // B-panel sources for the block loop: each packs a (kc x nc) block of
 // the B operand, rows [p0, p0 + kc) x columns [j0, j0 + nc), into NR-column
-// panels (panel jr holds kc rows of NR values, zero-padded past nc),
-// converting like pack_a.
+// panels (panel jr holds kc rows of NR values, zero-padded past nc).
 
-// A stored matrix, op(B) = B or B^T (fp32 no-transpose full panels are
-// straight row copies).
+// A stored matrix, op(B) = B or B^T (no-transpose full panels are straight
+// row copies).
 struct DenseB {
   const float* b;
   int ldb;
   Trans tb;
 
-  template <class Cvt>
-  void pack(int p0, int j0, int kc, int nc, typename Cvt::elt* dst) const {
+  void pack(int p0, int j0, int kc, int nc, float* dst) const {
     for (int jr = 0; jr < nc; jr += kNR) {
       const int nr = std::min(kNR, nc - jr);
-      if constexpr (std::is_same_v<typename Cvt::elt, float>) {
-        if (tb == Trans::kNo && nr == kNR) {
-          // Contiguous rows of B: straight 16-float copies.
-          for (int p = 0; p < kc; ++p) {
-            std::memcpy(dst,
-                        b + static_cast<std::size_t>(p0 + p) * ldb + j0 + jr,
-                        kNR * sizeof(float));
-            dst += kNR;
-          }
-          continue;
+      if (tb == Trans::kNo && nr == kNR) {
+        // Contiguous rows of B: straight 16-float copies.
+        for (int p = 0; p < kc; ++p) {
+          std::memcpy(dst,
+                      b + static_cast<std::size_t>(p0 + p) * ldb + j0 + jr,
+                      kNR * sizeof(float));
+          dst += kNR;
         }
+        continue;
       }
       for (int p = 0; p < kc; ++p) {
         for (int q = 0; q < kNR; ++q) {
-          *dst++ = Cvt::store(
-              q < nr ? op_at(b, ldb, tb, p0 + p, j0 + jr + q) : 0.0f);
+          *dst++ = q < nr ? op_at(b, ldb, tb, p0 + p, j0 + jr + q) : 0.0f;
         }
       }
     }
@@ -144,16 +117,16 @@ struct ConvB {
                : nullptr;
   }
 
-  template <class Cvt>
-  void pack(int p0, int j0, int kc, int nc, typename Cvt::elt* dst) const {
+  void pack(int p0, int j0, int kc, int nc, float* dst) const {
     const ColRow* rp = rows + p0;
     for (int jr = 0; jr < nc; jr += kNR) {
       const int j = j0 + jr;
       if (w % kNR == 0) {
         // One-row fast path: the panel's 16 columns are cells [x0, x0 + 16)
         // of image row y. This needs j0 and nc to be multiples of 16;
-        // sanitize() rounds every schedule's nc to one, so with h*w a
-        // multiple of 16 each panel is full and within one image row. It
+        // every blocking's nc is one (ScopedGemmBlocking rounds it), so
+        // with h*w a multiple of 16 each panel is full and within one
+        // image row. It
         // runs 14-23% faster than row segments on conv forward (DESIGN.md
         // §6).
         const int y = j / w;
@@ -162,9 +135,9 @@ struct ConvB {
           const float* row = row_at(rp[p], y);
           const int s = x0 + rp[p].dx;
           if (row && s >= 0 && s + kNR <= w) {
-            for (int q = 0; q < kNR; ++q) dst[q] = Cvt::store(row[s + q]);
+            for (int q = 0; q < kNR; ++q) dst[q] = row[s + q];
           } else {
-            shift_row<Cvt>(row, w, x0, rp[p].dx, kNR, dst);
+            shift_row</*kWholeRow=*/false>(row, w, x0, rp[p].dx, kNR, dst);
           }
         }
         continue;
@@ -184,10 +157,11 @@ struct ConvB {
       }
       for (int p = 0; p < kc; ++p, dst += kNR) {
         for (int g = 0; g < nseg; ++g) {
-          shift_row<Cvt>(row_at(rp[p], seg[g].y), w, seg[g].x, rp[p].dx,
-                         seg[g].len, dst + seg[g].q);
+          shift_row</*kWholeRow=*/false>(row_at(rp[p], seg[g].y), w,
+                                         seg[g].x, rp[p].dx, seg[g].len,
+                                         dst + seg[g].q);
         }
-        for (int q = nr; q < kNR; ++q) dst[q] = Cvt::store(0.0f);
+        for (int q = nr; q < kNR; ++q) dst[q] = 0.0f;
       }
     }
   }
@@ -195,17 +169,14 @@ struct ConvB {
 
 // Portable microkernel (tier 0): acc(MR x NR) = packed_a panel * packed_b
 // panel. The compiler vectorises the NR loop at the baseline ISA, without
-// FMA (a multiply and an add, two roundings). Ignores the prefetch distance
-// (hardware prefetch covers the streaming panels).
-template <class Cvt>
-void kernel_portable(int kc, const typename Cvt::elt* ap,
-                     const typename Cvt::elt* bp, float* acc, int /*pf*/) {
+// FMA (a multiply and an add, two roundings).
+void kernel_portable(int kc, const float* ap, const float* bp, float* acc) {
   std::memset(acc, 0, sizeof(float) * kMR * kNR);
   for (int p = 0; p < kc; ++p) {
     float brow[kNR];
-    for (int q = 0; q < kNR; ++q) brow[q] = Cvt::load(bp[q]);
+    for (int q = 0; q < kNR; ++q) brow[q] = bp[q];
     for (int r = 0; r < kMR; ++r) {
-      const float av = Cvt::load(ap[r]);
+      const float av = ap[r];
       float* arow = acc + r * kNR;
       for (int q = 0; q < kNR; ++q) arow[q] += av * brow[q];
     }
@@ -231,20 +202,8 @@ struct Ymm {
   ADARNET_TIER_OP("avx2,fma") reg load(const float* p) {
     return _mm256_load_ps(p);
   }
-  // bf16 panels: widen 8 x u16 to u32 lanes and shift into the fp32 high
-  // halves -- exact, since bf16 is truncated fp32. Panel rows are 32-byte
-  // aligned (16 x u16 from a 64-byte-aligned base).
-  ADARNET_TIER_OP("avx2,fma") reg load(const std::uint16_t* p) {
-    return _mm256_castsi256_ps(_mm256_slli_epi32(
-        _mm256_cvtepu16_epi32(
-            _mm_load_si128(reinterpret_cast<const __m128i*>(p))),
-        16));
-  }
   ADARNET_TIER_OP("avx2,fma") reg bcast(const float* p) {
     return _mm256_broadcast_ss(p);
-  }
-  ADARNET_TIER_OP("avx2,fma") reg bcast(const std::uint16_t* p) {
-    return _mm256_set1_ps(half::bf16_to_f32(*p));
   }
   ADARNET_TIER_OP("avx2,fma") reg fma(reg a, reg b, reg c) {
     return _mm256_fmadd_ps(a, b, c);
@@ -254,28 +213,15 @@ struct Ymm {
   }
 };
 
-// Tier 2: AVX-512F, a panel row is one 16-lane register. bf16 widens as
-// above; the zero-masked forms with an all-ones mask are the same
-// instructions, spelled so that GCC 12's headers do not trip
-// -Wmaybe-uninitialized on the unmasked forms' undefined source operand.
+// Tier 2: AVX-512F, a panel row is one 16-lane register.
 struct Zmm {
   using reg = __m512;
   static constexpr int kLanes = 16;
   ADARNET_TIER_OP("avx512f") reg load(const float* p) {
     return _mm512_load_ps(p);
   }
-  ADARNET_TIER_OP("avx512f") reg load(const std::uint16_t* p) {
-    return _mm512_castsi512_ps(_mm512_maskz_slli_epi32(
-        0xFFFF,
-        _mm512_maskz_cvtepu16_epi32(
-            0xFFFF, _mm256_load_si256(reinterpret_cast<const __m256i*>(p))),
-        16));
-  }
   ADARNET_TIER_OP("avx512f") reg bcast(const float* p) {
     return _mm512_set1_ps(*p);
-  }
-  ADARNET_TIER_OP("avx512f") reg bcast(const std::uint16_t* p) {
-    return _mm512_set1_ps(half::bf16_to_f32(*p));
   }
   ADARNET_TIER_OP("avx512f") reg fma(reg a, reg b, reg c) {
     return _mm512_fmadd_ps(a, b, c);
@@ -299,65 +245,36 @@ struct Zmm {
 // kPanels adjacent B panels (the packer stores them kc * NR elements
 // apart), written out as kPanels MR x NR tiles. A row of the register tile
 // is kPanels * NR / V::kLanes vectors; a k-step loads that many B vectors
-// and, per row, broadcasts one A element into that many FMAs. The k-loop
-// runs kUnroll steps per iteration and prefetches every stream pf k-steps
-// ahead (pf 0: none). Whatever the tier, panel count, unroll or prefetch
-// distance, each accumulator lane starts at +0 and takes one FMA per k-step
-// in ascending p, so every output bit is the same on all of them; only the
-// cache blocking changes the summation grouping. A target attribute takes
-// a string literal, so the body is stamped out once per tier (its name,
-// target and vector type) by this macro, and the tier is picked at run
-// time (gemm_isa_tier()).
+// and, per row, broadcasts one A element into that many FMAs. Whatever the
+// tier or panel count, each accumulator lane starts at +0 and takes one
+// FMA per k-step in ascending p, so every output bit is the same on all of
+// them; only the cache blocking changes the summation grouping. A target
+// attribute takes a string literal, so the body is stamped out once per
+// tier (its name, target and vector type) by this macro, and the tier is
+// picked at run time (gemm_isa_tier()).
 #define ADARNET_DEF_MICROKERNEL(NAME, TARGET, V)                             \
-  template <class Elt, int kPanels>                                         \
-  __attribute__((target(TARGET), always_inline)) inline void NAME##_step(   \
-      const Elt* ap, const Elt* bp, std::size_t panel,                      \
-      V::reg (&c)[kMR][kPanels * kNR / V::kLanes]) {                        \
-    constexpr int kPanelVecs = kNR / V::kLanes;                             \
-    constexpr int kRowVecs = kPanels * kPanelVecs;                          \
-    V::reg b[kRowVecs];                                                     \
-    ADARNET_UNROLL                                                          \
-    for (int v = 0; v < kRowVecs; ++v) {                                    \
-      b[v] = V::load(bp + v / kPanelVecs * panel +                          \
-                     v % kPanelVecs * V::kLanes);                           \
-    }                                                                       \
-    ADARNET_UNROLL                                                          \
-    for (int r = 0; r < kMR; ++r) {                                         \
-      const V::reg a = V::bcast(ap + r);                                    \
-      ADARNET_UNROLL                                                        \
-      for (int v = 0; v < kRowVecs; ++v) c[r][v] = V::fma(a, b[v], c[r][v]); \
-    }                                                                       \
-  }                                                                         \
-  template <class Elt, int kUnroll, int kPanels>                            \
-  __attribute__((target(TARGET))) void NAME(                                \
-      int kc, const Elt* ap, const Elt* bp, float* acc, int pf) {           \
+  template <int kPanels>                                                    \
+  __attribute__((target(TARGET))) void NAME(int kc, const float* ap,        \
+                                            const float* bp, float* acc) {  \
     constexpr int kPanelVecs = kNR / V::kLanes;                             \
     constexpr int kRowVecs = kPanels * kPanelVecs;                          \
     const std::size_t panel = static_cast<std::size_t>(kc) * kNR;           \
     V::reg c[kMR][kRowVecs] = {}; /* every lane +0 */                       \
-    int p = 0;                                                              \
-    for (; p + kUnroll <= kc; p += kUnroll) {                               \
-      if (pf > 0) {                                                         \
-        ADARNET_UNROLL                                                      \
-        for (int t = 0; t < kPanels; ++t) {                                 \
-          _mm_prefetch(reinterpret_cast<const char*>(                       \
-                           bp + t * panel +                                 \
-                           static_cast<std::size_t>(pf) * kNR),             \
-                       _MM_HINT_T0);                                        \
-        }                                                                   \
-        _mm_prefetch(reinterpret_cast<const char*>(                         \
-                         ap + static_cast<std::size_t>(pf) * kMR),          \
-                     _MM_HINT_T0);                                          \
+    for (int p = 0; p < kc; ++p, ap += kMR, bp += kNR) {                    \
+      V::reg b[kRowVecs];                                                   \
+      ADARNET_UNROLL                                                        \
+      for (int v = 0; v < kRowVecs; ++v) {                                  \
+        b[v] = V::load(bp + v / kPanelVecs * panel +                        \
+                       v % kPanelVecs * V::kLanes);                         \
       }                                                                     \
       ADARNET_UNROLL                                                        \
-      for (int u = 0; u < kUnroll; ++u) {                                   \
-        NAME##_step<Elt, kPanels>(ap + u * kMR, bp + u * kNR, panel, c);    \
+      for (int r = 0; r < kMR; ++r) {                                       \
+        const V::reg a = V::bcast(ap + r);                                  \
+        ADARNET_UNROLL                                                      \
+        for (int v = 0; v < kRowVecs; ++v) {                                \
+          c[r][v] = V::fma(a, b[v], c[r][v]);                               \
+        }                                                                   \
       }                                                                     \
-      ap += kUnroll * kMR;                                                  \
-      bp += kUnroll * kNR;                                                  \
-    }                                                                       \
-    for (; p < kc; ++p, ap += kMR, bp += kNR) {                             \
-      NAME##_step<Elt, kPanels>(ap, bp, panel, c);                          \
     }                                                                       \
     /* Register (r, v) is row r of tile v / kPanelVecs. */                  \
     ADARNET_UNROLL                                                          \
@@ -375,38 +292,28 @@ ADARNET_DEF_MICROKERNEL(kernel_avx512, "avx512f", Zmm)
 
 #endif  // ADARNET_GEMM_X86
 
-template <class Elt>
-using Kern = void (*)(int, const Elt*, const Elt*, float*, int);
+using Kern = void (*)(int, const float*, const float*, float*);
 
-// What one sgemm call runs: `one` computes the MR x NR tile of one B
+// What every sgemm call runs: `one` computes the MR x NR tile of one B
 // panel; `two`, tier 2 only, the tiles of two adjacent panels at once.
-template <class Elt>
 struct Microkernels {
-  Kern<Elt> one;
-  Kern<Elt> two = nullptr;
+  Kern one;
+  Kern two = nullptr;
 };
 
-template <class Cvt, int kUnroll>
-Microkernels<typename Cvt::elt> tier_kernels(int tier) {
+// The kernels of this CPU's tier, chosen once.
+const Microkernels& microkernels() {
+  static const Microkernels kern = [] {
 #ifdef ADARNET_GEMM_X86
-  using Elt = typename Cvt::elt;
-  if (tier >= 2) {
-    return {kernel_avx512<Elt, kUnroll, 1>, kernel_avx512<Elt, kUnroll, 2>};
-  }
-  if (tier == 1) return {kernel_avx2<Elt, kUnroll, 1>};
+    const int tier = gemm_isa_tier();
+    if (tier >= 2) {
+      return Microkernels{kernel_avx512<1>, kernel_avx512<2>};
+    }
+    if (tier == 1) return Microkernels{kernel_avx2<1>};
 #endif
-  (void)tier;
-  return {kernel_portable<Cvt>};
-}
-
-// The tier's kernels at the schedule's unroll (the portable kernel has
-// none).
-template <class Cvt>
-Microkernels<typename Cvt::elt> select_kernels(int ku) {
-  const int tier = gemm_isa_tier();
-  if (ku >= 4) return tier_kernels<Cvt, 4>(tier);
-  if (ku >= 2) return tier_kernels<Cvt, 2>(tier);
-  return tier_kernels<Cvt, 1>(tier);
+    return Microkernels{kernel_portable};
+  }();
+  return kern;
 }
 
 }  // namespace
@@ -424,6 +331,16 @@ int gemm_isa_tier() {
   return 0;
 #endif
 }
+
+GemmBlocking gemm_blocking() { return t_blocking; }
+
+ScopedGemmBlocking::ScopedGemmBlocking(GemmBlocking b) : prev_(t_blocking) {
+  t_blocking.mc = std::clamp(b.mc / kMR * kMR, kMR, kMR * 4096);
+  t_blocking.kc = std::clamp(b.kc, 4, 1 << 16);
+  t_blocking.nc = std::clamp(b.nc / kNR * kNR, kNR, kNR * 4096);
+}
+
+ScopedGemmBlocking::~ScopedGemmBlocking() { t_blocking = prev_; }
 
 Arena::~Arena() {
   raw_free(base_, cap_floats_);
@@ -513,13 +430,10 @@ std::int64_t sgemm_flops(int m, int n, int k) {
   return 2LL * m * n * k;
 }
 
-std::int64_t sgemm_bytes(int m, int n, int k, Precision precision) {
+std::int64_t sgemm_bytes(int m, int n, int k) {
   const std::int64_t mm = m, nn = n, kk = k;
-  const std::int64_t ab_elt =
-      precision == Precision::kFp32 ? static_cast<std::int64_t>(sizeof(float))
-                                    : 2;
-  return (mm * kk + kk * nn) * ab_elt +
-         2 * mm * nn * static_cast<std::int64_t>(sizeof(float));
+  return (mm * kk + kk * nn + 2 * mm * nn) *
+         static_cast<std::int64_t>(sizeof(float));
 }
 
 namespace {
@@ -550,11 +464,10 @@ GemmInstruments& gemm_instruments() {
   return ins;
 }
 
-void account_sgemm(GemmInstruments& ins, int m, int n, int k,
-                   Precision precision) {
+void account_sgemm(GemmInstruments& ins, int m, int n, int k) {
   ins.calls.add();
   ins.flops.add(sgemm_flops(m, n, k));
-  ins.bytes.add(sgemm_bytes(m, n, k, precision));
+  ins.bytes.add(sgemm_bytes(m, n, k));
   const double total_flops = static_cast<double>(ins.flops.value());
   const double total_ns = static_cast<double>(ins.ns.value());
   const double total_bytes = static_cast<double>(ins.bytes.value());
@@ -563,60 +476,53 @@ void account_sgemm(GemmInstruments& ins, int m, int n, int k,
   ins.isa.set(gemm_isa_tier());
 }
 
-// The Goto/BLIS block loop over packed panels, generic in the packed
-// storage type and in where the B panels come from (DenseB, ConvB). The
-// caller has already applied beta and selected the microkernels; all block
-// updates here are "+=" merges. With a paired kernel (tier 2) the threads
-// share out pairs of adjacent panels, the last one alone when the block has
-// an odd count; each C element is still computed by one kernel call per
-// (kc, mc) block, in the same order.
-template <class Cvt, class BSource>
-void sgemm_blocked(const TuneParams& tp,
-                   const Microkernels<typename Cvt::elt>& kern, Trans ta,
-                   int m, int n, int k, float alpha,
+// The Goto/BLIS block loop over packed panels, at the calling thread's
+// blocking and generic in where the B panels come from (DenseB, ConvB).
+// The caller has already applied beta; all block updates here are "+="
+// merges. With a paired kernel (tier 2) the threads share out pairs of
+// adjacent panels, the last one alone when the block has an odd count;
+// each C element is still computed by one kernel call per (kc, mc) block,
+// in the same order.
+template <class BSource>
+void sgemm_blocked(Trans ta, int m, int n, int k, float alpha,
                    const float* a, int lda, const BSource& b, float* c,
                    int ldc) {
-  using elt = typename Cvt::elt;
+  const GemmBlocking bl = gemm_blocking();
+  const Microkernels& kern = microkernels();
   Arena& arena = Arena::local();
   const std::size_t m0 = arena.mark();
-  const int kc_max = std::min(k, tp.kc);
-  const int nc_max = std::min((n + kNR - 1) / kNR * kNR, tp.nc);
-  const int mc_max = std::min((m + kMR - 1) / kMR * kMR, tp.mc);
-  // Pack buffers live in the float-granule arena regardless of element
-  // width (16-bit panels use half the footprint, rounded up to granules).
-  const auto alloc_elts = [&arena](std::size_t count) {
-    const std::size_t floats =
-        (count * sizeof(elt) + sizeof(float) - 1) / sizeof(float);
-    return reinterpret_cast<elt*>(arena.alloc_floats(floats));
-  };
-  elt* bpack = alloc_elts(static_cast<std::size_t>(kc_max) * nc_max);
-  elt* apack = alloc_elts(static_cast<std::size_t>(mc_max) * kc_max);
-  const int pf = tp.pf;
+  const int kc_max = std::min(k, bl.kc);
+  const int nc_max = std::min((n + kNR - 1) / kNR * kNR, bl.nc);
+  const int mc_max = std::min((m + kMR - 1) / kMR * kMR, bl.mc);
+  float* bpack =
+      arena.alloc_floats(static_cast<std::size_t>(kc_max) * nc_max);
+  float* apack =
+      arena.alloc_floats(static_cast<std::size_t>(mc_max) * kc_max);
   const int group = kern.two != nullptr ? 2 : 1;
 
-  for (int jc = 0; jc < n; jc += tp.nc) {
-    const int nc = std::min(tp.nc, n - jc);
+  for (int jc = 0; jc < n; jc += bl.nc) {
+    const int nc = std::min(bl.nc, n - jc);
     const int nc_pad = (nc + kNR - 1) / kNR * kNR;
-    for (int pc = 0; pc < k; pc += tp.kc) {
-      const int kc = std::min(tp.kc, k - pc);
-      b.template pack<Cvt>(pc, jc, kc, nc, bpack);
-      for (int ic = 0; ic < m; ic += tp.mc) {
-        const int mc = std::min(tp.mc, m - ic);
-        pack_a<Cvt>(a, lda, ta, ic, pc, mc, kc, apack);
+    for (int pc = 0; pc < k; pc += bl.kc) {
+      const int kc = std::min(bl.kc, k - pc);
+      b.pack(pc, jc, kc, nc, bpack);
+      for (int ic = 0; ic < m; ic += bl.mc) {
+        const int mc = std::min(bl.mc, m - ic);
+        pack_a(a, lda, ta, ic, pc, mc, kc, apack);
         const int n_panels = nc_pad / kNR;
         const int n_groups = (n_panels + group - 1) / group;
 #pragma omp parallel for schedule(static)
         for (int g = 0; g < n_groups; ++g) {
           const int jp = g * group;
           const int np = std::min(group, n_panels - jp);
-          const Kern<elt> run = np == 2 ? kern.two : kern.one;
-          const elt* bp = bpack + static_cast<std::size_t>(jp) * kc * kNR;
+          const Kern run = np == 2 ? kern.two : kern.one;
+          const float* bp = bpack + static_cast<std::size_t>(jp) * kc * kNR;
           for (int ir = 0; ir < mc; ir += kMR) {
             const int mr = std::min(kMR, mc - ir);
-            const elt* ap =
+            const float* ap =
                 apack + static_cast<std::size_t>(ir) * kc;  // MR-row panel
             alignas(64) float acc[2 * kMR * kNR];
-            run(kc, ap, bp, acc, pf);
+            run(kc, ap, bp, acc);
             // Merge each tile: C += alpha * acc (edges clipped).
             for (int t = 0; t < np; ++t) {
               const int jr = (jp + t) * kNR;
@@ -638,22 +544,6 @@ void sgemm_blocked(const TuneParams& tp,
   arena.release(m0);
 }
 
-// Resolves the schedule for (m, n, k) and runs the block loop at the
-// requested packed-operand precision.
-template <class BSource>
-void sgemm_dispatch(Trans ta, int m, int n, int k, float alpha,
-                    const float* a, int lda, const BSource& b, float* c,
-                    int ldc, Precision precision) {
-  const TuneParams tp = tuning::resolve(m, n, k);
-  if (precision == Precision::kBf16) {
-    sgemm_blocked<CvtBf16>(tp, select_kernels<CvtBf16>(tp.ku), ta, m, n, k,
-                           alpha, a, lda, b, c, ldc);
-  } else {
-    sgemm_blocked<CvtF32>(tp, select_kernels<CvtF32>(tp.ku), ta, m, n, k,
-                          alpha, a, lda, b, c, ldc);
-  }
-}
-
 // Arena floats of sgemm_conv's tap table for K rows.
 std::size_t tap_table_floats(std::size_t rows) {
   return align_up((rows * sizeof(ColRow) + sizeof(float) - 1) /
@@ -662,21 +552,15 @@ std::size_t tap_table_floats(std::size_t rows) {
 
 }  // namespace
 
-std::size_t sgemm_workspace_bytes(int m, int n, int k, Precision precision) {
-  const TuneParams tp = tuning::params_for(m, n, k);
-  const std::size_t kc = static_cast<std::size_t>(std::min(k, tp.kc));
+std::size_t sgemm_workspace_bytes(int m, int n, int k) {
+  const GemmBlocking bl = gemm_blocking();
+  const std::size_t kc = static_cast<std::size_t>(std::min(k, bl.kc));
   const std::size_t nc = static_cast<std::size_t>(std::min(
-      (n + kNR - 1) / kNR * kNR, tp.nc));
+      (n + kNR - 1) / kNR * kNR, bl.nc));
   const std::size_t mc = static_cast<std::size_t>(std::min(
-      (m + kMR - 1) / kMR * kMR, tp.mc));
-  const std::size_t esize = precision == Precision::kFp32 ? sizeof(float) : 2;
-  // Mirrors sgemm_blocked's alloc_elts: element bytes to float granules,
-  // then the arena's 64-byte rounding.
-  const std::size_t a_pack = align_up(
-      (mc * kc * esize + sizeof(float) - 1) / sizeof(float));
-  const std::size_t b_pack = align_up(
-      (kc * nc * esize + sizeof(float) - 1) / sizeof(float));
-  return (a_pack + b_pack) * sizeof(float);
+      (m + kMR - 1) / kMR * kMR, bl.mc));
+  // sgemm_blocked's two pack buffers, each rounded like the arena.
+  return (align_up(mc * kc) + align_up(kc * nc)) * sizeof(float);
 }
 
 std::size_t sgemm_conv_workspace_bytes(int m, int c, int h, int w, int k) {
@@ -687,7 +571,7 @@ std::size_t sgemm_conv_workspace_bytes(int m, int c, int h, int w, int k) {
 
 void sgemm(Trans ta, Trans tb, int m, int n, int k, float alpha,
            const float* a, int lda, const float* b, int ldb, float beta,
-           float* c, int ldc, Precision precision) {
+           float* c, int ldc) {
   if (m <= 0 || n <= 0) return;
   GemmInstruments& ins = gemm_instruments();
   util::trace::Span span(ins.scope);
@@ -705,14 +589,13 @@ void sgemm(Trans ta, Trans tb, int m, int n, int k, float alpha,
   }
   if (k <= 0 || alpha == 0.0f) return;
 
-  sgemm_dispatch(ta, m, n, k, alpha, a, lda, DenseB{b, ldb, tb}, c, ldc,
-                 precision);
+  sgemm_blocked(ta, m, n, k, alpha, a, lda, DenseB{b, ldb, tb}, c, ldc);
   span.stop();
-  if (util::metrics::enabled()) account_sgemm(ins, m, n, k, precision);
+  if (util::metrics::enabled()) account_sgemm(ins, m, n, k);
 }
 
 void sgemm_conv(int m, int c, int h, int w, int k, const float* a,
-                const float* src, float* out, Precision precision) {
+                const float* src, float* out) {
   const int n = h * w;
   const int kdim = c * k * k;
   if (m <= 0 || n <= 0 || kdim <= 0) return;
@@ -725,11 +608,11 @@ void sgemm_conv(int m, int c, int h, int w, int k, const float* a,
   ColRow* rows = ::new (arena.alloc_floats(
       tap_table_floats(static_cast<std::size_t>(kdim)))) ColRow[kdim];
   for (int r = 0; r < kdim; ++r) rows[r] = col_row(r, h, w, k);
-  sgemm_dispatch(Trans::kNo, m, n, kdim, 1.0f, a, kdim, ConvB{rows, src, h, w},
-                 out, n, precision);
+  sgemm_blocked(Trans::kNo, m, n, kdim, 1.0f, a, kdim, ConvB{rows, src, h, w},
+                out, n);
   arena.release(m0);
   span.stop();
-  if (util::metrics::enabled()) account_sgemm(ins, m, n, kdim, precision);
+  if (util::metrics::enabled()) account_sgemm(ins, m, n, kdim);
 }
 
 }  // namespace adarnet::nn

@@ -18,8 +18,7 @@
 // Tiers 1 and 2 are one kernel body stamped out per vector width. Every C
 // element takes the same FMA sequence on both -- per Kc block an
 // accumulator from +0, one FMA per k in ascending order, then C += alpha *
-// acc -- so their outputs are bitwise identical; the unroll and prefetch
-// schedule never change a bit either.
+// acc -- so their outputs are bitwise identical.
 //
 // All scratch comes from the calling thread's Arena, whose capacity is
 // tracked through the nn::memory counters, so the measured inference
@@ -97,75 +96,70 @@ class Arena {
 
 /// The microkernel tier sgemm dispatches to on this CPU: 0 portable,
 /// 1 AVX2 + FMA, 2 AVX-512F (see the file comment). Probed once per
-/// process; the tuning cache is keyed by it (nn/tune.hpp HardwareKey) and
-/// sgemm publishes it as the nn.gemm.isa gauge.
+/// process; sgemm publishes it as the nn.gemm.isa gauge.
 int gemm_isa_tier();
 
 /// Transpose flag for sgemm operands.
 enum class Trans : std::uint8_t { kNo, kYes };
 
-/// Storage precision of the packed GEMM operands. Arithmetic always
-/// accumulates in fp32; reduced precisions only change what the pack step
-/// writes into the A/B panels (and what the microkernel widens on load),
-/// halving pack-buffer footprint and panel bandwidth. kBf16 keeps the fp32
-/// exponent range. Inputs and outputs (the caller's A, B, C matrices) stay
-/// fp32 in all modes.
-enum class Precision : std::uint8_t { kFp32, kBf16 };
+/// Cache blocking of sgemm's block loop: A blocks of mc rows (a multiple
+/// of the register tile's MR = 6), a shared K block of kc and B blocks of
+/// nc columns (a multiple of NR = 16). Every production call runs these
+/// defaults; only kc changes the summation grouping, so only kc changes
+/// output bits.
+struct GemmBlocking {
+  int mc = 72;
+  int kc = 256;
+  int nc = 2048;
 
-/// Human-readable precision name ("fp32" / "bf16").
-const char* precision_name(Precision p);
+  bool operator==(const GemmBlocking&) const = default;
+};
 
-/// Parses a precision name as spelled by ADARNET_INFER_PRECISION. Returns
-/// false (out untouched) for unknown spellings.
-bool parse_precision(const char* s, Precision* out);
+/// The blocking sgemm and sgemm_conv run at on the calling thread: the
+/// innermost open ScopedGemmBlocking's, else the defaults.
+GemmBlocking gemm_blocking();
 
-/// Runtime Goto/BLIS schedule for one sgemm call: cache-blocking tile
-/// sizes plus the microkernel k-unroll and software-prefetch distance.
-/// The defaults reproduce the historical compile-time constants exactly,
-/// so an untuned process behaves as before; the autotuner (nn/tune.hpp)
-/// overrides them per (m, n, k) shape class.
-struct TuneParams {
-  int mc = 72;    ///< A-block rows (multiple of 6, the register-tile MR)
-  int kc = 256;   ///< shared K blocking
-  int nc = 2048;  ///< B-block columns (multiple of 16, the register-tile NR)
-  int ku = 1;     ///< microkernel k-loop unroll factor (1, 2 or 4)
-  int pf = 0;     ///< prefetch distance in k-steps (0 disables)
+/// Test seam: pins a blocking for every sgemm and sgemm_conv on the
+/// calling thread while in scope, clamped to the legal grid (mc a positive
+/// multiple of 6, kc >= 4, nc a positive multiple of 16 -- sgemm_conv's
+/// one-row packer path relies on the last). Nests.
+class ScopedGemmBlocking {
+ public:
+  explicit ScopedGemmBlocking(GemmBlocking b);
+  ~ScopedGemmBlocking();
+  ScopedGemmBlocking(const ScopedGemmBlocking&) = delete;
+  ScopedGemmBlocking& operator=(const ScopedGemmBlocking&) = delete;
 
-  bool operator==(const TuneParams&) const = default;
+ private:
+  GemmBlocking prev_;
 };
 
 /// C (m x n, row-major, leading dim ldc) = alpha * op(A) * op(B) + beta*C,
 /// with op(X) = X or X^T per the Trans flags. A is m x k after op, B is
 /// k x n after op; lda/ldb are the leading dimensions of the *stored*
 /// matrices. Pack buffers are drawn from Arena::local() (mark/released
-/// internally). OpenMP-parallel over column panels. Blocking parameters
-/// come from the tuning registry (override > tuned cache > defaults);
-/// `precision` selects the packed-operand storage format.
+/// internally). OpenMP-parallel over column panels.
 void sgemm(Trans ta, Trans tb, int m, int n, int k, float alpha,
            const float* a, int lda, const float* b, int ldb, float beta,
-           float* c, int ldc, Precision precision = Precision::kFp32);
+           float* c, int ldc);
 
-/// Arena bytes one sgemm call of this shape draws for its pack buffers
-/// (resolved against the same tuning registry sgemm consults).
-std::size_t sgemm_workspace_bytes(int m, int n, int k,
-                                  Precision precision = Precision::kFp32);
+/// Arena bytes one sgemm call of this shape draws for its pack buffers at
+/// the calling thread's blocking.
+std::size_t sgemm_workspace_bytes(int m, int n, int k);
 
 /// Implicit-GEMM convolution of one sample: C (m x h*w, row-major) +=
 /// A (m x c*k*k, row-major) * im2col(src) for a same-padded, stride-1
 /// convolution (`src` is c contiguous h x w planes, k odd; see
 /// nn/im2col.hpp for the im2col layout). The B panels are packed straight
 /// from the input planes, so the (c*k*k) x (h*w) col matrix is never
-/// built. Blocking (tuning key (m, h*w, c*k*k)), microkernels, precision
-/// and the nn.gemm accounting are sgemm's, so C is bitwise what im2col
-/// followed by sgemm(kNo, kNo, m, h*w, c*k*k, 1, a, c*k*k, col, h*w, 1,
-/// out, h*w, precision) produces.
+/// built. Blocking, microkernels and the nn.gemm accounting are sgemm's,
+/// so C is bitwise what im2col followed by sgemm(kNo, kNo, m, h*w, c*k*k,
+/// 1, a, c*k*k, col, h*w, 1, out, h*w) produces.
 void sgemm_conv(int m, int c, int h, int w, int k, const float* a,
-                const float* src, float* out,
-                Precision precision = Precision::kFp32);
+                const float* src, float* out);
 
-/// Arena bytes one sgemm_conv call of this shape draws at fp32 (an upper
-/// bound for bf16): sgemm's pack buffers for (m, h*w, c*k*k) plus the
-/// per-row tap table.
+/// Arena bytes one sgemm_conv call of this shape draws: sgemm's pack
+/// buffers for (m, h*w, c*k*k) plus the per-row tap table.
 std::size_t sgemm_conv_workspace_bytes(int m, int c, int h, int w, int k);
 
 /// Floating-point operations one sgemm call of this shape performs
@@ -174,9 +168,7 @@ std::int64_t sgemm_flops(int m, int n, int k);
 
 /// Minimum data movement of one sgemm call of this shape: each operand
 /// read once, C read and written once — the compulsory-traffic roofline
-/// denominator, not the achieved cache traffic. Reduced precisions halve
-/// the A/B terms (2-byte elements); C is always fp32.
-std::int64_t sgemm_bytes(int m, int n, int k,
-                         Precision precision = Precision::kFp32);
+/// denominator, not the achieved cache traffic.
+std::int64_t sgemm_bytes(int m, int n, int k);
 
 }  // namespace adarnet::nn

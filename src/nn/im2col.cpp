@@ -15,8 +15,8 @@ void im2col(const float* src, int c, int h, int w, int k, float* col) {
           yy >= 0 && yy < h
               ? src + cr.offset + static_cast<std::size_t>(yy) * w
               : nullptr;
-      shift_row<CopyRows>(row, w, 0, cr.dx, w,
-                          out_row + static_cast<std::size_t>(y) * w);
+      shift_row</*kWholeRow=*/true>(row, w, 0, cr.dx, w,
+                                    out_row + static_cast<std::size_t>(y) * w);
     }
   }
 }

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
-#include <type_traits>
 
 namespace adarnet::nn {
 
@@ -38,35 +37,28 @@ inline ColRow col_row(int r, int h, int w, int k) {
   return {static_cast<std::size_t>(ic) * h * w, ky - k / 2, t - ky * k - k / 2};
 }
 
-/// The fp32 store im2col writes whole image rows with: a plain copy.
-struct CopyRows {
-  using elt = float;
-  static float store(float v) { return v; }
-};
-
-/// The row shift every col row is made of: dst[q] = Store::store(row[x0 +
-/// q + dx]) for q in [0, len), and Store::store(0) where x0 + q + dx falls
-/// outside [0, w). `row` is the source image row, or null when that row
-/// lies outside the plane (all zeros). `Store` converts fp32 to the
-/// destination element `Store::elt`. CopyRows (im2col's whole rows) is
-/// written with memset/memcpy; the GEMM packer's converters keep inline
-/// loops, which are faster on its runs of at most 16 elements.
-template <class Store>
+/// The row shift every col row is made of: dst[q] = row[x0 + q + dx] for
+/// q in [0, len), and 0 where x0 + q + dx falls outside [0, w). `row` is
+/// the source image row, or null when that row lies outside the plane (all
+/// zeros). im2col's whole rows (kWholeRow) are written with memset/memcpy;
+/// the GEMM packer's runs of at most 16 elements keep element loops,
+/// which are faster on them.
+template <bool kWholeRow>
 inline void shift_row(const float* row, int w, int x0, int dx, int len,
-                      typename Store::elt* dst) {
+                      float* dst) {
   const int s = x0 + dx;  // source column of dst[0]
   const int lo = row ? std::clamp(-s, 0, len) : len;
   const int hi = row ? std::clamp(w - s, lo, len) : len;
-  if constexpr (std::is_same_v<Store, CopyRows>) {
+  if constexpr (kWholeRow) {
     if (lo > 0) std::memset(dst, 0, sizeof(float) * lo);
     if (hi > lo) {
       std::memcpy(dst + lo, row + s + lo, sizeof(float) * (hi - lo));
     }
     if (hi < len) std::memset(dst + hi, 0, sizeof(float) * (len - hi));
   } else {
-    for (int q = 0; q < lo; ++q) dst[q] = Store::store(0.0f);
-    for (int q = lo; q < hi; ++q) dst[q] = Store::store(row[s + q]);
-    for (int q = hi; q < len; ++q) dst[q] = Store::store(0.0f);
+    for (int q = 0; q < lo; ++q) dst[q] = 0.0f;
+    for (int q = lo; q < hi; ++q) dst[q] = row[s + q];
+    for (int q = hi; q < len; ++q) dst[q] = 0.0f;
   }
 }
 

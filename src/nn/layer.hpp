@@ -22,8 +22,6 @@
 
 namespace adarnet::nn {
 
-enum class Precision : std::uint8_t;  // nn/gemm.hpp
-
 /// A learnable parameter: value and gradient accumulator, same shape.
 struct Parameter {
   Tensor value;
@@ -85,11 +83,6 @@ class Layer {
 
   /// Output shape for a given input shape (c, h, w of one sample).
   virtual void output_shape(int& c, int& h, int& w) const = 0;
-
-  /// Requests a packed-operand storage precision for inference forwards
-  /// (train = false). Advisory: only GEMM-backed layers act on it, and
-  /// training/backward always stays fp32. Default is a no-op.
-  virtual void set_inference_precision(Precision) {}
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

@@ -65,12 +65,6 @@ class Sequential {
     for (Parameter* p : parameters()) p->zero_grad();
   }
 
-  /// Forwards the inference-precision request to every layer (no-op for
-  /// layers without a reduced-precision path).
-  void set_inference_precision(Precision p) {
-    for (const auto& layer : layers_) layer->set_inference_precision(p);
-  }
-
   /// Total number of learnable scalars.
   [[nodiscard]] std::size_t parameter_count() const {
     std::size_t total = 0;

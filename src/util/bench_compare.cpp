@@ -225,11 +225,6 @@ KeyClass classify(const std::string& key) {
   // gate tolerances, 0/1 verdicts), so they gate exactly; its raw
   // millisecond diagnostics live under attribution_ms/ (ignored below).
   if (contains(key, "serving.attribution/")) return KeyClass::kPortable;
-  // The autotuner's sweep diagnostics (tune/...: winning tiles, measured
-  // ratios, geomean) are machine-specific by construction — the accept
-  // bits above are their gateable summary. Classified before the
-  // throughput patterns so a tune/.../gflops leaf can never gate.
-  if (contains(key, "tune/")) return KeyClass::kIgnored;
   if (ends_with(key, "gflops_per_s") || contains(key, "cells_per_s") ||
       contains(key, "speedup") || ends_with(key, "qps")) {
     return KeyClass::kThroughput;

@@ -1,6 +1,7 @@
 #include "util/telemetry.hpp"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -183,11 +184,26 @@ void set_io_timeout_ms(int ms) {
   g_io_timeout_ms.store(ms > 0 ? ms : 0, std::memory_order_relaxed);
 }
 
+bool parse_port(const char* text, int* port) {
+  if (text == nullptr || text[0] < '0' || text[0] > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (errno != 0 || *end != '\0' || v > 65535) return false;
+  *port = static_cast<int>(v);
+  return true;
+}
+
 void autostart_from_env() {
   static bool once = [] {
     const char* v = std::getenv("ADARNET_TELEMETRY_PORT");
     if (v == nullptr || v[0] == '\0') return false;
-    const int port = std::atoi(v);
+    int port = 0;
+    if (!parse_port(v, &port)) {
+      ADR_LOG_WARN << "telemetry: ignoring ADARNET_TELEMETRY_PORT=\"" << v
+                   << "\" (expected a port number 0-65535); not serving";
+      return false;
+    }
     if (!start(port)) {
       ADR_LOG_WARN << "telemetry: could not serve ADARNET_TELEMETRY_PORT="
                    << v;

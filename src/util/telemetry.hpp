@@ -19,8 +19,9 @@
 //                     document; 404 when the id was evicted/never retained
 //
 // Opt-in: the server only exists when ADARNET_TELEMETRY_PORT is set in the
-// environment (port number; 0 picks an ephemeral port, logged at startup)
-// or start() is called programmatically. With the variable unset no socket
+// environment (port number; 0 picks an ephemeral port, logged at startup;
+// anything else is warned about and binds nothing) or start() is called
+// programmatically. With the variable unset no socket
 // is opened and nothing is spawned — the cost is one getenv at static-init
 // time. The server binds 127.0.0.1 only; it is an operator tool, not a
 // public listener. Requests are served one at a time (scrape cadence is
@@ -59,7 +60,13 @@ namespace detail {
 /// client regression stays fast.
 void set_io_timeout_ms(int ms);
 
-/// Starts the server when ADARNET_TELEMETRY_PORT is set. Called once from
+/// Parses an ADARNET_TELEMETRY_PORT value: a whole decimal integer in
+/// [0, 65535] (0 = ephemeral). Returns false for anything else ("off",
+/// "9464x", "-1", "70000", ""), leaving *port untouched.
+bool parse_port(const char* text, int* port);
+
+/// Starts the server when ADARNET_TELEMETRY_PORT is set. A value
+/// parse_port rejects is warned about and binds nothing. Called once from
 /// the metrics static initializer so every binary honours the variable;
 /// harmless to call again.
 void autostart_from_env();

@@ -2,10 +2,12 @@
 // the direct per-tap reference loops (the oracle below) across kernel
 // sizes, deconv (flipped) mode, non-square inputs and batches; the
 // implicit-GEMM forward entry against im2col + sgemm, bitwise; raw sgemm
-// correctness against a naive triple loop; sgemm and sgemm_conv against a
-// scalar FMA oracle in the microkernel's order, bitwise, on whichever ISA
-// tier the host dispatches to; and the workspace arena (its estimate
-// covers a forward, steady-state forwards perform no allocations).
+// correctness against a naive triple loop, at the default and at pinned
+// cache blockings; the blocking override's clamping and nesting; sgemm
+// and sgemm_conv against a scalar FMA oracle in the microkernel's order,
+// bitwise, on whichever ISA tier the host dispatches to; and the
+// workspace arena (its estimate covers a forward, steady-state forwards
+// perform no allocations).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,10 +20,8 @@
 
 #include "nn/conv2d.hpp"
 #include "nn/gemm.hpp"
-#include "nn/half.hpp"
 #include "nn/im2col.hpp"
 #include "nn/tensor.hpp"
-#include "nn/tune.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -29,7 +29,8 @@ namespace {
 
 using adarnet::nn::Arena;
 using adarnet::nn::Conv2D;
-using adarnet::nn::Precision;
+using adarnet::nn::GemmBlocking;
+using adarnet::nn::ScopedGemmBlocking;
 using adarnet::nn::Tensor;
 using adarnet::nn::Trans;
 using adarnet::util::Rng;
@@ -266,22 +267,19 @@ TEST(GemmConv, WorkspaceEstimateCoversArenaUse) {
   // estimate. The forward reserves exactly the estimate up front, and
   // anything it draws past that comes from an overflow block the closing
   // release folds in, so the capacity afterwards equals the estimate only
-  // if the estimate covered every draw. Shapes grow case by case, so an
-  // arena recycled from the previous case's thread is still too small.
+  // if the estimate covered every draw. The estimate grows case by case
+  // (the deconv adds its flipped weights), so an arena recycled from the
+  // previous case's thread is still too small.
   struct Case {
     const char* name;
     bool flipped;
-    Precision precision;
     int hw;
   };
-  const Case cases[] = {{"conv", false, Precision::kFp32, 32},
-                        {"deconv", true, Precision::kFp32, 32},
-                        {"bf16", false, Precision::kBf16, 40}};
+  const Case cases[] = {{"conv", false, 32}, {"deconv", true, 32}};
   for (const Case& cs : cases) {
     SCOPED_TRACE(cs.name);
     Rng rng(31);
     Conv2D conv(6, 12, 3, rng, cs.flipped);
-    conv.set_inference_precision(cs.precision);
     const std::int64_t est = conv.workspace_bytes(1, 6, cs.hw, cs.hw);
     Tensor in = random_tensor(1, 6, cs.hw, cs.hw, rng);
     std::int64_t before = 0;
@@ -301,7 +299,7 @@ TEST(GemmConv, WorkspaceEstimateCoversArenaUse) {
 // and must come out bitwise equal to im2col + sgemm(kNo, kNo, beta 1).
 // Widths below 16, between multiples and past one panel take the
 // row-segment packer; 16 and 64 the one-row fast path. h != w throughout.
-void check_implicit_matches_im2col(Precision precision) {
+void check_implicit_matches_im2col() {
   Rng rng(53);
   const int m = 13, c = 5;
   for (int k : {1, 3, 5}) {
@@ -321,10 +319,9 @@ void check_implicit_matches_im2col(Precision precision) {
       std::vector<float> col(static_cast<std::size_t>(kdim) * n);
       adarnet::nn::im2col(src.data(), c, h, w, k, col.data());
       adarnet::nn::sgemm(Trans::kNo, Trans::kNo, m, n, kdim, 1.0f, a.data(),
-                         kdim, col.data(), n, 1.0f, want.data(), n,
-                         precision);
+                         kdim, col.data(), n, 1.0f, want.data(), n);
       adarnet::nn::sgemm_conv(m, c, h, w, k, a.data(), src.data(),
-                              got.data(), precision);
+                              got.data());
       ASSERT_EQ(std::memcmp(got.data(), want.data(),
                             got.size() * sizeof(float)),
                 0);
@@ -333,18 +330,11 @@ void check_implicit_matches_im2col(Precision precision) {
 }
 
 TEST(GemmConv, ImplicitPackingMatchesIm2colBitwise) {
-  for (Precision precision : {Precision::kFp32, Precision::kBf16}) {
-    SCOPED_TRACE(adarnet::nn::precision_name(precision));
-    check_implicit_matches_im2col(precision);
-    // kc blocks that end mid-channel; panels and nc blocks that straddle
-    // image rows.
-    adarnet::nn::TuneParams small;
-    small.mc = 12;
-    small.kc = 20;
-    small.nc = 48;
-    const adarnet::nn::tuning::ScopedOverride pin(small);
-    check_implicit_matches_im2col(precision);
-  }
+  check_implicit_matches_im2col();
+  // kc blocks that end mid-channel; panels and nc blocks that straddle
+  // image rows.
+  const ScopedGemmBlocking pin(GemmBlocking{12, 20, 48});
+  check_implicit_matches_im2col();
 }
 
 TEST(Sgemm, MatchesNaiveTripleLoopAcrossTransposes) {
@@ -416,28 +406,19 @@ TEST(Sgemm, MatchesNaiveTripleLoopAcrossTransposes) {
 // first applies beta (0: C = 0, 1: C as is, else C *= beta). Then, per kc
 // block of the schedule sgemm resolves for the shape, each C element's
 // accumulator starts at +0 and takes one std::fma(a, b, acc) per k in
-// ascending order, and C += alpha * acc (a multiply, then an add). bf16
-// operands are rounded as the pack step stores them. Every tier with FMA
-// must match this bit for bit, whatever its vector width, panel pairing,
-// unroll or prefetch distance; the portable tier (multiply, then add) is
-// checked against the naive loops above instead.
+// ascending order, and C += alpha * acc (a multiply, then an add). Every
+// tier with FMA must match this bit for bit, whatever its vector width or
+// panel pairing; the portable tier (multiply, then add) is checked against
+// the naive loops above instead.
 
 namespace {
 
-float stored(float v, Precision precision) {
-  return precision == Precision::kBf16
-             ? adarnet::nn::half::bf16_to_f32(
-                   adarnet::nn::half::f32_to_bf16(v))
-             : v;
-}
-
-// C as sgemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-// precision) must leave it, with `kc` the schedule's K blocking.
+// C as sgemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) must
+// leave it, with `kc` the blocking's K block.
 std::vector<float> fma_oracle(Trans ta, Trans tb, int m, int n, int k,
                               float alpha, const float* a, int lda,
                               const float* b, int ldb, float beta,
-                              std::vector<float> c, int ldc,
-                              Precision precision, int kc) {
+                              std::vector<float> c, int ldc, int kc) {
   const auto op = [](const float* x, int ld, Trans t, int i, int p) {
     return t == Trans::kNo ? x[static_cast<std::size_t>(i) * ld + p]
                            : x[static_cast<std::size_t>(p) * ld + i];
@@ -453,8 +434,7 @@ std::vector<float> fma_oracle(Trans ta, Trans tb, int m, int n, int k,
       for (int p0 = 0; p0 < k; p0 += kc) {
         float acc = 0.0f;
         for (int p = p0; p < std::min(k, p0 + kc); ++p) {
-          acc = std::fma(stored(op(a, lda, ta, i, p), precision),
-                         stored(op(b, ldb, tb, p, j), precision), acc);
+          acc = std::fma(op(a, lda, ta, i, p), op(b, ldb, tb, p, j), acc);
         }
         const float scaled = alpha * acc;
         out = out + scaled;
@@ -480,14 +460,14 @@ std::vector<float> random_floats(std::size_t count, Rng& rng) {
   return v;
 }
 
-// sgemm at every transpose pair, against the oracle, at the blocking the
-// registry resolves for (m, n, k) right now.
+// sgemm at every transpose pair, against the oracle, at the calling
+// thread's blocking.
 void check_sgemm_oracle(int m, int n, int k, float alpha, float beta,
-                        Precision precision, Rng& rng) {
+                        Rng& rng) {
   SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
                " k=" + std::to_string(k) + " alpha=" +
                std::to_string(alpha) + " beta=" + std::to_string(beta));
-  const int kc = adarnet::nn::tuning::params_for(m, n, k).kc;
+  const int kc = adarnet::nn::gemm_blocking().kc;
   const std::vector<float> a =
       random_floats(static_cast<std::size_t>(m) * k, rng);
   const std::vector<float> b =
@@ -503,24 +483,22 @@ void check_sgemm_oracle(int m, int n, int k, float alpha, float beta,
       const int ldb = tb == Trans::kNo ? n : k;
       std::vector<float> c = c0;
       adarnet::nn::sgemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(),
-                         ldb, beta, c.data(), n, precision);
+                         ldb, beta, c.data(), n);
       expect_bitwise(c, fma_oracle(ta, tb, m, n, k, alpha, a.data(), lda,
-                                   b.data(), ldb, beta, c0, n, precision,
-                                   kc));
+                                   b.data(), ldb, beta, c0, n, kc));
     }
   }
 }
 
 // sgemm_conv against the oracle on the col matrix it never builds
 // (alpha 1, beta 1: the call accumulates into C).
-void check_conv_oracle(int m, int c, int h, int w, int k,
-                       Precision precision, Rng& rng) {
+void check_conv_oracle(int m, int c, int h, int w, int k, Rng& rng) {
   SCOPED_TRACE("m=" + std::to_string(m) + " c=" + std::to_string(c) +
                " h=" + std::to_string(h) + " w=" + std::to_string(w) +
                " k=" + std::to_string(k));
   const int kdim = c * k * k;
   const int n = h * w;
-  const int kc = adarnet::nn::tuning::params_for(m, n, kdim).kc;
+  const int kc = adarnet::nn::gemm_blocking().kc;
   const std::vector<float> src =
       random_floats(static_cast<std::size_t>(c) * n, rng);
   const std::vector<float> a =
@@ -530,11 +508,10 @@ void check_conv_oracle(int m, int c, int h, int w, int k,
   std::vector<float> col(static_cast<std::size_t>(kdim) * n);
   adarnet::nn::im2col(src.data(), c, h, w, k, col.data());
   std::vector<float> out = c0;
-  adarnet::nn::sgemm_conv(m, c, h, w, k, a.data(), src.data(), out.data(),
-                          precision);
+  adarnet::nn::sgemm_conv(m, c, h, w, k, a.data(), src.data(), out.data());
   expect_bitwise(out, fma_oracle(Trans::kNo, Trans::kNo, m, n, kdim, 1.0f,
                                  a.data(), kdim, col.data(), n, 1.0f, c0, n,
-                                 precision, kc));
+                                 kc));
 }
 
 }  // namespace
@@ -544,42 +521,148 @@ TEST(Sgemm, MatchesScalarFmaOracleBitwise) {
   RecordProperty("gemm_isa_tier", tier);
   std::printf("[   INFO   ] sgemm dispatches to ISA tier %d\n", tier);
   if (tier == 0) GTEST_SKIP() << "the portable tier has no FMA";
-  namespace tuning = adarnet::nn::tuning;
-  tuning::reset();
   Rng rng(61);
-  for (Precision precision : {Precision::kFp32, Precision::kBf16}) {
-    SCOPED_TRACE(adarnet::nn::precision_name(precision));
-    // Default blocking: k past one kc block; m % 6 != 0; n % 16 != 0 with
-    // an odd panel count (5) and an even one (8).
-    check_sgemm_oracle(13, 71, 300, 0.7f, -0.3f, precision, rng);
-    check_sgemm_oracle(13, 125, 300, 1.0f, 0.0f, precision, rng);
-    check_sgemm_oracle(7, 16, 9, 1.0f, 1.0f, precision, rng);
-    // Default blocking for the implicit GEMM: the m16 / 3x3 deconv shape
-    // with k = 288 past one kc block; full panels (w = 16) and row
-    // segments (w = 13, n % 16 != 0).
-    check_conv_oracle(16, 32, 8, 16, 3, precision, rng);
-    check_conv_oracle(13, 32, 5, 13, 3, precision, rng);
-    // Pinned schedules: kc = 20 ends mid-channel (9 K rows a channel),
-    // nc = 48 makes 3 panels a block, odd; every unroll, with and without
-    // prefetch.
-    for (int ku : {1, 2, 4}) {
-      for (int pf : {0, 8}) {
-        SCOPED_TRACE("ku=" + std::to_string(ku) + " pf=" + std::to_string(pf));
-        const tuning::ScopedOverride pin(adarnet::nn::TuneParams{
-            12, 20, 48, ku, pf});
-        check_sgemm_oracle(13, 71, 45, 0.7f, -0.3f, precision, rng);
-        check_sgemm_oracle(19, 100, 61, 1.0f, 0.0f, precision, rng);
-        check_conv_oracle(13, 5, 7, 16, 3, precision, rng);
-        check_conv_oracle(13, 5, 6, 13, 3, precision, rng);
-      }
-    }
+  // Default blocking: k past one kc block; m % 6 != 0; n % 16 != 0 with an
+  // odd panel count (5) and an even one (8).
+  check_sgemm_oracle(13, 71, 300, 0.7f, -0.3f, rng);
+  check_sgemm_oracle(13, 125, 300, 1.0f, 0.0f, rng);
+  check_sgemm_oracle(7, 16, 9, 1.0f, 1.0f, rng);
+  // Default blocking for the implicit GEMM: the m16 / 3x3 deconv shape
+  // with k = 288 past one kc block; full panels (w = 16) and row segments
+  // (w = 13, n % 16 != 0).
+  check_conv_oracle(16, 32, 8, 16, 3, rng);
+  check_conv_oracle(13, 32, 5, 13, 3, rng);
+  {
+    // Pinned blocking: kc = 20 ends mid-channel (9 K rows a channel),
+    // nc = 48 makes 3 panels a block, odd.
+    const ScopedGemmBlocking pin(GemmBlocking{12, 20, 48});
+    check_sgemm_oracle(13, 71, 45, 0.7f, -0.3f, rng);
+    check_sgemm_oracle(19, 100, 61, 1.0f, 0.0f, rng);
+    check_conv_oracle(13, 5, 7, 16, 3, rng);
+    check_conv_oracle(13, 5, 6, 13, 3, rng);
   }
   // Every accounted GEMM publishes the tier that ran it.
   const bool was_enabled = adarnet::util::metrics::enabled();
   adarnet::util::metrics::set_enabled(true);
-  check_sgemm_oracle(7, 16, 9, 1.0f, 1.0f, Precision::kFp32, rng);
+  check_sgemm_oracle(7, 16, 9, 1.0f, 1.0f, rng);
   EXPECT_EQ(adarnet::util::metrics::gauge("nn.gemm.isa").value(), tier);
   adarnet::util::metrics::set_enabled(was_enabled);
+}
+
+// ---------------------------------------------------------------------------
+// Cache blocking: sgemm against a double-accumulated naive loop at the
+// default and at pinned blockings (tiles smaller and larger than the
+// shapes, odd and degenerate shapes), and the override's clamp and nesting.
+
+namespace {
+
+void check_sgemm_naive(int m, int n, int k, Trans ta, Trans tb, float alpha,
+                       float beta, Rng& rng) {
+  SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+               " k=" + std::to_string(k) + " ta=" +
+               std::to_string(static_cast<int>(ta)) + " tb=" +
+               std::to_string(static_cast<int>(tb)));
+  const auto op = [](const std::vector<float>& x, int ld, Trans t, int i,
+                     int p) {
+    return t == Trans::kNo ? x[static_cast<std::size_t>(i) * ld + p]
+                           : x[static_cast<std::size_t>(p) * ld + i];
+  };
+  const int lda = ta == Trans::kNo ? k : m;
+  const int ldb = tb == Trans::kNo ? n : k;
+  const std::vector<float> a =
+      random_floats(static_cast<std::size_t>(m) * k, rng);
+  const std::vector<float> b =
+      random_floats(static_cast<std::size_t>(k) * n, rng);
+  const std::vector<float> c0 =
+      random_floats(static_cast<std::size_t>(m) * n, rng);
+  std::vector<float> want = c0;
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (int p = 0; p < k; ++p) {
+        acc += static_cast<double>(op(a, lda, ta, i, p)) * op(b, ldb, tb, p, j);
+      }
+      float& out = want[static_cast<std::size_t>(i) * n + j];
+      out = static_cast<float>(alpha * acc + beta * out);
+    }
+  }
+  std::vector<float> got = c0;
+  adarnet::nn::sgemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb,
+                     beta, got.data(), n);
+  // Summation-order slack: fp32 partial sums of k random +-1 products.
+  const float tol = (1e-5f + 2e-6f * static_cast<float>(k)) *
+                    (std::abs(alpha) + std::abs(beta));
+  for (std::size_t idx = 0; idx < got.size(); ++idx) {
+    ASSERT_NEAR(got[idx], want[idx], tol) << "at " << idx;
+  }
+}
+
+}  // namespace
+
+TEST(Sgemm, MatchesNaiveAcrossBlockings) {
+  const GemmBlocking grid[] = {
+      {},                // the defaults every caller runs
+      {6, 4, 16},        // minimal legal tiles
+      {12, 48, 32},      // small tiles
+      {144, 512, 4096},  // tiles larger than most shapes
+  };
+  const int shapes[][3] = {{1, 1, 1},    {3, 2, 4},    {6, 16, 8},
+                           {7, 17, 5},   {13, 31, 29}, {48, 40, 64},
+                           {70, 130, 33}};
+  Rng rng(101);
+  for (const GemmBlocking& bl : grid) {
+    SCOPED_TRACE("mc=" + std::to_string(bl.mc) + " kc=" +
+                 std::to_string(bl.kc) + " nc=" + std::to_string(bl.nc));
+    const ScopedGemmBlocking pin(bl);
+    for (const auto& s : shapes) {
+      check_sgemm_naive(s[0], s[1], s[2], Trans::kNo, Trans::kNo, 1.0f, 0.0f,
+                        rng);
+    }
+    // Transpose flags and alpha/beta on a representative shape.
+    for (Trans ta : {Trans::kNo, Trans::kYes}) {
+      for (Trans tb : {Trans::kNo, Trans::kYes}) {
+        check_sgemm_naive(13, 31, 29, ta, tb, 0.5f, -1.25f, rng);
+      }
+    }
+  }
+}
+
+TEST(GemmBlockingOverride, ClampsToLegalGrid) {
+  {
+    const ScopedGemmBlocking pin(GemmBlocking{-5, 0, 7});
+    const GemmBlocking b = adarnet::nn::gemm_blocking();
+    EXPECT_EQ(b.mc % 6, 0);
+    EXPECT_GE(b.mc, 6);
+    EXPECT_GE(b.kc, 4);
+    EXPECT_EQ(b.nc % 16, 0);
+    EXPECT_GE(b.nc, 16);
+  }
+  {
+    // Rounds down to the register tile, and the defaults are legal as is.
+    const ScopedGemmBlocking pin(GemmBlocking{40, 100, 50});
+    EXPECT_EQ(adarnet::nn::gemm_blocking(), (GemmBlocking{36, 100, 48}));
+  }
+  const ScopedGemmBlocking pin(GemmBlocking{});
+  EXPECT_EQ(adarnet::nn::gemm_blocking(), GemmBlocking{});
+}
+
+TEST(GemmBlockingOverride, NestsAndRestores) {
+  const GemmBlocking base = adarnet::nn::gemm_blocking();
+  EXPECT_EQ(base, GemmBlocking{});
+  {
+    const ScopedGemmBlocking outer(GemmBlocking{12, 64, 256});
+    EXPECT_EQ(adarnet::nn::gemm_blocking().mc, 12);
+    {
+      const ScopedGemmBlocking inner(GemmBlocking{24, 32, 128});
+      EXPECT_EQ(adarnet::nn::gemm_blocking().mc, 24);
+      // The override is the calling thread's alone.
+      GemmBlocking other;
+      std::thread([&] { other = adarnet::nn::gemm_blocking(); }).join();
+      EXPECT_EQ(other, GemmBlocking{});
+    }
+    EXPECT_EQ(adarnet::nn::gemm_blocking().mc, 12);
+  }
+  EXPECT_EQ(adarnet::nn::gemm_blocking(), base);
 }
 
 TEST(Im2Col, RoundTripMatchesAdjointIdentity) {

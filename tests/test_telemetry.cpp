@@ -385,6 +385,24 @@ TEST(TelemetryRoutes, HeaderValueLookupIsCaseInsensitive) {
   EXPECT_EQ(telemetry::detail::header_value(req, "acc"), "");
 }
 
+TEST(TelemetryEnv, PortParseFailsClosed) {
+  // A typo must not open a socket: read as a number prefix, "off" would
+  // serve an ephemeral port and "9464x" port 9464.
+  for (const char* bad : {"off", "9464x", "-1", "70000", "", " 9464", "+80",
+                          "99999999999999999999"}) {
+    int port = 123;
+    EXPECT_FALSE(telemetry::detail::parse_port(bad, &port)) << bad;
+    EXPECT_EQ(port, 123) << bad;
+  }
+  int port = -1;
+  ASSERT_TRUE(telemetry::detail::parse_port("0", &port));
+  EXPECT_EQ(port, 0);  // ephemeral
+  ASSERT_TRUE(telemetry::detail::parse_port("9464", &port));
+  EXPECT_EQ(port, 9464);
+  ASSERT_TRUE(telemetry::detail::parse_port("65535", &port));
+  EXPECT_EQ(port, 65535);
+}
+
 // --- bench_compare (the bench_diff gate) ------------------------------------
 
 TEST(BenchCompare, FlattenNestedNumericLeaves) {
@@ -427,14 +445,6 @@ TEST(BenchCompare, ClassifiesKeys) {
   EXPECT_EQ(bc::classify("accept/shed_before_queue_growth"),
             KeyClass::kPortable);
   EXPECT_EQ(bc::classify("admitted_p99_ms"), KeyClass::kIgnored);
-  // Autotuner keys: the accept bits gate, the sweep diagnostics never do —
-  // even when a leaf name matches a throughput pattern.
-  EXPECT_EQ(bc::classify("accept/tuned_ge_default"), KeyClass::kPortable);
-  EXPECT_EQ(bc::classify("accept/bf16_mse_within_bound"),
-            KeyClass::kPortable);
-  EXPECT_EQ(bc::classify("tune/gemm.m128n512k256/gflops_per_s"),
-            KeyClass::kIgnored);
-  EXPECT_EQ(bc::classify("tune/geomean_ratio"), KeyClass::kIgnored);
 }
 
 TEST(BenchCompare, PassesWithinToleranceFailsBeyond) {
