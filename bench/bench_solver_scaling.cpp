@@ -95,7 +95,7 @@ int main() {
     // interfaces, the configuration whose p' solve used to force the SOR
     // fallback (and diverged multigrid before the anchored jump
     // stencils). This mesh carries the composite_mg_converges and
-    // pressure_share_composite accept bits.
+    // mg_work_composite accept bits with the composite mesh.
     RefinementMap map(spec.npy(), spec.npx(), 0);
     for (int pj = 0; pj < spec.npx(); ++pj) {
       map.set_level(0, pj, 2);
@@ -135,16 +135,12 @@ int main() {
   //                      More cycles, more sweeps or more smoothed cells
   //                      flip it, whatever the machine; a share of the
   //                      phase sum would move whenever another phase got
-  //                      faster. Composite meshes are gated relatively,
-  //                      against SOR, by the next two bits.
+  //                      faster.
+  //  * mg_work_composite — the same exact bound on the composite meshes
   //  * composite_mg_converges — the multigrid p' path runs the composite
-  //                      meshes (no SOR fallback remains) without a
-  //                      divergence: finite residual, no diverged flag,
-  //                      on every composite run at every thread count
-  //  * pressure_share_composite — at 1 thread on every composite mesh the
-  //                      multigrid pressure share of solve wall is below
-  //                      the flat-SOR share measured in the same process
-  //                      (relative, so portable across machines)
+  //                      meshes without a divergence: finite residual, no
+  //                      diverged flag, on every composite run at every
+  //                      thread count
   const double kMonotoneSlack = 0.10;
   int hw_threads = 1;
 #ifdef _OPENMP
@@ -157,7 +153,9 @@ int main() {
     double smoothed_per_update;
   };
   const MgWork kMgWork[] = {{"uniform-lr", 2.0, 44.71875},
-                            {"uniform-hr", 2.0, 10.138671875}};
+                            {"uniform-hr", 2.0, 10.138671875},
+                            {"composite", 1.0, 5.7671875},
+                            {"composite-hr", 1.0, 6.101102941176471}};
   util::metrics::Counter& mg_cycles =
       util::metrics::counter("solver.mg.cycles");
   util::metrics::Counter& mg_smoothed =
@@ -165,8 +163,8 @@ int main() {
   bool accept_deterministic = true;
   bool accept_monotone = true;
   bool accept_mg_work = true;
+  bool accept_mg_work_composite = true;
   bool accept_composite_mg = true;
-  bool accept_pressure_share_composite = true;
 
   for (auto& mc : cases) {
     const long long cells = mc.mesh.active_cells();
@@ -206,6 +204,7 @@ int main() {
     omp_set_num_threads(thread_counts.back());
 #endif
 
+    const bool composite = mc.name.rfind("composite", 0) == 0;
     bench::JsonArray config_json;
     double prev_speedup = 0.0;
     for (const Run& run : runs) {
@@ -238,10 +237,10 @@ int main() {
         if (!(run.mg_cycles > 0 &&
               cycles_per_iteration <= bound.cycles_per_iteration &&
               smoothed_per_update <= bound.smoothed_per_update)) {
-          accept_mg_work = false;
+          (composite ? accept_mg_work_composite : accept_mg_work) = false;
         }
       }
-      if (mc.name.rfind("composite", 0) == 0 &&
+      if (composite &&
           (run.stats.diverged || !std::isfinite(run.stats.residual))) {
         accept_composite_mg = false;
       }
@@ -268,41 +267,6 @@ int main() {
         .add("iterations", iters)
         .add_raw("configs", config_json.str());
 
-    // Composite meshes: re-run at 1 thread with the flat-SOR p' path and
-    // compare pressure phase shares. A share is a within-process ratio,
-    // so the comparison is portable — it gates that the multigrid path
-    // actually beats the loop it replaced on the meshes that used to
-    // force the fallback.
-    if (mc.name.rfind("composite", 0) == 0) {
-      const auto& mg_ph = runs.front().stats.phase_seconds;  // 1-thread run
-      const double mg_share = mg_ph.pressure / std::max(mg_ph.total(), 1e-30);
-#ifdef _OPENMP
-      omp_set_num_threads(1);
-#endif
-      auto sor_cfg = bench::bench_solver_config();
-      sor_cfg.pressure_solver = solver::PressureSolver::kSor;
-      RansSolver sor(mc.mesh, sor_cfg);
-      auto f = mesh::make_field(mc.mesh);
-      sor.initialize_freestream(f);
-      sor.iterate(f, 1);  // warm-up
-      const SolveStats sw = sor.iterate(f, iters);
-#ifdef _OPENMP
-      omp_set_num_threads(thread_counts.back());
-#endif
-      const auto& sor_ph = sw.phase_seconds;
-      const double sor_share =
-          sor_ph.pressure / std::max(sor_ph.total(), 1e-30);
-      std::fprintf(stderr,
-                   "[scaling] %s pressure share: mg %.0f%% vs sor %.0f%%\n",
-                   mc.name.c_str(), 100.0 * mg_share, 100.0 * sor_share);
-      if (mg_share >= sor_share) accept_pressure_share_composite = false;
-      if (sw.diverged || !std::isfinite(sw.residual)) {
-        // The SOR reference itself must stay sane or the share is noise.
-        accept_pressure_share_composite = false;
-      }
-      mesh_obj.add("pressure_share_mg", mg_share)
-          .add("pressure_share_sor", sor_share);
-    }
     mesh_json.push(mesh_obj.str());
   }
 
@@ -316,9 +280,8 @@ int main() {
   accept.add("deterministic", accept_deterministic ? 1.0 : 0.0)
       .add("monotone_speedup", accept_monotone ? 1.0 : 0.0)
       .add("mg_work_uniform", accept_mg_work ? 1.0 : 0.0)
-      .add("composite_mg_converges", accept_composite_mg ? 1.0 : 0.0)
-      .add("pressure_share_composite",
-           accept_pressure_share_composite ? 1.0 : 0.0);
+      .add("mg_work_composite", accept_mg_work_composite ? 1.0 : 0.0)
+      .add("composite_mg_converges", accept_composite_mg ? 1.0 : 0.0);
 
   bench::JsonObject doc;
   doc.add("bench", "solver_scaling")

@@ -119,8 +119,8 @@ bool field_is_finite(const mesh::CompositeField& f) {
 
 // One physics solve, accumulated into the result. "Failed" means the solver
 // itself gave up (divergence through all its relaxation retries) or the
-// returned state is non-finite — not a mere iteration-cap stall, which the
-// unguarded pipeline would also return as converged = false.
+// returned state is non-finite — not a mere iteration-cap stall, which
+// returns as converged = false without a fallback.
 bool solve_failed(const solver::SolveStats& stats,
                   const mesh::CompositeField& f) {
   return stats.diverged || !field_is_finite(f);
@@ -175,22 +175,19 @@ PipelineResult run_adarnet_pipeline(AdarNet& model, const mesh::CaseSpec& spec,
   const int pw = model.config().pw;
 
   // --- hand-off validation ---------------------------------------------------
-  bool dnn_mesh_usable = true;
-  if (guards.enabled) {
-    if (!inference_is_finite(inference)) {
-      result.sanitized_values = sanitize_inference(inference, lr, ph, pw);
-      result.fallback_stage = FallbackStage::kSanitizedSeed;
-      ADR_LOG_WARN << spec.name << " non-finite inference output; sanitized "
-                   << result.sanitized_values << " values from the LR seed";
-    }
-    const std::string reason = validate_refinement_map(
-        inference.map, spec, ph, pw, guards.max_cell_fraction);
-    if (!reason.empty()) {
-      dnn_mesh_usable = false;
-      result.fallback_stage = FallbackStage::kReferenceMap;
-      ADR_LOG_WARN << spec.name << " rejecting DNN refinement map ("
-                   << reason << "); using the feature-based reference map";
-    }
+  if (!inference_is_finite(inference)) {
+    result.sanitized_values = sanitize_inference(inference, lr, ph, pw);
+    result.fallback_stage = FallbackStage::kSanitizedSeed;
+    ADR_LOG_WARN << spec.name << " non-finite inference output; sanitized "
+                 << result.sanitized_values << " values from the LR seed";
+  }
+  const std::string reason = validate_refinement_map(
+      inference.map, spec, ph, pw, guards.max_cell_fraction);
+  const bool dnn_mesh_usable = reason.empty();
+  if (!dnn_mesh_usable) {
+    result.fallback_stage = FallbackStage::kReferenceMap;
+    ADR_LOG_WARN << spec.name << " rejecting DNN refinement map (" << reason
+                 << "); using the feature-based reference map";
   }
 
   solver::SolverConfig ps_cfg = config.ps_solver;
@@ -230,7 +227,7 @@ PipelineResult run_adarnet_pipeline(AdarNet& model, const mesh::CaseSpec& spec,
     solver::RansSolver rans(*mesh, ps_cfg);
     solver::SolveStats stats = rans.solve(f);
     account(stats);
-    if (guards.enabled && solve_failed(stats, f) && !expired()) {
+    if (solve_failed(stats, f) && !expired()) {
       ADR_LOG_WARN << spec.name
                    << " physics solve diverged on the DNN seed; retrying "
                       "from freestream on the DNN mesh";
@@ -242,13 +239,13 @@ PipelineResult run_adarnet_pipeline(AdarNet& model, const mesh::CaseSpec& spec,
     // A cancelled-but-finite state is accepted as-is: a diverged solve has
     // already restored the initial (finite) seed, and re-solving it on a
     // different rung would burn time the deadline no longer has.
-    if (!guards.enabled || !solve_failed(stats, f) || expired()) {
+    if (!solve_failed(stats, f) || expired()) {
       result.mesh = std::move(mesh);
       result.solution = std::move(f);
       solved = true;
     }
   }
-  if (guards.enabled && !solved) {
+  if (!solved) {
     result.fallback_stage = FallbackStage::kReferenceMap;
     mesh::RefinementMap ref_map =
         amr::fallback_reference_map(spec, lr, guards.fallback);

@@ -36,7 +36,6 @@ const char* to_string(FallbackStage stage);
 
 /// Hand-off validation settings of the guarded pipeline.
 struct GuardConfig {
-  bool enabled = true;          ///< false restores the unguarded hand-off
   double max_cell_fraction = 1.0;  ///< refinement-map cell budget, as a
                                    ///< fraction of the all-max-level mesh
   amr::AmrConfig fallback;      ///< marking settings for the reference-map

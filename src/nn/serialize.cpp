@@ -13,7 +13,6 @@ namespace adarnet::nn {
 
 namespace {
 
-constexpr char kMagicV1[4] = {'A', 'D', 'R', 'W'};
 constexpr char kMagicV2[4] = {'A', 'D', 'R', '2'};
 constexpr std::uint32_t kVersion = 2;
 
@@ -81,26 +80,6 @@ bool parse_v2(const std::vector<unsigned char>& body,
   return off == payload;  // trailing bytes are corruption too
 }
 
-// Legacy v1 payload: u32 count, then per-parameter u64 numel + floats.
-// No checksum — structural validation only, but still all-or-nothing.
-bool parse_v1(std::ifstream& in, const std::vector<Parameter*>& params,
-              std::vector<std::vector<float>>& staged) {
-  std::uint32_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in || count != params.size()) return false;
-  staged.resize(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    std::uint64_t numel = 0;
-    in.read(reinterpret_cast<char*>(&numel), sizeof(numel));
-    if (!in || numel != params[i]->value.numel()) return false;
-    staged[i].resize(static_cast<std::size_t>(numel));
-    in.read(reinterpret_cast<char*>(staged[i].data()),
-            static_cast<std::streamsize>(staged[i].size() * sizeof(float)));
-    if (!in) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 bool save_parameters(const std::vector<Parameter*>& params,
@@ -156,20 +135,14 @@ bool load_parameters(const std::vector<Parameter*>& params,
   if (!in) return false;
   char magic[4];
   in.read(magic, 4);
-  if (!in) return false;
+  if (!in || std::memcmp(magic, kMagicV2, 4) != 0) return false;
 
   std::vector<std::vector<float>> staged;
   std::uint64_t file_tag = 0;
-  if (std::memcmp(magic, kMagicV2, 4) == 0) {
-    std::vector<unsigned char> body(
-        (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-    if (!parse_v2(body, params, staged, file_tag)) {
-      ADR_LOG_WARN << "rejecting corrupt checkpoint " << path;
-      return false;
-    }
-  } else if (std::memcmp(magic, kMagicV1, 4) == 0) {
-    if (!parse_v1(in, params, staged)) return false;
-  } else {
+  const std::vector<unsigned char> body(
+      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  if (!parse_v2(body, params, staged, file_tag)) {
+    ADR_LOG_WARN << "rejecting corrupt checkpoint " << path;
     return false;
   }
 

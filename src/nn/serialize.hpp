@@ -15,8 +15,8 @@
 // Loads are all-or-nothing: the whole file is read and CRC-verified into a
 // staging buffer before the first parameter is touched, so a truncated or
 // bit-flipped checkpoint is rejected without a partial parameter load.
-// Legacy v1 files (magic "ADRW", no tag, no CRC) still load; they get
-// structural validation only.
+// Only v2 loads: any other magic, including the retired v1 "ADRW" format
+// (no tag, no CRC), is rejected the same way.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +33,10 @@ bool save_parameters(const std::vector<Parameter*>& params,
                      const std::string& path, std::uint64_t tag = 0);
 
 /// Reads parameter values from `path` into `params`; shapes must match the
-/// saved element counts. Returns false on I/O failure, corruption (bad CRC,
-/// truncation, trailing bytes) or shape mismatch — and then guarantees no
-/// parameter was modified. `tag`, when non-null, receives the saved tag
-/// (0 for legacy v1 files).
+/// saved element counts. Returns false on I/O failure, a magic other than
+/// v2's, corruption (bad CRC, truncation, trailing bytes) or shape mismatch
+/// — and then guarantees no parameter and no `*tag` was modified. `tag`,
+/// when non-null, receives the saved tag.
 bool load_parameters(const std::vector<Parameter*>& params,
                      const std::string& path, std::uint64_t* tag = nullptr);
 

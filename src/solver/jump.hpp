@@ -171,17 +171,17 @@ inline bool any_jump_side(const JumpSides& js) {
 }
 
 /// Diagonal and right-hand side of the 5-point p' equation at one fluid
-/// cell — THE pressure operator, shared by the solver's SOR loop
-/// (rans.cpp) and every multigrid level (mg.cpp) so the two can never
-/// drift apart. `b0` is the source term (-imbalance for the fine
-/// equation, the restricted residual for coarse levels). The boundary
-/// treatment: outlet east face folds a_e into the diagonal with the
-/// ghost relation x_ghost = -x (p' = 0 at the face), every other domain
-/// face carries zero correction flux, solid faces carry none. Jump-side
-/// boundary cells couple through the matched stencil buffers instead of
-/// the interpolated ghost ring; same-level interface cells read the
-/// exchanged ghost (an exact copy there). The Gauss-Seidel value is
-/// rhs / apc and the residual is rhs - apc * x.
+/// cell — THE pressure operator: every multigrid level's smoother and
+/// residual (mg.cpp) and the flat SOR oracle of tests/test_solver_mg.cpp
+/// assemble it here, so they can never drift apart. `b0` is the source
+/// term (-imbalance for the fine equation, the restricted residual for
+/// coarse levels). The boundary treatment: outlet east face folds a_e
+/// into the diagonal with the ghost relation x_ghost = -x (p' = 0 at the
+/// face), every other domain face carries zero correction flux, solid
+/// faces carry none. Jump-side boundary cells couple through the matched
+/// stencil buffers instead of the interpolated ghost ring; same-level
+/// interface cells read the exchanged ghost (an exact copy there). The
+/// Gauss-Seidel value is rhs / apc and the residual is rhs - apc * x.
 ///
 /// kJump compiles the jump-side branches out: hot loops dispatch per
 /// patch on any_jump_side(js) so the (common) patches with no jump

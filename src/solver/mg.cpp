@@ -33,12 +33,15 @@ namespace {
 // would break.
 constexpr long long kParallelCellFloor = 2048;
 
-// Cycle shape: V(1,1), a 40-sweep coarsest solve, unlimited depth. SIMPLE
-// only needs a modest p' reduction per step; deeper solves (V(2,2), more
-// cycles) triple the pressure cost for no outer convergence gain.
+// Cycle shape: V(1,1), a 40-sweep coarsest solve, unlimited depth, and
+// the p' exit: V-cycles until |r| <= 0.3 |b|, at most 2. SIMPLE only needs
+// a modest p' reduction per step; deeper solves (V(2,2), more cycles)
+// triple the pressure cost for no outer convergence gain.
 constexpr int kPreSmooth = 1;
 constexpr int kPostSmooth = 1;
 constexpr int kCoarseSweeps = 40;
+constexpr double kExitTol = 0.3;
+constexpr int kMaxCycles = 2;
 
 // Multigrid scopes (DESIGN.md §11), event-free: exchanges are ghosts time,
 // the rest stays in the enclosing pressure phase and feeds an inclusive
@@ -99,8 +102,7 @@ inline DimW dim_weights(int fi, int cn, int ratio, bool open_lo,
 }
 
 // The per-cell 5-point assembly lives in solver/jump.hpp
-// (assemble_pressure_cell): one kernel shared with the solver's SOR loop,
-// so the level operators and the fine p' equation can never drift apart —
+// (assemble_pressure_cell): one kernel for every level operator,
 // including the flux-matched couplings at level-jump interface cells.
 
 // One cell update of a compiled rung (PressureMg::Level::ops), on the
@@ -474,8 +476,9 @@ void PressureMg::compile_rung(Level& lv) {
   lv.compiled = true;
 }
 
-PressureMg::PressureMg(const CompositeMesh& fine, const SolverConfig& config)
-    : cfg_(config) {
+PressureMg::PressureMg(const CompositeMesh& fine,
+                       const util::CancelToken* cancel)
+    : cancel_(cancel), exit_tol_(kExitTol), max_cycles_(kMaxCycles) {
   auto init_level = [this](Level& lv, const CompositeMesh* m, int d) {
     lv.mesh = m;
     if (d > 0) lv.x = mesh::make_scalar(*m);
@@ -487,7 +490,7 @@ PressureMg::PressureMg(const CompositeMesh& fine, const SolverConfig& config)
     // (jump.hpp): the coarse d is a child average on the fine vol/aP
     // scale, and the own-h form would halve the interface transmissibility
     // per rung — enough to diverge the V-cycle across ratio-4+ jumps. At
-    // d == 0 the anchor is the mesh itself, i.e. the solver's own stencil.
+    // d == 0 the anchor is the mesh itself: the fine operator's stencil.
     lv.stencil = d == 0 ? JumpStencil(*m) : JumpStencil(*m, *levels_[0].mesh);
     const double aspect = (m->spec().lx / m->spec().base_nx) /
                           (m->spec().ly / m->spec().base_ny);
@@ -597,8 +600,15 @@ PressureMg::~PressureMg() = default;
 
 int PressureMg::depth() const { return static_cast<int>(levels_.size()); }
 
-const CompositeMesh& PressureMg::level_mesh(int d) const {
-  return *levels_[static_cast<std::size_t>(d)].mesh;
+void PressureMg::set_exit(double tol, int max_cycles) {
+  exit_tol_ = tol;
+  max_cycles_ = max_cycles;
+}
+
+const CompositeScalar& PressureMg::fine_dp() const { return levels_[0].dp; }
+
+const JumpStencil& PressureMg::fine_stencil() const {
+  return levels_[0].stencil;
 }
 
 void PressureMg::set_coefficients(const CompositeScalar& ap_fine) {
@@ -1167,9 +1177,11 @@ void PressureMg::v_cycle(int d, CompositeScalar& x, double series_x) {
     // Coarsest level: a handful of cells total — hammer it with plain
     // Gauss-Seidel, every half-sweep seeing fresh interface values
     // (compiled rungs read the neighbouring patch, the others exchange).
-    // omega = 1, NOT the SOR path's 1.4: the deepest rungs are single-cell
+    // omega = 1, not over-relaxed: the deepest rungs are single-cell
     // patches whose every neighbour is an interface ghost, so the sweep
-    // degenerates to Jacobi — over-relaxed Jacobi diverges. The sweep
+    // degenerates to Jacobi — over-relaxed Jacobi diverges. A one-rung
+    // ladder (a mesh that admits no coarse level) solves its fine p'
+    // equation here, every V-cycle this one solve. The sweep
     // count stays kCoarseSweeps x smooth_mult rather than an exact
     // (direct) solve: on this anchored-stencil ladder the coarse operators
     // are not Galerkin, and an exact coarse correction overshoots
@@ -1293,8 +1305,8 @@ MgSolveInfo PressureMg::solve(CompositeScalar& x, const CompositeScalar& imb) {
   MgSolveInfo info;
   Level& l0 = levels_[0];
 
-  // b = -imb at fluid cells (the same sign convention as the SOR loop's
-  // rhs), 0 at solids; |b| accumulates through fixed-order row partials.
+  // b = -imb at fluid cells, 0 at solids; |b| accumulates through
+  // fixed-order row partials.
   zero_scalar(x, l0.parallel);
   if (!l0.stencil.empty()) l0.stencil.refresh(x);  // zero the buffers
   sweep::zero_rows(l0.acc);
@@ -1322,16 +1334,16 @@ MgSolveInfo PressureMg::solve(CompositeScalar& x, const CompositeScalar& imb) {
 
   static metrics::Counter& cycle_counter = metrics::counter("solver.mg.cycles");
   double rnorm = bnorm;
-  while (info.cycles < cfg_.mg_max_cycles) {
+  while (info.cycles < max_cycles_) {
     // Cooperative cancellation boundary (DESIGN.md §13): between V-cycles
     // the correction is consistent (ghosts exchanged), so stopping here
     // hands the outer iteration a weaker but well-formed p' solve.
-    if (cfg_.cancel != nullptr && cfg_.cancel->expired()) break;
+    if (cancel_ != nullptr && cancel_->expired()) break;
     cycle_counter.add();
     v_cycle(0, x, static_cast<double>(cycle_counter.value()));
     info.cycles += 1;
     rnorm = compute_residual(l0, x);
-    if (rnorm <= cfg_.mg_tol * bnorm) break;
+    if (rnorm <= exit_tol_ * bnorm) break;
   }
   info.final_ratio = rnorm / bnorm;
 

@@ -1,7 +1,10 @@
 // Geometric multigrid for the SIMPLE pressure-correction equation on the
-// block-structured patch hierarchy (DESIGN.md §11).
+// block-structured patch hierarchy (DESIGN.md §11): the solver's only p'
+// solver. A mesh that admits no coarse level runs a one-rung ladder,
+// whose V-cycle is the coarsest solve alone.
 //
-// The flat SOR loop that preceded it converges at O(1 - h^2) per sweep: on
+// The flat SOR loop that preceded it (now the oracle in
+// tests/test_solver_mg.cpp) converges at O(1 - h^2) per sweep: on
 // the uniform-HR meshes the low-frequency error barely moves and the
 // pressure phase dominated the solve (72-77% of the wall time
 // bench_solver_scaling measured before the multigrid).
@@ -18,10 +21,9 @@
 //     both dimensions halve, and finally every RefinementMap level is
 //     lowered by one. Level-jump interfaces couple through the
 //     flux-matched subface stencils (solver/jump.hpp) in every level
-//     operator — the same assembly the solver's SOR loop uses — so map
-//     lowering no longer refuses any mesh shape.
-//   * Smoothing is the same red-black kernel as the solver's SOR path
-//     (sweep.hpp), thread-parallel over (patch, row) work items with
+//     operator, so map lowering no longer refuses any mesh shape.
+//   * Smoothing is a red-black point kernel on the shared 5-point
+//     assembly (jump.hpp), thread-parallel over (patch, row) work items with
 //     fixed-order reductions: results are bitwise identical across thread
 //     counts. Levels whose refinement jumps run perpendicular to strongly
 //     anisotropic cells (the row-refined channel: x-oscillatory modes
@@ -71,10 +73,12 @@
 #include <vector>
 
 #include "mesh/composite.hpp"
-#include "solver/rans.hpp"
 #include "solver/sweep.hpp"
+#include "util/cancel.hpp"
 
 namespace adarnet::solver {
+
+class JumpStencil;
 
 /// Outcome of one multigrid pressure solve (one outer SIMPLE iteration).
 /// Its cost is timed by scopes (DESIGN.md §11): the inclusive
@@ -83,7 +87,7 @@ namespace adarnet::solver {
 /// solver.mg.{smooth,coarse}.cells counters count the cell updates the
 /// smoother and the coarsest solve make.
 struct MgSolveInfo {
-  int cycles = 0;            ///< V-cycles run (<= mg_max_cycles)
+  int cycles = 0;            ///< V-cycles run (at most the exit's cap)
   double initial_norm = 0.0; ///< L1 norm of the right-hand side
   double final_ratio = 0.0;  ///< |r| / |b| at exit (0 for a zero RHS)
 };
@@ -95,35 +99,48 @@ struct MgSolveInfo {
 ///
 /// Built once per RansSolver workspace (the mesh is fixed for the solver's
 /// lifetime); per outer iteration the caller refreshes the coefficients
-/// from the relaxed momentum diagonal and runs solve().
+/// from the relaxed momentum diagonal and runs solve(). Level 0 borrows
+/// the fine mesh and the caller's iterate, and owns the fine operator the
+/// solver's corrector reads back (fine_dp(), fine_stencil()).
 class PressureMg {
  public:
-  /// Builds the coarsening ladder for `fine`. Only mg_tol, mg_max_cycles
-  /// and cancel of `config` are read.
-  PressureMg(const mesh::CompositeMesh& fine, const SolverConfig& config);
+  /// Builds the coarsening ladder for `fine`. solve() checks `cancel`
+  /// (optional; it must outlive this object) between V-cycles.
+  explicit PressureMg(const mesh::CompositeMesh& fine,
+                      const util::CancelToken* cancel = nullptr);
   ~PressureMg();
 
   PressureMg(const PressureMg&) = delete;
   PressureMg& operator=(const PressureMg&) = delete;
 
-  /// Number of levels in the ladder (1 = no coarsening possible; the
-  /// caller should fall back to plain SOR).
+  /// Number of levels in the ladder (1 = no coarsening possible: every
+  /// V-cycle is then the one rung's coarsest solve).
   [[nodiscard]] int depth() const;
 
-  /// The mesh at ladder depth `d` (0 = the fine mesh).
-  [[nodiscard]] const mesh::CompositeMesh& level_mesh(int d) const;
+  /// Replaces the fixed p' exit (|r| <= 0.3 |b| or 2 V-cycles) — the seam
+  /// the linear-rate tests use to solve to a tight tolerance.
+  void set_exit(double tol, int max_cycles);
 
   /// Rebuilds the per-level d = vol / aP coefficient field from the fine
-  /// relaxed momentum diagonal (interior cells only; ghosts unread).
-  /// Coarse cells take the plain average of their fluid children — the
-  /// scaling under which the coarse 5-point operator is consistent with
-  /// the fine one for a smooth coefficient field.
+  /// relaxed momentum diagonal (interior cells only; ghosts unread) and
+  /// every level's jump-stencil couplings from it. Coarse cells take the
+  /// plain average of their fluid children — the scaling under which the
+  /// coarse 5-point operator is consistent with the fine one for a smooth
+  /// coefficient field.
   void set_coefficients(const mesh::CompositeScalar& ap_fine);
 
-  /// Runs V-cycles on A x = -imb until |r| <= mg_tol * |b| or
-  /// mg_max_cycles. `x` is zero-initialised (ghosts included) and left
-  /// with exchanged interface ghosts; domain-boundary ghosts are the
-  /// caller's business (the solver applies its p' boundary rules after).
+  /// The fine level's d = vol / aP field (0 in solids and in the ghost
+  /// ring) and its flux-matched jump stencil, as of the last
+  /// set_coefficients() and solve(): the one copy of the fine p' operator,
+  /// which the solver's corrector and interface face pass read too.
+  [[nodiscard]] const mesh::CompositeScalar& fine_dp() const;
+  [[nodiscard]] const JumpStencil& fine_stencil() const;
+
+  /// Runs V-cycles on A x = -imb until the exit. `x` is zero-initialised
+  /// (ghosts included) and left with exchanged interface ghosts, and the
+  /// fine stencil's value buffers refreshed from it; domain-boundary
+  /// ghosts are the caller's business (the solver applies its p' boundary
+  /// rules after).
   MgSolveInfo solve(mesh::CompositeScalar& x, const mesh::CompositeScalar& imb);
 
  private:
@@ -153,7 +170,9 @@ class PressureMg {
   void v_cycle(int d, mesh::CompositeScalar& x, double series_x);
 
   std::vector<Level> levels_;
-  SolverConfig cfg_;
+  const util::CancelToken* cancel_ = nullptr;
+  double exit_tol_;
+  int max_cycles_;
 };
 
 /// Restricts one patch's residual to the coarse patch: b_c = R r_f with

@@ -37,10 +37,6 @@ constexpr int kV = 1;
 constexpr int kP = 2;
 constexpr int kNt = 3;
 
-// Flat SOR reference path (PressureSolver::kSor): sweep cap and relaxation.
-constexpr int kSorSweeps = 60;
-constexpr double kSorOmega = 1.4;
-
 // Red-black Gauss-Seidel sweeps per momentum and per SA solve.
 constexpr int kMomentumSweeps = 2;
 constexpr int kSaSweeps = 2;
@@ -277,12 +273,6 @@ struct RansSolver::Workspace {
   CompositeScalar nut;     // eddy viscosity nu_t (from nuTilda)
   CompositeScalar face_u;  // face_u(i,j): u at x-face between (i,j),(i,j+1)
   CompositeScalar face_v;  // face_v(i,j): v at y-face between (i,j),(i+1,j)
-  CompositeScalar dp;      // d = vol / aP per cell (0 in solids)
-
-  // Flux-matched level-jump couplings of the solver mesh (solver/jump.hpp):
-  // the SOR sweeps, the corrector gradients and the post-corrector face
-  // pass all read the same matched stencil. Empty on jump-free meshes.
-  JumpStencil stencil;
 
   std::vector<RowRef> rows;  // flattened (patch, interior row) work items
   // Per-row reduction partials (fixed-order summation: see sum_rows).
@@ -292,20 +282,19 @@ struct RansSolver::Workspace {
   std::vector<double> acc_b;
   std::vector<double> acc_c;
 
-  // Geometric multigrid ladder for the p' solve; null under kSor. Falls
-  // back to the SOR loop at solve time when the mesh admits no coarse
-  // level (depth() == 1).
-  std::unique_ptr<PressureMg> mg;
+  // Geometric multigrid ladder for the p' solve. Its level 0 owns the
+  // fine p' operator — d = vol / aP and the flux-matched jump stencil —
+  // that the corrector and the post-corrector face pass read back.
+  PressureMg mg;
 
-  explicit Workspace(const CompositeMesh& mesh)
+  Workspace(const CompositeMesh& mesh, const util::CancelToken* cancel)
       : ap(mesh::make_scalar(mesh)),
         pc(mesh::make_scalar(mesh)),
         imb(mesh::make_scalar(mesh)),
         nut(mesh::make_scalar(mesh)),
         face_u(mesh::make_scalar(mesh)),
         face_v(mesh::make_scalar(mesh)),
-        dp(mesh::make_scalar(mesh)),
-        stencil(mesh) {
+        mg(mesh, cancel) {
     for (int k = 0; k < mesh.patch_count(); ++k) {
       const PatchMesh& pm = mesh.patch_flat(k);
       for (int i = 1; i <= pm.ny; ++i) rows.push_back({k, i});
@@ -322,17 +311,7 @@ RansSolver::RansSolver(const CompositeMesh& mesh, SolverConfig config)
 RansSolver::~RansSolver() = default;
 
 RansSolver::Workspace& RansSolver::workspace() const {
-  if (!ws_) {
-    // Multigrid runs on level-jump meshes too: the p' assembly, corrector
-    // and every MG level couple across jump faces through the flux-matched
-    // stencils (solver/jump.hpp), so the old SOR pin on composite meshes
-    // is gone. The only remaining fallback is depth() == 1 (a mesh too
-    // small to admit any coarse level), handled at solve time.
-    ws_ = std::make_unique<Workspace>(mesh_);
-    if (config_.pressure_solver == PressureSolver::kMultigrid) {
-      ws_->mg = std::make_unique<PressureMg>(mesh_, config_);
-    }
-  }
+  if (!ws_) ws_ = std::make_unique<Workspace>(mesh_, config_.cancel);
   return *ws_;
 }
 
@@ -867,114 +846,19 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
   // --- pressure correction ---------------------------------------------------
   const bool outlet_right = spec.bc.right.type == BcType::kOutlet;
 
-  // d = vol / aP per cell: the shared mobility of the p' operator, the
-  // corrector and the post-corrector face pass (zero in solids, which is
-  // how the matched jump couplings see walls). The jump stencil's subface
-  // transmissibilities are rebuilt from it once per outer iteration.
+  // Geometric V-cycles on the patch-hierarchy ladder (solver/mg.hpp). Its
+  // coefficients, d = vol / aP per cell (zero in solids, which is how the
+  // matched jump couplings see walls), are the shared mobility of the p'
+  // operator, the corrector and the post-corrector face pass; the jump
+  // stencil's subface transmissibilities are rebuilt from them once per
+  // outer iteration. The cycle's ghost exchanges are ghosts-phase scopes
+  // nested in the pressure phase.
+  const CompositeScalar& dp = ws.mg.fine_dp();
+  const JumpStencil& stencil = ws.mg.fine_stencil();
   {
     const util::trace::Span t(kPressure.site);
-#pragma omp parallel for schedule(static)
-    for (int k = 0; k < mesh_.patch_count(); ++k) {
-      const PatchMesh& pm = mesh_.patch_flat(k);
-      const Grid2Dd& AP = ws.ap[k];
-      Grid2Dd& DP = ws.dp[k];
-      const double vol = pm.dx * pm.dy;
-      for (int i = 1; i <= pm.ny; ++i) {
-        for (int j = 1; j <= pm.nx; ++j) {
-          DP(i, j) = pm.solid(i, j) ? 0.0 : vol / AP(i, j);
-        }
-      }
-    }
-    ws.stencil.set_coefficients(ws.dp);
-  }
-
-  const bool use_mg = cfg.pressure_solver == PressureSolver::kMultigrid &&
-                      ws.mg && ws.mg->depth() > 1;
-  if (use_mg) {
-    // Geometric V-cycles on the patch-hierarchy ladder (solver/mg.hpp).
-    // The cycle's ghost exchanges are ghosts-phase scopes nested in this
-    // one, so the phase split stays comparable with the SOR path.
-    const util::trace::Span t(kPressure.site);
-    ws.mg->set_coefficients(ws.ap);
-    res.pressure_cycles = ws.mg->solve(ws.pc, ws.imb).cycles;
-  } else {
-    // Flat SOR reference path: pressure_solver == kSor, or a mesh too
-    // small to admit even one coarse level.
-    const util::trace::Span t(kPressure.site);
-#pragma omp parallel for schedule(static)
-    for (int k = 0; k < mesh_.patch_count(); ++k) {
-      ws.pc[k].fill(0.0);
-    }
-    ws.stencil.refresh(ws.pc);  // all-zero snapshot before the first sweep
-  }
-  const int sor_sweeps = use_mg ? 0 : kSorSweeps;
-  double first_sweep_change = 0.0;
-  for (int sweep = 0; sweep < sor_sweeps; ++sweep) {
-    zero_rows(ws.acc_a);
-    {
-      const util::trace::Span t(kPressure.site);
-      run_sweep(ws.rows, [&](int r, int k, int i, int color) {
-        const PatchMesh& pm = mesh_.patch_flat(k);
-        Grid2Dd& PC = ws.pc[k];
-        const Grid2Dd& DP = ws.dp[k];
-        const Grid2Dd& B = ws.imb[k];
-        // Shared 5-point operator (solver/jump.hpp): same assembly as
-        // every multigrid level, jump faces coupled through the matched
-        // stencil buffers frozen at the last exchange.
-        const JumpSides jsd = jump_sides(ws.stencil, k);
-        double change = 0.0;
-        auto row = [&]<bool kJump>() {
-          for (int j = color_j0(i, color); j <= pm.nx; j += 2) {
-            if (pm.solid(i, j)) {
-              PC(i, j) = 0.0;
-              continue;
-            }
-            double apc = 0.0;
-            double rhs = 0.0;
-            assemble_pressure_cell<kJump>(pm, DP, PC, -B(i, j), outlet_right,
-                                          mesh_.npx(), mesh_.npy(), jsd, i, j,
-                                          &apc, &rhs);
-            if (apc <= 0.0) {
-              PC(i, j) = 0.0;
-              continue;
-            }
-            const double gs = rhs / apc;
-            const double delta = kSorOmega * (gs - PC(i, j));
-            PC(i, j) += delta;
-            change += std::abs(delta);
-          }
-        };
-        if (any_jump_side(jsd)) {
-          row.template operator()<true>();
-        } else {
-          row.template operator()<false>();
-        }
-        ws.acc_a[r] += change;
-      });
-    }
-    {
-      const util::trace::Span t(kGhosts.site);
-      exchange_ghosts(ws.pc, mesh_);
-      ws.stencil.refresh(ws.pc);
-    }
-    // Early exit: once a sweep changes p' by under 5% of the first sweep,
-    // further sweeps buy nothing this outer iteration.
-    res.pressure_cycles = sweep + 1;
-    const double sweep_change = sum_rows(ws.acc_a);
-    if (sweep == 0) {
-      first_sweep_change = sweep_change;
-    } else if (sweep_change < 0.05 * first_sweep_change) {
-      break;
-    }
-  }
-
-  {
-    const util::trace::Span t(kPressure.site);
-    // The corrector reads the matched jump buffers; under the multigrid
-    // path ws.stencil has not seen the solution yet (the MG levels carry
-    // their own stencils), and under SOR this is an idempotent repeat of
-    // the last sweep's refresh.
-    ws.stencil.refresh(ws.pc);
+    ws.mg.set_coefficients(ws.ap);
+    res.pressure_cycles = ws.mg.solve(ws.pc, ws.imb).cycles;
 
     // Domain-boundary ghosts for p': zero-gradient everywhere except the
     // outlet, where p' = 0 at the face. Needed by the corrector's gradients.
@@ -1006,8 +890,8 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
       Grid2Dd& V = f.V[k];
       Grid2Dd& P = f.p[k];
       const Grid2Dd& PC = ws.pc[k];
-      const Grid2Dd& DP = ws.dp[k];
-      const JumpSides jsd = jump_sides(ws.stencil, k);
+      const Grid2Dd& DP = dp[k];
+      const JumpSides jsd = jump_sides(stencil, k);
       Grid2Dd& FU = ws.face_u[k];
       Grid2Dd& FV = ws.face_v[k];
       // The in-patch face pass rides in the cell loop (each interior face
@@ -1071,8 +955,7 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
         cells.template operator()<false>();
       }
     }
-    correct_interface_faces(mesh_, ws.stencil, ws.pc, ws.dp, ws.face_u,
-                            ws.face_v);
+    correct_interface_faces(mesh_, stencil, ws.pc, dp, ws.face_u, ws.face_v);
     assert(interface_flux_mismatch(mesh_, ws.face_u, ws.face_v) == 0.0);
   }
 
@@ -1237,9 +1120,9 @@ void record_residual_series(const Residuals& res) {
   static metrics::TimeSeries& s_v = metrics::series("solver.residual.v");
   static metrics::TimeSeries& s_p = metrics::series("solver.residual.p");
   static metrics::TimeSeries& s_nt = metrics::series("solver.residual.nu_tilde");
-  // p' solve work per outer iteration (V-cycles, or SOR sweeps under
-  // kSor), on the same x axis as solver.residual.p so cycle-count spikes
-  // line up with continuity-residual stalls in the telemetry plots.
+  // p' solve work per outer iteration (V-cycles), on the same x axis as
+  // solver.residual.p so cycle-count spikes line up with continuity-
+  // residual stalls in the telemetry plots.
   static metrics::TimeSeries& s_cy = metrics::series("solver.pressure.cycles");
   iters.add();
   const double x = static_cast<double>(iters.value());

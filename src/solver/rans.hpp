@@ -32,18 +32,6 @@ struct Site;
 
 namespace adarnet::solver {
 
-/// Algorithm used for the p' pressure-correction solve each outer
-/// iteration (DESIGN.md §11).
-enum class PressureSolver {
-  kMultigrid,  ///< geometric V-cycle on the coarsened patch hierarchy
-               ///< (the default; falls back to SOR when the mesh admits
-               ///< no coarse level)
-  kSor,        ///< the flat red-black SOR sweep loop (up to 60 sweeps at
-               ///< omega 1.4, early exit at 5% of the first sweep's
-               ///< change); kept as the single-level reference for parity
-               ///< tests
-};
-
 /// Tuning knobs for the SIMPLE iteration.
 struct SolverConfig {
   int max_outer = 6000;       ///< cap on outer (SIMPLE) iterations
@@ -55,13 +43,6 @@ struct SolverConfig {
   double pseudo_cfl = 2.0;    ///< local pseudo-time-step CFL number; bounds
                               ///< Vol/aP in near-stagnation cells (stability)
   int log_every = 0;          ///< 0 = silent, n = log residual every n iters
-
-  /// p' solve algorithm and its multigrid exit (ignored under kSor). The
-  /// cycle shape — V(1,1), 40 coarsest-level sweeps, unlimited depth — is
-  /// fixed in solver/mg.cpp.
-  PressureSolver pressure_solver = PressureSolver::kMultigrid;
-  double mg_tol = 0.3;       ///< V-cycle exit: |r| / |r0| below this
-  int mg_max_cycles = 2;     ///< cap on V-cycles per outer iteration
 
   /// Cooperative cancellation (DESIGN.md §13). When set, solve()/iterate()
   /// check it at every outer-iteration boundary (and the multigrid p'
@@ -82,9 +63,8 @@ struct PhaseTimes {
   double momentum = 0.0;   ///< momentum coefficient assembly + GS sweeps
   double rhie_chow = 0.0;  ///< aP extrapolation, face velocities, reflux,
                            ///< mass imbalance
-  double pressure = 0.0;   ///< p' solve (V-cycles or SOR sweeps, minus
-                           ///< their ghost exchanges), p' boundary ghosts,
-                           ///< corrector
+  double pressure = 0.0;   ///< p' solve (V-cycles minus their ghost
+                           ///< exchanges), p' boundary ghosts, corrector
   double sa = 0.0;         ///< eddy viscosity + SA transport sweeps
   double ghosts = 0.0;     ///< exchange_ghosts + apply_bc_ghosts traffic
 
@@ -137,10 +117,10 @@ struct Residuals {
   // anisotropic stall (e.g. V converged, U oscillating) is visible live.
   double momentum_u = 0.0;  ///< U-component steady momentum defect
   double momentum_v = 0.0;  ///< V-component steady momentum defect
-  // Work the p' solve spent this iteration: V-cycles under kMultigrid, SOR
-  // sweeps under kSor. Diagnostics only; the solver.pressure.cycles
-  // time-series records it per outer iteration on the same x axis as
-  // solver.residual.p, so cycle-count spikes line up with residual stalls.
+  // V-cycles the p' solve ran this iteration. Diagnostics only; the
+  // solver.pressure.cycles time-series records it per outer iteration on
+  // the same x axis as solver.residual.p, so cycle-count spikes line up
+  // with residual stalls.
   int pressure_cycles = 0;
 
   /// Worst of continuity/momentum/sa; non-finite values map to 1e30.

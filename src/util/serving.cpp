@@ -29,8 +29,6 @@
 #include "util/trace.hpp"
 
 #ifdef ADARNET_SERVING_SOCKETS
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #endif
@@ -91,20 +89,7 @@ bool parse_number(const std::string& raw, double& out) {
   return end != raw.c_str() && std::isfinite(out);
 }
 
-// --- HTTP plumbing ----------------------------------------------------------
-
-std::string http_response(const char* status, const std::string& body,
-                          const std::string& extra_headers = "") {
-  std::string out = "HTTP/1.1 ";
-  out += status;
-  out += "\r\nContent-Type: application/json\r\nContent-Length: ";
-  out += std::to_string(body.size());
-  out += "\r\n";
-  out += extra_headers;
-  out += "Connection: close\r\n\r\n";
-  out += body;
-  return out;
-}
+using socket_io::http_response;
 
 // --- response summaries -----------------------------------------------------
 
@@ -365,7 +350,7 @@ struct Server::Impl {
           fd, http_response("503 Service Unavailable",
                             "{\"error\": \"overloaded\", \"retry_after_s\": " +
                                 std::to_string(cfg.retry_after_s) + "}\n",
-                            retry_after));
+                            "application/json", retry_after));
       ::close(fd);
       n_responses.fetch_add(1, std::memory_order_relaxed);
       // Shed requests are the tail the flight recorder exists for: record
@@ -504,17 +489,7 @@ struct Server::Impl {
                                    "{\"error\": \"request too large\"}\n");
         }
       } else {
-        std::string method, target;
-        {
-          const std::size_t sp1 = raw.find(' ');
-          const std::size_t sp2 = sp1 == std::string::npos
-                                      ? std::string::npos
-                                      : raw.find(' ', sp1 + 1);
-          if (sp1 != std::string::npos && sp2 != std::string::npos) {
-            method = raw.substr(0, sp1);
-            target = raw.substr(sp1 + 1, sp2 - sp1 - 1);
-          }
-        }
+        const auto [method, target] = socket_io::parse_request_line(raw);
         const std::size_t query = target.find('?');
         const std::string path =
             query == std::string::npos ? target : target.substr(0, query);
@@ -952,25 +927,10 @@ bool Server::start() {
     return false;
   }
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int bound = 0;
+  const int fd = socket_io::listen_loopback(im.cfg.port, 64, &bound);
   if (fd < 0) return false;
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(im.cfg.port));
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(fd, 64) < 0) {
-    ::close(fd);
-    return false;
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    im.port.store(static_cast<int>(ntohs(bound.sin_port)),
-                  std::memory_order_release);
-  }
+  im.port.store(bound, std::memory_order_release);
   im.listen_fd = fd;
   im.start_tp = CancelToken::Clock::now();
   im.last_slo_us.store(0, std::memory_order_relaxed);

@@ -1,6 +1,7 @@
-// Shared POSIX socket I/O helpers for the telemetry and serving servers
-// (DESIGN.md §10, §13): per-connection timeouts, EINTR-safe reads/writes,
-// and a bounded HTTP request reader.
+// Shared POSIX socket and HTTP helpers for the telemetry and serving
+// servers (DESIGN.md §10, §13): the loopback listener, per-connection
+// timeouts, EINTR-safe reads/writes, a bounded HTTP request reader, the
+// request-line parser and the response builder.
 //
 // Two failure modes these exist to close off:
 //   * A client that connects and never sends (or never reads) must not
@@ -11,17 +12,88 @@
 //     handling.
 #pragma once
 
+#include <cstddef>
+#include <string>
+
+namespace adarnet::util::socket_io {
+
+/// The method and target of a request's first line: "GET /x?q HTTP/1.1"
+/// gives "GET" and "/x?q". Both are empty when the line has no space.
+struct RequestLine {
+  std::string method;
+  std::string target;
+};
+
+inline RequestLine parse_request_line(const std::string& raw) {
+  const std::string line = raw.substr(0, raw.find_first_of("\r\n"));
+  const std::size_t sp1 = line.find(' ');
+  if (sp1 == std::string::npos) return {};
+  const std::size_t sp2 = line.find(' ', sp1 + 1);
+  return {line.substr(0, sp1),
+          line.substr(sp1 + 1, sp2 == std::string::npos ? std::string::npos
+                                                        : sp2 - sp1 - 1)};
+}
+
+/// One complete HTTP/1.1 response: the status line, Content-Type and
+/// Content-Length, `extra_headers` (each line ending "\r\n"), then
+/// "Connection: close" and the body.
+inline std::string http_response(const char* status, const std::string& body,
+                                 const char* content_type = "application/json",
+                                 const std::string& extra_headers = "") {
+  std::string out = "HTTP/1.1 ";
+  out += status;
+  out += "\r\nContent-Type: ";
+  out += content_type;
+  out += "\r\nContent-Length: ";
+  out += std::to_string(body.size());
+  out += "\r\n";
+  out += extra_headers;
+  out += "Connection: close\r\n\r\n";
+  out += body;
+  return out;
+}
+
+}  // namespace adarnet::util::socket_io
+
 #if !defined(_WIN32)
 
 #include <cerrno>
-#include <cstddef>
+#include <cstdint>
 #include <cstdlib>
-#include <string>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <unistd.h>
 
 namespace adarnet::util::socket_io {
+
+/// Opens a TCP listener on 127.0.0.1:`port` (0 = an ephemeral port) with
+/// SO_REUSEADDR and `backlog`. Returns the socket and stores the port it
+/// bound in `*bound_port`, or returns -1 when it cannot bind or listen.
+inline int listen_loopback(int port, int backlog, int* bound_port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0 ||
+      ::listen(fd, backlog) < 0) {
+    ::close(fd);
+    return -1;
+  }
+  sockaddr_in bound{};
+  socklen_t len = sizeof(bound);
+  *bound_port =
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0
+          ? static_cast<int>(ntohs(bound.sin_port))
+          : 0;
+  return fd;
+}
 
 /// Applies SO_RCVTIMEO and SO_SNDTIMEO to `fd` (0 = no timeout).
 inline void set_io_timeout(int fd, int timeout_ms) {

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <thread>
 
@@ -14,8 +13,6 @@
 #include "util/timer.hpp"
 
 #if !defined(_WIN32)
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #define ADARNET_TELEMETRY_SOCKETS 1
@@ -38,57 +35,38 @@ WallTimer g_uptime;
 // client regression fast.
 std::atomic<int> g_io_timeout_ms{2000};
 
-std::string http_response(const char* status, const char* content_type,
-                          const std::string& body) {
-  std::string out = "HTTP/1.1 ";
-  out += status;
-  out += "\r\nContent-Type: ";
-  out += content_type;
-  out += "\r\nContent-Length: ";
-  out += std::to_string(body.size());
-  out += "\r\nConnection: close\r\n\r\n";
-  out += body;
-  return out;
-}
-
 #ifdef ADARNET_TELEMETRY_SOCKETS
 
+// The endpoints are header-only GETs: a request past this many bytes, or
+// claiming a body that would take it there, is refused with 413.
+constexpr std::size_t kMaxRequestBytes = 8 * 1024;
+
 void handle_client(int fd) {
-  // The four endpoints are GETs with no body: the request line is all we
-  // need. Read up to one buffer's worth and parse "<METHOD> <PATH> ...".
-  // recv/send retry EINTR (a signal mid-read must not drop the request)
-  // and run under the per-connection timeouts set by the acceptor, so a
-  // stalled peer resolves as a closed connection, not a wedged server.
-  char buf[2048];
-  std::size_t got = 0;
-  while (got < sizeof(buf) - 1) {
-    const ssize_t n = socket_io::recv_retry(fd, buf + got,
-                                            sizeof(buf) - 1 - got);
-    if (n <= 0) break;  // closed, error, or SO_RCVTIMEO expired
-    got += static_cast<std::size_t>(n);
-    buf[got] = '\0';
-    if (std::strstr(buf, "\r\n\r\n") != nullptr ||
-        std::strstr(buf, "\n\n") != nullptr) {
+  // read_http_request retries EINTR (a signal mid-read must not drop the
+  // request) and runs under the per-connection timeouts set by the
+  // acceptor, so a stalled peer resolves as a timeout, not a wedged
+  // server. A peer that stalls or closes early gets no reply.
+  std::string raw;
+  std::string response;
+  switch (socket_io::read_http_request(fd, raw, kMaxRequestBytes)) {
+    case socket_io::ReadResult::kOk: {
+      const socket_io::RequestLine line = socket_io::parse_request_line(raw);
+      response = detail::respond(line.method, line.target,
+                                 detail::header_value(raw, "accept"));
       break;
     }
+    case socket_io::ReadResult::kTooLarge:
+      response = socket_io::http_response("413 Content Too Large",
+                                          "request too large\n", "text/plain");
+      break;
+    default:
+      break;
   }
-  buf[got] = '\0';
-  std::string method, path;
-  {
-    const char* sp1 = std::strchr(buf, ' ');
-    if (sp1 != nullptr) {
-      method.assign(static_cast<const char*>(buf), sp1);
-      const char* sp2 = std::strchr(sp1 + 1, ' ');
-      const char* eol = std::strpbrk(sp1 + 1, "\r\n");
-      const char* end = sp2 != nullptr ? sp2 : eol;
-      if (end != nullptr) path.assign(sp1 + 1, end);
-    }
-  }
-  const std::string response =
-      detail::respond(method, path, detail::header_value(buf, "accept"));
-  socket_io::send_all(fd, response);
-  ::close(fd);
+  // Counted before the reply goes out, so a client holding its reply
+  // always finds itself in request_count().
   g_requests.fetch_add(1, std::memory_order_relaxed);
+  if (!response.empty()) socket_io::send_all(fd, response);
+  ::close(fd);
 }
 
 void acceptor_loop(int listen_fd) {
@@ -116,25 +94,10 @@ bool start(int port) {
   if (g_running.load(std::memory_order_acquire)) return false;
   if (port < 0 || port > 65535) return false;
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int bound = 0;
+  const int fd = socket_io::listen_loopback(port, 16, &bound);
   if (fd < 0) return false;
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(fd, 16) < 0) {
-    ::close(fd);
-    return false;
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    g_port.store(static_cast<int>(ntohs(bound.sin_port)),
-                 std::memory_order_release);
-  }
+  g_port.store(bound, std::memory_order_release);
   g_listen_fd = fd;
   g_uptime.reset();
   g_running.store(true, std::memory_order_release);
@@ -245,15 +208,15 @@ std::string header_value(const std::string& raw_request,
 std::string respond(const std::string& method, const std::string& path,
                     const std::string& accept) {
   if (method != "GET" && method != "HEAD") {
-    return http_response("405 Method Not Allowed", "text/plain",
-                         "method not allowed\n");
+    return socket_io::http_response("405 Method Not Allowed",
+                                    "method not allowed\n", "text/plain");
   }
   if (path == "/healthz") {
     char body[96];
     std::snprintf(body, sizeof(body),
                   "{\"status\": \"ok\", \"uptime_s\": %.3f}\n",
                   g_uptime.seconds());
-    return http_response("200 OK", "application/json", body);
+    return socket_io::http_response("200 OK", body);
   }
   if (path == "/metrics") {
     // Exemplars are only legal in OpenMetrics: scrapers that ask for it
@@ -261,24 +224,22 @@ std::string respond(const std::string& method, const std::string& path,
     // else gets classic 0.0.4 text with no exemplars, which any
     // Prometheus-compatible parser accepts.
     if (accept.find("application/openmetrics-text") != std::string::npos) {
-      return http_response(
-          "200 OK", "application/openmetrics-text; version=1.0.0",
-          metrics::prometheus_text(/*openmetrics=*/true));
+      return socket_io::http_response(
+          "200 OK", metrics::prometheus_text(/*openmetrics=*/true),
+          "application/openmetrics-text; version=1.0.0");
     }
-    return http_response("200 OK", "text/plain; version=0.0.4",
-                         metrics::prometheus_text());
+    return socket_io::http_response("200 OK", metrics::prometheus_text(),
+                                    "text/plain; version=0.0.4");
   }
   if (path == "/snapshot.json") {
-    return http_response("200 OK", "application/json",
-                         metrics::snapshot_json() + "\n");
+    return socket_io::http_response("200 OK", metrics::snapshot_json() + "\n");
   }
   if (path == "/series.json") {
-    return http_response("200 OK", "application/json",
-                         metrics::series_json() + "\n");
+    return socket_io::http_response("200 OK", metrics::series_json() + "\n");
   }
   if (path == "/requests.json") {
-    return http_response("200 OK", "application/json",
-                         reqctx::recorder().requests_json());
+    return socket_io::http_response("200 OK",
+                                    reqctx::recorder().requests_json());
   }
   // GET /trace/<id>[.json]: a retained request's span tree as a
   // chrome://tracing document (load via chrome://tracing or Perfetto).
@@ -290,18 +251,18 @@ std::string respond(const std::string& method, const std::string& path,
     }
     std::uint64_t id = 0;
     if (!reqctx::parse_trace_id(id_str, &id)) {
-      return http_response("400 Bad Request", "application/json",
-                           "{\"error\": \"bad trace id\"}\n");
+      return socket_io::http_response("400 Bad Request",
+                                      "{\"error\": \"bad trace id\"}\n");
     }
     std::string doc;
     if (!reqctx::recorder().trace_json(id, &doc)) {
-      return http_response(
-          "404 Not Found", "application/json",
+      return socket_io::http_response(
+          "404 Not Found",
           "{\"error\": \"trace not retained (evicted or never recorded)\"}\n");
     }
-    return http_response("200 OK", "application/json", doc);
+    return socket_io::http_response("200 OK", doc);
   }
-  return http_response("404 Not Found", "text/plain", "not found\n");
+  return socket_io::http_response("404 Not Found", "not found\n", "text/plain");
 }
 
 }  // namespace detail

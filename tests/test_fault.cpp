@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -201,13 +202,15 @@ TEST_F(FaultTest, BitFlippedCheckpointRejected) {
   std::remove(path.c_str());
 }
 
-TEST_F(FaultTest, LegacyAdrwCheckpointStillLoads) {
+// The retired v1 format ("ADRW" | u32 count | per-param u64 numel +
+// floats; no tag, no CRC) is refused like any unknown magic: the load
+// fails and touches no parameter and no tag.
+TEST_F(FaultTest, LegacyAdrwCheckpointRejected) {
   util::Rng rng(17);
   nn::Sequential net;
   net.emplace<nn::Conv2D>(2, 3, 3, rng);
   const auto params = net.parameters();
 
-  // Hand-craft a v1 file: "ADRW" | u32 count | per-param u64 numel + floats.
   std::vector<char> bytes;
   auto append = [&bytes](const void* src, std::size_t n) {
     const char* p = static_cast<const char*>(src);
@@ -227,14 +230,18 @@ TEST_F(FaultTest, LegacyAdrwCheckpointStillLoads) {
   util::Rng rng2(19);
   nn::Sequential other;
   other.emplace<nn::Conv2D>(2, 3, 3, rng2);
-  std::uint64_t tag = 99;
-  ASSERT_TRUE(nn::load_parameters(other.parameters(), path, &tag));
-  EXPECT_EQ(tag, 0u);  // v1 has no tag
   const auto b = other.parameters();
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    for (std::size_t k = 0; k < params[i]->value.numel(); ++k) {
-      EXPECT_FLOAT_EQ(params[i]->value[k], b[i]->value[k]);
-    }
+  std::vector<std::vector<float>> before;
+  for (const nn::Parameter* p : b) {
+    before.emplace_back(p->value.data(), p->value.data() + p->value.numel());
+  }
+  std::uint64_t tag = 99;
+  EXPECT_FALSE(nn::load_parameters(b, path, &tag));
+  EXPECT_EQ(tag, 99u);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    EXPECT_EQ(0, std::memcmp(before[i].data(), b[i]->value.data(),
+                             before[i].size() * sizeof(float)))
+        << "parameter " << i << " changed";
   }
   std::remove(path.c_str());
 }

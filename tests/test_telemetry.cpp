@@ -276,6 +276,38 @@ TEST(TelemetryHttp, StalledClientDoesNotWedgeAcceptor) {
   telemetry::detail::set_io_timeout_ms(2000);
 }
 
+// A request past the acceptor's byte bound — here one whose
+// Content-Length claims a megabyte — is refused with 413 from its header
+// alone, and the next request is served.
+TEST(TelemetryHttp, OversizeRequestRefusedWithoutWedgingAcceptor) {
+  namespace socket_io = adarnet::util::socket_io;
+  ASSERT_TRUE(telemetry::start(0));
+  const int port = telemetry::bound_port();
+  ASSERT_GT(port, 0);
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  ASSERT_EQ(
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+      0);
+  ASSERT_TRUE(socket_io::send_all(
+      fd, "POST /metrics HTTP/1.1\r\nContent-Length: 1048576\r\n\r\n"));
+  std::string reply;
+  char buf[4096];
+  for (ssize_t n; (n = socket_io::recv_retry(fd, buf, sizeof(buf))) > 0;) {
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_TRUE(contains(reply, "413 Content Too Large")) << reply;
+
+  EXPECT_TRUE(contains(http_get(port, "/healthz"), "200 OK"));
+  telemetry::stop();
+}
+
 // socket_io EINTR discipline: a signal delivered mid-recv (installed
 // without SA_RESTART, so the syscall really returns EINTR) must not drop
 // the request; recv_retry keeps waiting and returns the payload.
