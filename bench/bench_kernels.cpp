@@ -213,23 +213,17 @@ int main(int argc, char** argv) {
   // The fast budget keeps the whole pass under a second; the full budget
   // is large enough that per-call noise stays below bench_diff's gate.
   const double target = fast ? 5e7 : 1e9;
-  // Untimed warm-up. For about the first second after an idle spell, a
-  // process on a 4-vCPU VM waits 16-32 ms per OpenMP region (vCPU
-  // wake-up), which read the first timed shapes hundreds of times low.
-  // Repeat the first shape until 20 calls take under 20 ms together (1 ms
-  // a call, far below any machine's speed on it), for at most 5 s. The
-  // counters restart after it: the roofline totals cover the timed pass.
+  // Untimed warm-up (bench::warm_up) on the first shape: 20 calls under
+  // 20 ms together, 1 ms a call, far below any machine's speed on it.
   {
     adarnet::util::Rng rng(1);
     adarnet::nn::Conv2D conv(16, 16, 3, rng);
     const adarnet::nn::Tensor in(1, 16, 16, 16);
-    const adarnet::util::WallTimer warm;
-    for (double round = 1.0; round > 0.02 && warm.seconds() < 5.0;) {
-      const adarnet::util::WallTimer t;
-      for (int r = 0; r < 20; ++r) (void)conv.forward(in, false);
-      round = t.seconds();
-    }
-    adarnet::util::metrics::reset();
+    adarnet::bench::warm_up(
+        [&] {
+          for (int r = 0; r < 20; ++r) (void)conv.forward(in, false);
+        },
+        0.02);
   }
   adarnet::bench::JsonObject by_size;
   for (int hw : {16, 32, 64, 128}) {

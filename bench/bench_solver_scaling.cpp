@@ -104,6 +104,19 @@ int main() {
     cases.push_back({"composite-hr", CompositeMesh(spec, map)});
   }
 
+  // Untimed warm-up (bench::warm_up): uniform-lr outer iterations at the
+  // default thread count until one takes at most 20 ms (about 5 ms warm
+  // on a 4-vCPU Xeon at 1 to 4 threads; a cold one waits on each of its
+  // ~30 OpenMP regions). Cold, the first 2-thread uniform-lr run read 6-9x
+  // its warm time and flipped accept/monotone_speedup.
+  {
+    const CompositeMesh& lr = cases.front().mesh;
+    RansSolver solver(lr, bench::bench_solver_config());
+    auto f = mesh::make_field(lr);
+    solver.initialize_freestream(f);
+    bench::warm_up([&] { solver.iterate(f, 1); }, 0.02);
+  }
+
   std::vector<int> thread_counts{1};
 #ifdef _OPENMP
   const int hw = omp_get_max_threads();

@@ -58,6 +58,25 @@ inline int env_int(const char* name, int fallback) {
   return static_cast<int>(n);
 }
 
+/// Untimed warm-up before a process's first timing. For about a second
+/// after an idle spell, a process on a 4-vCPU VM waits 16-32 ms per
+/// OpenMP region (vCPU wake-up and team start), which reads the first
+/// timings hundreds of times low. Repeats `round` until one run of it takes
+/// at most `fast_s` seconds (far below any machine's cold time for it), for
+/// at most 5 s, at the default thread count, so the pool threads later
+/// teams reuse are awake too. The metrics counters restart after it: their
+/// totals cover the timed pass alone.
+template <typename Round>
+void warm_up(Round&& round, double fast_s) {
+  const util::WallTimer warm;
+  for (double took = fast_s + 1.0; took > fast_s && warm.seconds() < 5.0;) {
+    const util::WallTimer t;
+    round();
+    took = t.seconds();
+  }
+  util::metrics::reset();
+}
+
 inline int shrink_factor() { return env_int("ADARNET_BENCH_SHRINK", 4); }
 
 inline data::GridPreset wall_preset() {

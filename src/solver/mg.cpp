@@ -504,12 +504,12 @@ PressureMg::PressureMg(const CompositeMesh& fine,
       lv.smooth_mult = static_cast<int>(
           std::min(128.0, std::max(1.0, std::ceil(a * a / 8.0))));
     }
+    lv.rows = sweep::interior_rows(*m);
     bool same_size = true;
     for (int k = 0; k < m->patch_count(); ++k) {
       const PatchMesh& pm = m->patch_flat(k);
       same_size = same_size && pm.ny == m->patch_flat(0).ny &&
                   pm.nx == m->patch_flat(0).nx;
-      for (int i = 1; i <= pm.ny; ++i) lv.rows.push_back({k, i});
       if (lv.line_y) {
         for (int j = 1; j <= pm.nx; ++j) lv.cols.push_back({k, j});
       }

@@ -9,6 +9,7 @@
 
 #include "solver/jump.hpp"
 #include "solver/mg.hpp"
+#include "solver/sa_lanes.hpp"
 #include "solver/sa_model.hpp"
 #include "solver/sweep.hpp"
 #include "util/fault.hpp"
@@ -99,6 +100,7 @@ double bc_ghost(const SideBc& bc, int ch, bool normal_x, double interior) {
 // The (patch, row) sweep machinery lives in solver/sweep.hpp, shared with
 // the multigrid pressure solver.
 using sweep::color_j0;
+using sweep::interior_rows;
 using sweep::RowRef;
 using sweep::run_scan;
 using sweep::run_sweep;
@@ -179,80 +181,260 @@ inline MomentumDefect momentum_defect(const MomentumCell& c, double u,
           std::abs(c.nb_v - c.dpdy * vol - c.sum_a() * v) / denom};
 }
 
-// SA transport coefficients and sources of one fluid cell, shared by the
-// Gauss-Seidel update and the defect evaluation like MomentumCell.
-struct SaCell {
-  double ae = 0, aw = 0, an = 0, as = 0;
-  double destr = 0;   // implicitly linearised destruction (diagonal)
-  double a_time = 0;  // pseudo-transient diagonal term
-  double production = 0;
-  double cross = 0;   // cb2/sigma |grad nt|^2 (explicit)
-  double nb_sum = 0;  // sum of a_nb * neighbour values
-
-  [[nodiscard]] double sum_a() const { return ae + aw + an + as + destr; }
-};
-
-inline SaCell sa_cell(const Grid2Dd& U, const Grid2Dd& V, const Grid2Dd& NT,
-                      double nu, double u_ref, double pseudo_cfl, double dx,
-                      double dy, double d_wall, int i, int j) {
-  SaCell c;
-  const double vol = dx * dy;
-  // Convection fluxes (upwind).
-  const double fe = 0.5 * (U(i, j) + U(i, j + 1)) * dy;
-  const double fw_ = 0.5 * (U(i, j) + U(i, j - 1)) * dy;
-  const double fn = 0.5 * (V(i, j) + V(i + 1, j)) * dx;
-  const double fs = 0.5 * (V(i, j) + V(i - 1, j)) * dx;
-  // Diffusion (nu + nuTilda) / sigma at faces.
-  auto dface = [&](double nt_a, double nt_b, double len_over) {
-    const double nt_face = 0.5 * (std::max(nt_a, 0.0) + std::max(nt_b, 0.0));
-    return (nu + nt_face) / sa::kSigma * len_over;
-  };
-  const double de = dface(NT(i, j), NT(i, j + 1), dy / dx);
-  const double dw = dface(NT(i, j), NT(i, j - 1), dy / dx);
-  const double dn = dface(NT(i, j), NT(i + 1, j), dx / dy);
-  const double ds = dface(NT(i, j), NT(i - 1, j), dx / dy);
-  c.ae = de + std::max(-fe, 0.0);
-  c.aw = dw + std::max(fw_, 0.0);
-  c.an = dn + std::max(-fn, 0.0);
-  c.as = ds + std::max(fs, 0.0);
-
-  // Sources.
-  const double nt_here = std::max(NT(i, j), 0.0);
-  const double dudy = (U(i + 1, j) - U(i - 1, j)) / (2.0 * dy);
-  const double dvdx = (V(i, j + 1) - V(i, j - 1)) / (2.0 * dx);
-  const double vort = std::abs(dvdx - dudy);
-  const double st = sa::s_tilde(vort, nt_here, nu, d_wall);
-  c.production = sa::kCb1 * st * nt_here * vol;
-  const double r = sa::r_param(nt_here, st, d_wall);
-  const double fw_fn = sa::fw(sa::g_param(r));
-  // Destruction linearised implicitly: cw1 fw (nt/d)^2 =
-  // [cw1 fw nt/d^2] * nt -> goes to the diagonal.
-  c.destr = sa::cw1() * fw_fn * nt_here / (d_wall * d_wall) * vol;
-  // cb2/sigma |grad nt|^2 (explicit).
-  const double dntdx = (NT(i, j + 1) - NT(i, j - 1)) / (2.0 * dx);
-  const double dntdy = (NT(i + 1, j) - NT(i - 1, j)) / (2.0 * dy);
-  c.cross =
-      sa::kCb2 / sa::kSigma * (dntdx * dntdx + dntdy * dntdy) * vol;
-
-  const double speed =
-      std::abs(U(i, j)) + std::abs(V(i, j)) + 0.3 * std::abs(u_ref) + 1e-30;
-  const double dt = pseudo_cfl * std::min(dx, dy) / speed;
-  c.a_time = vol / dt;
-  c.nb_sum = c.ae * NT(i, j + 1) + c.aw * NT(i, j - 1) +
-             c.an * NT(i + 1, j) + c.as * NT(i - 1, j);
-  return c;
-}
-
-// True steady SA defect of one cell, normalised by the diagonal times a
-// turbulence scale.
-inline double sa_defect(const SaCell& c, double nt, double nu,
-                        double nt_inflow) {
-  const double nt_ref = std::max({nt_inflow, 3.0 * nu, nt});
-  return std::abs(c.nb_sum + c.production + c.cross - c.sum_a() * nt) /
-         (c.sum_a() * nt_ref);
-}
-
 }  // namespace
+
+// --- SA transport on colour lanes (solver/sa_lanes.hpp) ---------------------
+
+SaLanes::SaLanes(const CompositeMesh& mesh)
+    : patch_(static_cast<std::size_t>(mesh.patch_count())) {
+  for (std::size_t k = 0; k < patch_.size(); ++k) {
+    const PatchMesh& pm = mesh.patch_flat(static_cast<int>(k));
+    Patch& pt = patch_[k];
+    pt.wall = pm.wall_dist.data();
+    pt.dx = pm.dx;
+    pt.dy = pm.dy;
+    pt.dy_dx = pm.dy / pm.dx;
+    pt.dx_dy = pm.dx / pm.dy;
+    pt.stride = pm.nx + 2;
+  }
+  const std::vector<RowRef> rows = interior_rows(mesh);
+  for (int colour = 0; colour < 2; ++colour) {
+    Colour& c = colour_[static_cast<std::size_t>(colour)];
+    for (const RowRef& row : rows) {
+      c.row_start.push_back(static_cast<std::int32_t>(c.fluid.size()));
+      const PatchMesh& pm = mesh.patch_flat(row.k);
+      for (int j = color_j0(row.i, colour); j <= pm.nx; j += 2) {
+        const Lane lane{row.k, row.i * (pm.nx + 2) + j};
+        (pm.solid(row.i, j) ? c.solid : c.fluid).push_back(lane);
+      }
+    }
+    c.row_start.push_back(static_cast<std::int32_t>(c.fluid.size()));
+  }
+  defect_.resize(colour_[0].fluid.size() + colour_[1].fluid.size());
+}
+
+void SaLanes::bind(const CompositeField& f, CompositeScalar* nt_out) {
+  for (std::size_t k = 0; k < patch_.size(); ++k) {
+    Patch& pt = patch_[k];
+    pt.u = f.U[k].data();
+    pt.v = f.V[k].data();
+    pt.nt = f.nuTilda[k].data();
+    pt.nt_out = nt_out != nullptr ? (*nt_out)[k].data() : nullptr;
+  }
+}
+
+template <bool kUpdate, bool kMeasure>
+void SaLanes::run_block(const Lane* lanes, int n, const SaParams& p,
+                        double* defect) const {
+  const double nu = p.nu;
+  // Stage 1: gather each lane's stencil (centre, east, west, north, south).
+  alignas(64) double ntc[kBlock], nte[kBlock], ntw[kBlock], ntn[kBlock],
+      nts[kBlock];
+  alignas(64) double uc[kBlock], ue[kBlock], uw[kBlock], un[kBlock],
+      us[kBlock];
+  alignas(64) double vc[kBlock], ve[kBlock], vw[kBlock], vn[kBlock],
+      vs[kBlock];
+  alignas(64) double dx[kBlock], dy[kBlock], dy_dx[kBlock], dx_dy[kBlock],
+      d_wall[kBlock];
+  for (int l = 0; l < n; ++l) {
+    const Patch& pt = patch_[static_cast<std::size_t>(lanes[l].k)];
+    const std::ptrdiff_t o = lanes[l].off;
+    const std::ptrdiff_t s = pt.stride;
+    ntc[l] = pt.nt[o];
+    nte[l] = pt.nt[o + 1];
+    ntw[l] = pt.nt[o - 1];
+    ntn[l] = pt.nt[o + s];
+    nts[l] = pt.nt[o - s];
+    uc[l] = pt.u[o];
+    ue[l] = pt.u[o + 1];
+    uw[l] = pt.u[o - 1];
+    un[l] = pt.u[o + s];
+    us[l] = pt.u[o - s];
+    vc[l] = pt.v[o];
+    ve[l] = pt.v[o + 1];
+    vw[l] = pt.v[o - 1];
+    vn[l] = pt.v[o + s];
+    vs[l] = pt.v[o - s];
+    dx[l] = pt.dx;
+    dy[l] = pt.dy;
+    dy_dx[l] = pt.dy_dx;
+    dx_dy[l] = pt.dx_dy;
+    d_wall[l] = pt.wall[o];
+  }
+
+  // Stage 1: transport coefficients and sources up to r.
+  alignas(64) double ae[kBlock], aw[kBlock], an[kBlock], as[kBlock];
+  alignas(64) double nb_sum[kBlock], production[kBlock], cross[kBlock],
+      a_time[kBlock], nt_here[kBlock], vol[kBlock], r[kBlock];
+  for (int l = 0; l < n; ++l) {
+    vol[l] = dx[l] * dy[l];
+    // Convection fluxes (upwind).
+    const double fe = 0.5 * (uc[l] + ue[l]) * dy[l];
+    const double fw_ = 0.5 * (uc[l] + uw[l]) * dy[l];
+    const double fn = 0.5 * (vc[l] + vn[l]) * dx[l];
+    const double fs = 0.5 * (vc[l] + vs[l]) * dx[l];
+    // Diffusion (nu + nuTilda) / sigma at faces.
+    auto dface = [&](double nt_a, double nt_b, double len_over) {
+      const double nt_face =
+          0.5 * (std::max(nt_a, 0.0) + std::max(nt_b, 0.0));
+      return (nu + nt_face) / sa::kSigma * len_over;
+    };
+    const double de = dface(ntc[l], nte[l], dy_dx[l]);
+    const double dw = dface(ntc[l], ntw[l], dy_dx[l]);
+    const double dn = dface(ntc[l], ntn[l], dx_dy[l]);
+    const double ds = dface(ntc[l], nts[l], dx_dy[l]);
+    ae[l] = de + std::max(-fe, 0.0);
+    aw[l] = dw + std::max(fw_, 0.0);
+    an[l] = dn + std::max(-fn, 0.0);
+    as[l] = ds + std::max(fs, 0.0);
+
+    // Sources.
+    nt_here[l] = std::max(ntc[l], 0.0);
+    const double dudy = (un[l] - us[l]) / (2.0 * dy[l]);
+    const double dvdx = (ve[l] - vw[l]) / (2.0 * dx[l]);
+    const double vort = std::abs(dvdx - dudy);
+    const double st = sa::s_tilde(vort, nt_here[l], nu, d_wall[l]);
+    production[l] = sa::kCb1 * st * nt_here[l] * vol[l];
+    r[l] = sa::r_param(nt_here[l], st, d_wall[l]);
+    // cb2/sigma |grad nt|^2 (explicit).
+    const double dntdx = (nte[l] - ntw[l]) / (2.0 * dx[l]);
+    const double dntdy = (ntn[l] - nts[l]) / (2.0 * dy[l]);
+    cross[l] = sa::kCb2 / sa::kSigma * (dntdx * dntdx + dntdy * dntdy) * vol[l];
+
+    const double speed = std::abs(uc[l]) + std::abs(vc[l]) +
+                         0.3 * std::abs(p.u_ref) + 1e-30;
+    const double dt = p.pseudo_cfl * std::min(dx[l], dy[l]) / speed;
+    a_time[l] = vol[l] / dt;
+    nb_sum[l] =
+        ae[l] * nte[l] + aw[l] * ntw[l] + an[l] * ntn[l] + as[l] * nts[l];
+  }
+
+  // Stage 2: fw. The bases in one loop, then one std::pow per lane; the
+  // pow calls of a block do not depend on each other.
+  alignas(64) double g[kBlock], base[kBlock], fw[kBlock];
+  for (int l = 0; l < n; ++l) {
+    g[l] = sa::g_param(r[l]);
+    base[l] = sa::fw_base(g[l]);
+  }
+  for (int l = 0; l < n; ++l) fw[l] = sa::fw(g[l], base[l]);
+
+  // Stage 3: destruction linearised implicitly (cw1 fw (nt/d)^2 =
+  // [cw1 fw nt/d^2] * nt goes to the diagonal), the relaxed update and the
+  // true steady defect, normalised by the diagonal times a turbulence
+  // scale.
+  alignas(64) double fresh[kBlock];
+  for (int l = 0; l < n; ++l) {
+    const double destr =
+        sa::cw1() * fw[l] * nt_here[l] / (d_wall[l] * d_wall[l]) * vol[l];
+    const double sum_a = ae[l] + aw[l] + an[l] + as[l] + destr;
+    const double old = ntc[l];
+    if constexpr (kMeasure) {
+      const double nt_ref = std::max({p.nt_inflow, 3.0 * nu, old});
+      defect[l] = std::abs(nb_sum[l] + production[l] + cross[l] - sum_a * old) /
+                  (sum_a * nt_ref);
+    }
+    if constexpr (kUpdate) {
+      const double ap = std::max(sum_a + a_time[l], 1e-30) / p.alpha_nt;
+      const double relax = (1.0 - p.alpha_nt) * ap + a_time[l];
+      fresh[l] = std::max(
+          (nb_sum[l] + production[l] + cross[l] + relax * old) / ap, 0.0);
+    }
+  }
+  if constexpr (kUpdate) {
+    for (int l = 0; l < n; ++l) {
+      patch_[static_cast<std::size_t>(lanes[l].k)].nt_out[lanes[l].off] =
+          fresh[l];
+    }
+  }
+}
+
+void SaLanes::half_sweep(CompositeField& f, int colour, const SaParams& p,
+                         bool measure, std::vector<double>& acc_a,
+                         std::vector<double>& acc_b) {
+  bind(f, &f.nuTilda);
+  const Colour& c = colour_[static_cast<std::size_t>(colour)];
+  const int n = static_cast<int>(c.fluid.size());
+  const int blocks = (n + kBlock - 1) / kBlock;
+  const int solids = static_cast<int>(c.solid.size());
+  const int rows = static_cast<int>(c.row_start.size()) - 1;
+  double* defect = defect_.data();
+#pragma omp parallel
+  {
+#pragma omp for schedule(static) nowait
+    for (int s = 0; s < solids; ++s) {
+      const Lane& cell = c.solid[static_cast<std::size_t>(s)];
+      patch_[static_cast<std::size_t>(cell.k)].nt_out[cell.off] = 0.0;
+    }
+#pragma omp for schedule(static)
+    for (int b = 0; b < blocks; ++b) {
+      const int l0 = b * kBlock;
+      const int len = std::min(kBlock, n - l0);
+      if (measure) {
+        run_block<true, true>(&c.fluid[l0], len, p, defect + l0);
+      } else {
+        run_block<true, false>(&c.fluid[l0], len, p, nullptr);
+      }
+    }
+    // Each row's defects in lane order (ascending j), as the row kernel
+    // summed them: the partials keep their bits at every thread count.
+    if (measure) {
+#pragma omp for schedule(static)
+      for (int r = 0; r < rows; ++r) {
+        double acc = 0.0;
+        for (int l = c.row_start[r]; l < c.row_start[r + 1]; ++l) {
+          acc += defect[l];
+        }
+        acc_a[r] += acc;
+        acc_b[r] += static_cast<double>(c.row_start[r + 1] - c.row_start[r]);
+      }
+    }
+  }
+}
+
+void SaLanes::defect_rows(const CompositeField& f, const SaParams& p,
+                          std::vector<double>& acc_a,
+                          std::vector<double>& acc_b) {
+  bind(f, nullptr);
+  const Colour& c0 = colour_[0];
+  const Colour& c1 = colour_[1];
+  const int n0 = static_cast<int>(c0.fluid.size());
+  const int n1 = static_cast<int>(c1.fluid.size());
+  const int blocks0 = (n0 + kBlock - 1) / kBlock;
+  const int blocks = blocks0 + (n1 + kBlock - 1) / kBlock;
+  const int rows = static_cast<int>(c0.row_start.size()) - 1;
+  double* d0 = defect_.data();
+  double* d1 = d0 + n0;
+#pragma omp parallel
+  {
+#pragma omp for schedule(static)
+    for (int b = 0; b < blocks; ++b) {
+      const bool first = b < blocks0;
+      const int l0 = (first ? b : b - blocks0) * kBlock;
+      const int len = std::min(kBlock, (first ? n0 : n1) - l0);
+      run_block<false, true>(&(first ? c0 : c1).fluid[l0], len, p,
+                             (first ? d0 : d1) + l0);
+    }
+    // Merge the two colours of each row back into ascending j.
+#pragma omp for schedule(static)
+    for (int r = 0; r < rows; ++r) {
+      int a = c0.row_start[r];
+      int b = c1.row_start[r];
+      const int a_end = c0.row_start[r + 1];
+      const int b_end = c1.row_start[r + 1];
+      double acc = 0.0;
+      while (a < a_end || b < b_end) {
+        if (b == b_end || (a < a_end && c0.fluid[a].off < c1.fluid[b].off)) {
+          acc += d0[a++];
+        } else {
+          acc += d1[b++];
+        }
+      }
+      acc_a[r] = acc;
+      acc_b[r] = static_cast<double>((a_end - c0.row_start[r]) +
+                                     (b_end - c1.row_start[r]));
+    }
+  }
+}
 
 double Residuals::combined() const {
   if (!std::isfinite(continuity) || !std::isfinite(momentum) ||
@@ -282,6 +464,9 @@ struct RansSolver::Workspace {
   std::vector<double> acc_b;
   std::vector<double> acc_c;
 
+  // The SA sweeps' colour lanes, in the visit order of `rows`.
+  SaLanes sa;
+
   // Geometric multigrid ladder for the p' solve. Its level 0 owns the
   // fine p' operator — d = vol / aP and the flux-matched jump stencil —
   // that the corrector and the post-corrector face pass read back.
@@ -294,15 +479,12 @@ struct RansSolver::Workspace {
         nut(mesh::make_scalar(mesh)),
         face_u(mesh::make_scalar(mesh)),
         face_v(mesh::make_scalar(mesh)),
-        mg(mesh, cancel) {
-    for (int k = 0; k < mesh.patch_count(); ++k) {
-      const PatchMesh& pm = mesh.patch_flat(k);
-      for (int i = 1; i <= pm.ny; ++i) rows.push_back({k, i});
-    }
-    acc_a.assign(rows.size(), 0.0);
-    acc_b.assign(rows.size(), 0.0);
-    acc_c.assign(rows.size(), 0.0);
-  }
+        rows(interior_rows(mesh)),
+        acc_a(rows.size(), 0.0),
+        acc_b(rows.size(), 0.0),
+        acc_c(rows.size(), 0.0),
+        sa(mesh),
+        mg(mesh, cancel) {}
 };
 
 RansSolver::RansSolver(const CompositeMesh& mesh, SolverConfig config)
@@ -969,46 +1151,18 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
       apply_bc_ghosts(f, kMaskUV);
     }
 
+    const SaParams sa_params{nu, u_ref, cfg.pseudo_cfl, cfg.alpha_nt,
+                             spec.bc.left.nuTilda};
     zero_rows(ws.acc_a);
     zero_rows(ws.acc_b);
     for (int sweep = 0; sweep < kSaSweeps; ++sweep) {
       const bool measure = (sweep + 1 == kSaSweeps);
       {
         const util::trace::Span t(kSa.site);
-        run_sweep(ws.rows, [&](int r, int k, int i, int color) {
-          const PatchMesh& pm = mesh_.patch_flat(k);
-          const Grid2Dd& U = f.U[k];
-          const Grid2Dd& V = f.V[k];
-          Grid2Dd& NT = f.nuTilda[k];
-          const double dx = pm.dx;
-          const double dy = pm.dy;
-          double acc = 0.0;
-          double scale = 0.0;
-          for (int j = color_j0(i, color); j <= pm.nx; j += 2) {
-            if (pm.solid(i, j)) {
-              NT(i, j) = 0.0;
-              continue;
-            }
-            const SaCell c = sa_cell(U, V, NT, nu, u_ref, cfg.pseudo_cfl, dx,
-                                     dy, pm.wall_dist(i, j), i, j);
-            const double ap =
-                std::max(c.sum_a() + c.a_time, 1e-30) / cfg.alpha_nt;
-            const double relax = (1.0 - cfg.alpha_nt) * ap + c.a_time;
-            const double old = NT(i, j);
-            if (measure) {
-              acc += sa_defect(c, old, nu, spec.bc.left.nuTilda);
-              scale += 1.0;
-            }
-            double fresh =
-                (c.nb_sum + c.production + c.cross + relax * old) / ap;
-            fresh = std::max(fresh, 0.0);
-            NT(i, j) = fresh;
-          }
-          if (measure) {
-            ws.acc_a[r] += acc;
-            ws.acc_b[r] += scale;
-          }
-        });
+        for (int colour = 0; colour < 2; ++colour) {
+          ws.sa.half_sweep(f, colour, sa_params, measure, ws.acc_a,
+                           ws.acc_b);
+        }
       }
       {
         const util::trace::Span t(kGhosts.site);
@@ -1081,25 +1235,10 @@ Residuals RansSolver::evaluate_residuals(const CompositeField& f,
   res.continuity = assemble_faces_imbalance(f, ws);
 
   if (config_.solve_sa) {
-    zero_rows(ws.acc_a);
-    zero_rows(ws.acc_b);
-    run_scan(ws.rows, [&](int r, int k, int i) {
-      const PatchMesh& pm = mesh_.patch_flat(k);
-      const Grid2Dd& U = f.U[k];
-      const Grid2Dd& V = f.V[k];
-      const Grid2Dd& NT = f.nuTilda[k];
-      double acc = 0.0;
-      double scale = 0.0;
-      for (int j = 1; j <= pm.nx; ++j) {
-        if (pm.solid(i, j)) continue;
-        const SaCell c = sa_cell(U, V, NT, nu, u_ref, config_.pseudo_cfl,
-                                 pm.dx, pm.dy, pm.wall_dist(i, j), i, j);
-        acc += sa_defect(c, NT(i, j), nu, spec.bc.left.nuTilda);
-        scale += 1.0;
-      }
-      ws.acc_a[r] = acc;
-      ws.acc_b[r] = scale;
-    });
+    ws.sa.defect_rows(f,
+                      {nu, u_ref, config_.pseudo_cfl, config_.alpha_nt,
+                       spec.bc.left.nuTilda},
+                      ws.acc_a, ws.acc_b);
     res.sa = sum_rows(ws.acc_a) / std::max(sum_rows(ws.acc_b), 1e-30);
   }
 

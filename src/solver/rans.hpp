@@ -109,8 +109,11 @@ struct SolveStats {
 /// Normalised residuals of the current state (diagnostics and convergence).
 struct Residuals {
   double continuity = 0.0;  ///< mass imbalance / inlet mass flux
-  double momentum = 0.0;    ///< relative change of U, V per iteration
-  double sa = 0.0;          ///< relative change of nuTilda per iteration
+  double momentum = 0.0;    ///< steady U, V defect per cell, normalised by
+                            ///< the diagonal times u_ref (momentum_defect)
+  double sa = 0.0;          ///< steady nuTilda defect per cell, normalised
+                            ///< by the diagonal times a turbulence scale
+                            ///< (the SA sweeps' defect stage)
   // Per-component momentum defects (momentum is their mean). Diagnostics
   // only — convergence tests use the combined momentum value — but they
   // are what the telemetry time-series solver.residual.{u,v} record, so an

@@ -75,13 +75,22 @@ inline double g_param(double r) {
   return r + kCw2 * (r6 - r);
 }
 
-/// fw = g [ (1 + cw3^6) / (g^6 + cw3^6) ]^{1/6}.
-inline double fw(double g) {
+/// (1 + cw3^6) / (g^6 + cw3^6), the base of fw's sixth root.
+inline double fw_base(double g) {
   constexpr double cw36 = kCw3 * kCw3 * kCw3 * kCw3 * kCw3 * kCw3;
   const double g2 = g * g;
   const double g6 = g2 * g2 * g2;
-  return g * std::pow((1.0 + cw36) / (g6 + cw36), 1.0 / 6.0);
+  return (1.0 + cw36) / (g6 + cw36);
 }
+
+/// fw from g and fw_base(g): a loop over cells computes all the bases
+/// first (a loop that vectorises), then the independent pow calls.
+inline double fw(double g, double base) {
+  return g * std::pow(base, 1.0 / 6.0);
+}
+
+/// fw = g [ (1 + cw3^6) / (g^6 + cw3^6) ]^{1/6}.
+inline double fw(double g) { return fw(g, fw_base(g)); }
 
 /// Eddy viscosity nu_t = nuTilda * fv1(chi), clamped non-negative.
 inline double eddy_viscosity(double nu_tilda, double nu) {

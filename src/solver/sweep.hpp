@@ -14,6 +14,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "mesh/composite.hpp"
+
 namespace adarnet::solver::sweep {
 
 /// One interior row of one patch: the unit of thread-parallel sweep work.
@@ -24,6 +26,16 @@ struct RowRef {
   int k = 0;  ///< flat patch index
   int i = 0;  ///< interior row (1-based)
 };
+
+/// Every interior row of a mesh, patch-major: the solver's and each
+/// multigrid level's sweep items, and the order of their per-row partials.
+inline std::vector<RowRef> interior_rows(const mesh::CompositeMesh& mesh) {
+  std::vector<RowRef> rows;
+  for (int k = 0; k < mesh.patch_count(); ++k) {
+    for (int i = 1; i <= mesh.patch_flat(k).ny; ++i) rows.push_back({k, i});
+  }
+  return rows;
+}
 
 /// Runs one colored half-sweep (color 0/1) over all rows, thread-parallel
 /// when `parallel`. Exposed separately from run_sweep so the multigrid

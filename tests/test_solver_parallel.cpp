@@ -1,12 +1,17 @@
 // Determinism, parity, and profiling tests for the thread-parallel
 // red-black SIMPLE solver (DESIGN.md §8): bitwise-identical results across
 // thread counts, convergence parity with the recorded lexicographic
-// numbers, read-only residual evaluation, workspace reuse, and the
-// per-phase timing breakdown.
+// numbers, read-only residual evaluation, workspace reuse, the per-phase
+// timing breakdown, and the SA colour lanes against the per-cell kernel
+// they replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -15,16 +20,26 @@
 #include "data/cases.hpp"
 #include "mesh/composite.hpp"
 #include "solver/rans.hpp"
+#include "solver/sa_lanes.hpp"
+#include "solver/sa_model.hpp"
+#include "solver/sweep.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
 using adarnet::data::GridPreset;
+using adarnet::field::Grid2Dd;
 using adarnet::mesh::CompositeField;
 using adarnet::mesh::CompositeMesh;
+using adarnet::mesh::PatchMesh;
 using adarnet::mesh::RefinementMap;
 using adarnet::solver::RansSolver;
+using adarnet::solver::SaLanes;
+using adarnet::solver::SaParams;
 using adarnet::solver::SolveStats;
 using adarnet::solver::SolverConfig;
+using adarnet::solver::sweep::RowRef;
+namespace sa = adarnet::solver::sa;
 
 GridPreset tiny_preset() { return GridPreset{16, 64, 8, 8}; }
 
@@ -75,6 +90,191 @@ SolveStats run_iterations(const CompositeMesh& mesh, const SolverConfig& cfg,
   return solver.iterate(f, iters);
 }
 
+// --- Oracle: the per-cell SA kernel and row loops SaLanes replaced ----------
+
+// SA transport coefficients and sources of one fluid cell, as the row
+// kernel assembled them for both the Gauss-Seidel update and the defect.
+struct SaCell {
+  double ae = 0, aw = 0, an = 0, as = 0;
+  double destr = 0;   // implicitly linearised destruction (diagonal)
+  double a_time = 0;  // pseudo-transient diagonal term
+  double production = 0;
+  double cross = 0;   // cb2/sigma |grad nt|^2 (explicit)
+  double nb_sum = 0;  // sum of a_nb * neighbour values
+
+  [[nodiscard]] double sum_a() const { return ae + aw + an + as + destr; }
+};
+
+inline SaCell sa_cell(const Grid2Dd& U, const Grid2Dd& V, const Grid2Dd& NT,
+                      double nu, double u_ref, double pseudo_cfl, double dx,
+                      double dy, double d_wall, int i, int j) {
+  SaCell c;
+  const double vol = dx * dy;
+  // Convection fluxes (upwind).
+  const double fe = 0.5 * (U(i, j) + U(i, j + 1)) * dy;
+  const double fw_ = 0.5 * (U(i, j) + U(i, j - 1)) * dy;
+  const double fn = 0.5 * (V(i, j) + V(i + 1, j)) * dx;
+  const double fs = 0.5 * (V(i, j) + V(i - 1, j)) * dx;
+  // Diffusion (nu + nuTilda) / sigma at faces.
+  auto dface = [&](double nt_a, double nt_b, double len_over) {
+    const double nt_face = 0.5 * (std::max(nt_a, 0.0) + std::max(nt_b, 0.0));
+    return (nu + nt_face) / sa::kSigma * len_over;
+  };
+  const double de = dface(NT(i, j), NT(i, j + 1), dy / dx);
+  const double dw = dface(NT(i, j), NT(i, j - 1), dy / dx);
+  const double dn = dface(NT(i, j), NT(i + 1, j), dx / dy);
+  const double ds = dface(NT(i, j), NT(i - 1, j), dx / dy);
+  c.ae = de + std::max(-fe, 0.0);
+  c.aw = dw + std::max(fw_, 0.0);
+  c.an = dn + std::max(-fn, 0.0);
+  c.as = ds + std::max(fs, 0.0);
+
+  // Sources.
+  const double nt_here = std::max(NT(i, j), 0.0);
+  const double dudy = (U(i + 1, j) - U(i - 1, j)) / (2.0 * dy);
+  const double dvdx = (V(i, j + 1) - V(i, j - 1)) / (2.0 * dx);
+  const double vort = std::abs(dvdx - dudy);
+  const double st = sa::s_tilde(vort, nt_here, nu, d_wall);
+  c.production = sa::kCb1 * st * nt_here * vol;
+  const double r = sa::r_param(nt_here, st, d_wall);
+  const double fw_fn = sa::fw(sa::g_param(r));
+  // Destruction linearised implicitly: cw1 fw (nt/d)^2 =
+  // [cw1 fw nt/d^2] * nt -> goes to the diagonal.
+  c.destr = sa::cw1() * fw_fn * nt_here / (d_wall * d_wall) * vol;
+  // cb2/sigma |grad nt|^2 (explicit).
+  const double dntdx = (NT(i, j + 1) - NT(i, j - 1)) / (2.0 * dx);
+  const double dntdy = (NT(i + 1, j) - NT(i - 1, j)) / (2.0 * dy);
+  c.cross =
+      sa::kCb2 / sa::kSigma * (dntdx * dntdx + dntdy * dntdy) * vol;
+
+  const double speed =
+      std::abs(U(i, j)) + std::abs(V(i, j)) + 0.3 * std::abs(u_ref) + 1e-30;
+  const double dt = pseudo_cfl * std::min(dx, dy) / speed;
+  c.a_time = vol / dt;
+  c.nb_sum = c.ae * NT(i, j + 1) + c.aw * NT(i, j - 1) +
+             c.an * NT(i + 1, j) + c.as * NT(i - 1, j);
+  return c;
+}
+
+// True steady SA defect of one cell, normalised by the diagonal times a
+// turbulence scale.
+inline double sa_defect(const SaCell& c, double nt, double nu,
+                        double nt_inflow) {
+  const double nt_ref = std::max({nt_inflow, 3.0 * nu, nt});
+  return std::abs(c.nb_sum + c.production + c.cross - c.sum_a() * nt) /
+         (c.sum_a() * nt_ref);
+}
+
+// One colour's half-sweep, the solver's former row kernel (run serially).
+void oracle_half_sweep(const CompositeMesh& mesh,
+                       const std::vector<RowRef>& rows, CompositeField& f,
+                       int color, const SaParams& p, bool measure,
+                       std::vector<double>& acc_a,
+                       std::vector<double>& acc_b) {
+  adarnet::solver::sweep::run_half_sweep(
+      rows, color,
+      [&](int r, int k, int i, int color) {
+        const PatchMesh& pm = mesh.patch_flat(k);
+        const Grid2Dd& U = f.U[k];
+        const Grid2Dd& V = f.V[k];
+        Grid2Dd& NT = f.nuTilda[k];
+        const double dx = pm.dx;
+        const double dy = pm.dy;
+        double acc = 0.0;
+        double scale = 0.0;
+        for (int j = adarnet::solver::sweep::color_j0(i, color); j <= pm.nx;
+             j += 2) {
+          if (pm.solid(i, j)) {
+            NT(i, j) = 0.0;
+            continue;
+          }
+          const SaCell c = sa_cell(U, V, NT, p.nu, p.u_ref, p.pseudo_cfl, dx,
+                                   dy, pm.wall_dist(i, j), i, j);
+          const double ap =
+              std::max(c.sum_a() + c.a_time, 1e-30) / p.alpha_nt;
+          const double relax = (1.0 - p.alpha_nt) * ap + c.a_time;
+          const double old = NT(i, j);
+          if (measure) {
+            acc += sa_defect(c, old, p.nu, p.nt_inflow);
+            scale += 1.0;
+          }
+          double fresh =
+              (c.nb_sum + c.production + c.cross + relax * old) / ap;
+          fresh = std::max(fresh, 0.0);
+          NT(i, j) = fresh;
+        }
+        if (measure) {
+          acc_a[r] += acc;
+          acc_b[r] += scale;
+        }
+      },
+      /*parallel=*/false);
+}
+
+// The read-only defect scan of RansSolver::residuals(), row by row.
+void oracle_defect_rows(const CompositeMesh& mesh,
+                        const std::vector<RowRef>& rows,
+                        const CompositeField& f, const SaParams& p,
+                        std::vector<double>& acc_a,
+                        std::vector<double>& acc_b) {
+  adarnet::solver::sweep::run_scan(
+      rows,
+      [&](int r, int k, int i) {
+        const PatchMesh& pm = mesh.patch_flat(k);
+        const Grid2Dd& U = f.U[k];
+        const Grid2Dd& V = f.V[k];
+        const Grid2Dd& NT = f.nuTilda[k];
+        double acc = 0.0;
+        double scale = 0.0;
+        for (int j = 1; j <= pm.nx; ++j) {
+          if (pm.solid(i, j)) continue;
+          const SaCell c = sa_cell(U, V, NT, p.nu, p.u_ref, p.pseudo_cfl,
+                                   pm.dx, pm.dy, pm.wall_dist(i, j), i, j);
+          acc += sa_defect(c, NT(i, j), p.nu, p.nt_inflow);
+          scale += 1.0;
+        }
+        acc_a[r] = acc;
+        acc_b[r] = scale;
+      },
+      /*parallel=*/false);
+}
+
+// Random U, V and nuTilda everywhere, ghosts included, with about 15%
+// negative nuTilda.
+void randomise(const CompositeMesh& mesh, CompositeField& f,
+               std::uint64_t seed) {
+  adarnet::util::Rng rng(seed);
+  const double nu = mesh.spec().nu;
+  const double u = mesh.spec().bc.left.u;
+  for (int k = 0; k < mesh.patch_count(); ++k) {
+    for (std::size_t n = 0; n < f.U[k].size(); ++n) {
+      f.U[k][n] = rng.uniform(-1.5, 1.5) * u;
+      f.V[k][n] = rng.uniform(-0.5, 0.5) * u;
+      const double mag = nu * std::pow(10.0, rng.uniform(-2.0, 3.0));
+      f.nuTilda[k][n] = rng.uniform(0.0, 1.0) < 0.15 ? -mag : mag;
+    }
+  }
+}
+
+// Every nuTilda value of every patch, ghosts included.
+std::vector<double> all_nu_tilda(const CompositeField& f) {
+  std::vector<double> nt;
+  for (const auto& g : f.nuTilda) nt.insert(nt.end(), g.begin(), g.end());
+  return nt;
+}
+
+::testing::AssertionResult same_bits(const std::vector<double>& a,
+                                     const std::vector<double>& b) {
+  if (a.size() != b.size()) return ::testing::AssertionFailure() << "size";
+  for (std::size_t n = 0; n < a.size(); ++n) {
+    if (std::memcmp(&a[n], &b[n], sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "row " << n << ": " << a[n] << " != " << b[n];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 }  // namespace
 
 #ifdef _OPENMP
@@ -85,24 +285,33 @@ SolveStats run_iterations(const CompositeMesh& mesh, const SolverConfig& cfg,
 // interleaving). At 4 threads the mesh's 256 rows split into chunks of
 // exactly 4 patches, so no thread reads a row another thread writes; 3
 // threads split patches, which exposes an in-place sweep that is not
-// colour-safe.
+// colour-safe. The shrink-8 cylinder (2 x 2-cell patches around a solid)
+// is the mesh class whose SA sweeps run many patches per lane block.
 TEST(ParallelSolver, BitwiseIdenticalAcrossThreadCounts) {
-  auto spec = adarnet::data::channel_case(2.5e3, tiny_preset());
-  CompositeMesh mesh = mixed_channel_mesh(spec);
+  auto channel = adarnet::data::channel_case(2.5e3, tiny_preset());
+  auto cylinder = adarnet::data::cylinder_case(
+      1e5, adarnet::data::shrink(adarnet::data::paper_body_preset(), 8));
+  const CompositeMesh meshes[] = {
+      mixed_channel_mesh(channel),
+      CompositeMesh(cylinder,
+                    RefinementMap(cylinder.npy(), cylinder.npx(), 0))};
   const int saved = omp_get_max_threads();
 
-  omp_set_num_threads(1);
-  auto f1 = adarnet::mesh::make_field(mesh);
-  const auto s1 = run_iterations(mesh, quick_config(), f1, 30);
+  for (const CompositeMesh& mesh : meshes) {
+    SCOPED_TRACE(mesh.spec().name);
+    omp_set_num_threads(1);
+    auto f1 = adarnet::mesh::make_field(mesh);
+    const auto s1 = run_iterations(mesh, quick_config(), f1, 30);
 
-  for (int threads : {3, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    omp_set_num_threads(threads);
-    auto fn = adarnet::mesh::make_field(mesh);
-    const auto sn = run_iterations(mesh, quick_config(), fn, 30);
-    EXPECT_EQ(s1.iterations, sn.iterations);
-    EXPECT_EQ(s1.residual, sn.residual);  // exact, not NEAR
-    EXPECT_TRUE(fields_identical(f1, fn));
+    for (int threads : {3, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      omp_set_num_threads(threads);
+      auto fn = adarnet::mesh::make_field(mesh);
+      const auto sn = run_iterations(mesh, quick_config(), fn, 30);
+      EXPECT_EQ(s1.iterations, sn.iterations);
+      EXPECT_EQ(s1.residual, sn.residual);  // exact, not NEAR
+      EXPECT_TRUE(fields_identical(f1, fn));
+    }
   }
 
   omp_set_num_threads(saved);
@@ -254,4 +463,108 @@ TEST(ParallelSolver, PhaseTimesCoverTheSolve) {
   EXPECT_GT(ph.total(), 0.5 * stats.seconds);
   // The p' solve (multigrid V-cycles by default) runs every iteration.
   EXPECT_GT(ph.pressure, 0.0);
+}
+
+// The SA colour lanes (solver/sa_lanes.hpp) against the per-cell kernel
+// and row loops they replaced: after every half-sweep of two red-black
+// sweeps (the first unmeasured, the second measured, as in the solver),
+// nuTilda (ghosts included) and the per-row defect partials equal the
+// oracle's bit for bit, and so does the read-only defect scan, at 1, 3 and
+// 4 threads. The inputs reach the paths a solve can: negative nuTilda,
+// solid cells, level jumps, and lane counts one below, at and one above a
+// multiple of the block size.
+TEST(SaLanes, HalfSweepMatchesPerCellOracleBitwise) {
+  struct Case {
+    std::string name;
+    CompositeMesh mesh;
+  };
+  const auto channel = adarnet::data::channel_case(2.5e3, tiny_preset());
+  const auto cylinder =
+      adarnet::data::cylinder_case(1e5, GridPreset{32, 32, 8, 8});
+  std::vector<Case> cases;
+  cases.push_back({"mixed channel", mixed_channel_mesh(channel)});
+  cases.push_back(
+      {"cylinder", CompositeMesh(cylinder, RefinementMap(cylinder.npy(),
+                                                         cylinder.npx(), 0))});
+  // One patch each: 9 x 14, 8 x 16 and 5 x 26 cells hold 63, 64 and 65
+  // cells of each colour.
+  for (const GridPreset g : {GridPreset{9, 14, 9, 14}, GridPreset{8, 16, 8, 16},
+                             GridPreset{5, 26, 5, 26}}) {
+    const auto spec = adarnet::data::channel_case(2.5e3, g);
+    cases.push_back({"channel " + std::to_string(g.base_ny) + "x" +
+                         std::to_string(g.base_nx),
+                     CompositeMesh(spec, RefinementMap(1, 1, 0))});
+  }
+  std::vector<long long> lane_counts;
+
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+#endif
+  for (auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const CompositeMesh& mesh = c.mesh;
+    const std::vector<RowRef> rows =
+        adarnet::solver::sweep::interior_rows(mesh);
+    const auto& spec = mesh.spec();
+    const SaParams p{spec.nu, spec.bc.left.u, 2.0, 0.2, spec.bc.left.nuTilda};
+
+    CompositeField start = adarnet::mesh::make_field(mesh);
+    randomise(mesh, start, 2023);
+
+    // The oracle, once.
+    CompositeField want = start;
+    std::vector<std::vector<double>> want_nt, want_a, want_b;
+    std::vector<double> acc_a(rows.size(), 0.0);
+    std::vector<double> acc_b(rows.size(), 0.0);
+    for (int sweep = 0; sweep < 2; ++sweep) {
+      for (int colour = 0; colour < 2; ++colour) {
+        oracle_half_sweep(mesh, rows, want, colour, p, sweep == 1, acc_a,
+                          acc_b);
+        want_nt.push_back(all_nu_tilda(want));
+        want_a.push_back(acc_a);
+        want_b.push_back(acc_b);
+      }
+    }
+    std::vector<double> scan_a(rows.size()), scan_b(rows.size());
+    oracle_defect_rows(mesh, rows, start, p, scan_a, scan_b);
+
+    for (int threads : {1, 3, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+#ifdef _OPENMP
+      omp_set_num_threads(threads);
+#endif
+      SaLanes lanes(mesh);
+      if (threads == 1) {
+        lane_counts.push_back(static_cast<long long>(lanes.fluid_lanes(0)));
+        lane_counts.push_back(static_cast<long long>(lanes.fluid_lanes(1)));
+      }
+      CompositeField got = start;
+      std::fill(acc_a.begin(), acc_a.end(), 0.0);
+      std::fill(acc_b.begin(), acc_b.end(), 0.0);
+      int step = 0;
+      for (int sweep = 0; sweep < 2; ++sweep) {
+        for (int colour = 0; colour < 2; ++colour, ++step) {
+          SCOPED_TRACE("sweep " + std::to_string(sweep) + " colour " +
+                       std::to_string(colour));
+          lanes.half_sweep(got, colour, p, sweep == 1, acc_a, acc_b);
+          EXPECT_TRUE(same_bits(want_nt[step], all_nu_tilda(got)));
+          EXPECT_TRUE(same_bits(want_a[step], acc_a));
+          EXPECT_TRUE(same_bits(want_b[step], acc_b));
+        }
+      }
+      std::vector<double> got_a(rows.size(), -1.0), got_b(rows.size(), -1.0);
+      lanes.defect_rows(start, p, got_a, got_b);
+      EXPECT_TRUE(same_bits(scan_a, got_a));
+      EXPECT_TRUE(same_bits(scan_b, got_b));
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+  const long long block = SaLanes::kBlock;
+  for (long long want : {2 * block - 1, 2 * block, 2 * block + 1}) {
+    EXPECT_NE(std::find(lane_counts.begin(), lane_counts.end(), want),
+              lane_counts.end())
+        << "no mesh has " << want << " lanes of one colour";
+  }
 }
