@@ -46,7 +46,6 @@ int main(int argc, char** argv) {
   mesh::CompositeMesh mesh(spec,
                            mesh::RefinementMap(spec.npy(), spec.npx(), 0));
   solver::SolverConfig cfg;
-  cfg.log_every = 100;
   if (argc > 4) cfg.alpha_p = std::atof(argv[4]);
   if (argc > 5) cfg.alpha_u = std::atof(argv[5]);
   if (argc > 6) cfg.solve_sa = std::atoi(argv[6]) != 0;

@@ -61,44 +61,15 @@ CompositeMesh::CompositeMesh(CaseSpec spec, RefinementMap map)
 
 namespace {
 
-// Compiles the ghost writes of one interface edge of patch `pm` (flat
-// neighbour index `nbk`). `edge`: 0 = my left ghosts (neighbour to the
-// left), 1 = right, 2 = bottom, 3 = top. Tangential extents of the two
-// patches coincide physically.
-void compile_edge(std::vector<HaloEntry>& out, const PatchMesh& pm, int nbk,
-                  const PatchMesh& nb, int edge) {
-  const bool horizontal = (edge == 0 || edge == 1);  // interface normal = x
-  const int n_t = horizontal ? pm.ny : pm.nx;        // my tangential cells
-  const int nb_t = horizontal ? nb.ny : nb.nx;       // their tangential cells
-  const int w = pm.nx + 2;                           // my row stride
-  const int nw = nb.nx + 2;                          // their row stride
-
-  // Their interior layer adjacent to the interface.
-  const int nb_fixed = edge == 0   ? nb.nx
-                       : edge == 2 ? nb.ny
-                                   : 1;
+// Compiles the ghost writes of one interface side of a patch: `mine` is the
+// side whose ghosts are written, `theirs` the neighbour's facing side. The
+// tangential extents of the two sides coincide physically.
+void compile_edge(std::vector<HaloEntry>& out, const PatchSide& mine,
+                  const PatchSide& theirs) {
+  const int n_t = mine.n;     // my tangential cells
+  const int nb_t = theirs.n;  // their tangential cells
   // Their interior cell at tangential index t (clamped), as an offset.
-  auto their = [&](int t) {
-    t = std::clamp(t, 1, nb_t);
-    return horizontal ? t * nw + nb_fixed : nb_fixed * nw + t;
-  };
-  // My ghost slot t and the first interior cell adjacent to it.
-  auto ghost = [&](int t) {
-    switch (edge) {
-      case 0: return t * w;
-      case 1: return t * w + pm.nx + 1;
-      case 2: return t;
-      default: return (pm.ny + 1) * w + t;
-    }
-  };
-  auto inner = [&](int t) {
-    switch (edge) {
-      case 0: return t * w + 1;
-      case 1: return t * w + pm.nx;
-      case 2: return w + t;
-      default: return pm.ny * w + t;
-    }
-  };
+  auto their = [&](int t) { return theirs.cell(std::clamp(t, 1, nb_t)); };
 
   // At level jumps the neighbour's sample sits at a different perpendicular
   // distance from the interface than the ghost-cell centre. Correct for it
@@ -106,15 +77,15 @@ void compile_edge(std::vector<HaloEntry>& out, const PatchMesh& pm, int nbk,
   // cell (at -h_m/2) and the neighbour sample (at +h_n/2), evaluated at the
   // ghost centre (+h_m/2): t_perp = 2 h_m / (h_m + h_n). Same level gives
   // t_perp = 1 (plain copy). The factor is clamped at 1 (HaloEntry).
-  const double h_m = horizontal ? pm.dx : pm.dy;
-  const double h_n = horizontal ? nb.dx : nb.dy;
+  const double h_m = mine.h;
+  const double h_n = theirs.h;
   const double t_perp = std::min(2.0 * h_m / (h_m + h_n), 1.0);
 
   for (int t = 1; t <= n_t; ++t) {
     HaloEntry e;
-    e.dst = ghost(t);
-    e.inner = inner(t);
-    e.nb = nbk;
+    e.dst = mine.ghost(t);
+    e.inner = mine.cell(t);
+    e.nb = theirs.k;
     e.t_perp = t_perp;
     if (nb_t == n_t) {
       e.kind = HaloEntry::kCopy;
@@ -125,7 +96,7 @@ void compile_edge(std::vector<HaloEntry>& out, const PatchMesh& pm, int nbk,
       e.kind = HaloEntry::kAverage;
       e.n = static_cast<std::int16_t>(ratio);
       e.src = their((t - 1) * ratio + 1);
-      e.step = horizontal ? nw : 1;
+      e.step = theirs.step;
     } else {
       // Neighbour coarser: linear interpolation along the interface.
       const double pos = (t - 0.5) / n_t;  // [0, 1] along interface
@@ -147,13 +118,11 @@ void CompositeMesh::compile_halo() {
   halo_.begin_.reserve(patches_.size() + 1);
   for (int k = 0; k < patch_count(); ++k) {
     const PatchMesh& pm = patches_[static_cast<std::size_t>(k)];
-    const int pi = pm.pi;
-    const int pj = pm.pj;
     halo_.begin_.push_back(static_cast<int>(out.size()));
-    if (pj > 0) compile_edge(out, pm, k - 1, patch(pi, pj - 1), 0);
-    if (pj + 1 < npx()) compile_edge(out, pm, k + 1, patch(pi, pj + 1), 1);
-    if (pi > 0) compile_edge(out, pm, k - npx(), patch(pi - 1, pj), 2);
-    if (pi + 1 < npy()) compile_edge(out, pm, k + npx(), patch(pi + 1, pj), 3);
+    for (const Side s : kSides) {
+      const int nb = neighbour(k, s);
+      if (nb >= 0) compile_edge(out, side(k, s), side(nb, opposite(s)));
+    }
     // Corner ghosts: average of the two adjacent edge ghosts, good enough
     // for the cross terms that touch them.
     const int w = pm.nx + 2;

@@ -10,6 +10,16 @@
 // list of (destination, sources, weights) entries (the copy-plan idiom of
 // AMReX FillBoundary). Ghosts on the domain boundary are filled by the
 // solver according to the boundary conditions.
+//
+// Patch sides have one vocabulary, defined here and nowhere else. A Side is
+// W, E, S or N (the opposite side is s ^ 1). PatchSide names the slots that
+// line one side of one patch at tangential index t: the interior cell next
+// to it, the ghost beyond it and its face. CompositeMesh::neighbour(k, s)
+// is the patch across the side (-1 on the domain boundary). Every walk over
+// sides goes through these: the halo compile, the solver's flux-matched
+// jump stencil (solver/jump.hpp), for_each_boundary_ghost (the solver's
+// boundary-condition ghosts) and for_each_interface (the face passes that
+// give both sides of an interface one value).
 #pragma once
 
 #include <cstdint>
@@ -50,6 +60,57 @@ struct PatchMesh {
 /// One scalar variable on a composite mesh: one ghosted array per patch, in
 /// row-major patch order.
 using CompositeScalar = std::vector<field::Grid2Dd>;
+
+/// A side of a patch or of the domain: W and E are normal to x, S and N to
+/// y. The opposite side is s ^ 1.
+enum Side : int { kW = 0, kE = 1, kS = 2, kN = 3 };
+
+inline constexpr Side kSides[4] = {kW, kE, kS, kN};
+
+inline Side opposite(Side s) { return static_cast<Side>(s ^ 1); }
+
+/// True for the W and E sides, whose normal is x.
+inline bool normal_x(Side s) { return s < kS; }
+
+/// One side of patch k: flat offsets into the patch's ghosted
+/// (ny + 2) x (nx + 2) arrays of the slots that line it, at tangential
+/// index t = 1 .. n (the row on W/E, the column on S/N).
+///   cell(t)  - the interior cell next to the side;
+///   ghost(t) - the ghost cell beyond it;
+///   face(t)  - the side's face in the face array normal to it (a face_u
+///              array on W/E, face_v on S/N, whose slot (i, j) holds the
+///              face between cells (i, j) and (i, j + 1), resp. (i + 1, j)).
+struct PatchSide {
+  int k = 0;          ///< the patch (flat index)
+  Side side = kW;
+  int n = 0;          ///< cells along the side
+  int step = 0;       ///< offset between consecutive t: row stride or 1
+  int cell0 = 0;      ///< cell(0)
+  int ghost0 = 0;     ///< ghost(0)
+  int face0 = 0;      ///< face(0)
+  double h = 0.0;     ///< cell size normal to the side
+  double along = 0.0; ///< cell size along the side
+
+  PatchSide() = default;
+  PatchSide(const PatchMesh& pm, int patch, Side s) : k(patch), side(s) {
+    const int w = pm.nx + 2;
+    const bool x = normal_x(s);
+    n = x ? pm.ny : pm.nx;
+    step = x ? w : 1;
+    h = x ? pm.dx : pm.dy;
+    along = x ? pm.dy : pm.dx;
+    const int inward = x ? 1 : w;            // one cell along the normal
+    const int last = x ? pm.nx : pm.ny * w;  // last interior column / row
+    const bool low = s == kW || s == kS;
+    cell0 = low ? inward : last;
+    ghost0 = low ? 0 : last + inward;
+    face0 = low ? ghost0 : cell0;
+  }
+
+  [[nodiscard]] int cell(int t) const { return cell0 + t * step; }
+  [[nodiscard]] int ghost(int t) const { return ghost0 + t * step; }
+  [[nodiscard]] int face(int t) const { return face0 + t * step; }
+};
 
 /// One compiled interface ghost write. Offsets are flat row-major indices
 /// into a patch's ghosted (ny + 2) x (nx + 2) array. An edge ghost becomes
@@ -150,6 +211,23 @@ class CompositeMesh {
     return patches_[k];
   }
 
+  /// The patch across side s of patch k, or -1 on the domain boundary.
+  [[nodiscard]] int neighbour(int k, Side s) const {
+    const PatchMesh& pm = patches_[static_cast<std::size_t>(k)];
+    switch (s) {
+      case kW: return pm.pj > 0 ? k - 1 : -1;
+      case kE: return pm.pj + 1 < npx() ? k + 1 : -1;
+      case kS: return pm.pi > 0 ? k - npx() : -1;
+      case kN: return pm.pi + 1 < npy() ? k + npx() : -1;
+    }
+    return -1;
+  }
+
+  /// Side s of patch k.
+  [[nodiscard]] PatchSide side(int k, Side s) const {
+    return PatchSide(patches_[static_cast<std::size_t>(k)], k, s);
+  }
+
   /// Total interior cells across all patches (the AMR cost driver).
   [[nodiscard]] long long active_cells() const;
 
@@ -175,6 +253,32 @@ class CompositeMesh {
 
   void compile_halo();
 };
+
+/// Calls fn(s, ghost, cell) for every domain-boundary ghost of patch k
+/// that lines an edge (corners excluded), side by side in W, E, S, N order
+/// and along each side in t order: `ghost` is the ghost's flat offset and
+/// `cell` that of the interior cell next to it.
+template <typename Fn>
+void for_each_boundary_ghost(const CompositeMesh& mesh, int k, Fn&& fn) {
+  for (const Side s : kSides) {
+    if (mesh.neighbour(k, s) >= 0) continue;
+    const PatchSide ps = mesh.side(k, s);
+    for (int t = 1; t <= ps.n; ++t) fn(s, ps.ghost(t), ps.cell(t));
+  }
+}
+
+/// Calls fn(a, b) for each interface on the east and north sides of patch
+/// k: a is patch k's side, b the neighbour's facing side. Looping k over
+/// every patch visits each interface exactly once, from the patch west or
+/// south of it, so a pass that writes only the slots of the interface it
+/// is handed may run its k loop in parallel.
+template <typename Fn>
+void for_each_interface(const CompositeMesh& mesh, int k, Fn&& fn) {
+  for (const Side s : {kE, kN}) {
+    const int nb = mesh.neighbour(k, s);
+    if (nb >= 0) fn(mesh.side(k, s), mesh.side(nb, opposite(s)));
+  }
+}
 
 /// The four-variable flow state on a composite mesh.
 struct CompositeField {

@@ -58,26 +58,19 @@ namespace adarnet::solver {
 /// momentum diagonal is known, refresh(x) at every ghost-exchange point.
 class JumpStencil {
  public:
-  /// Edge indices of a patch side (owner's perspective).
-  enum Edge { kW = 0, kE = 1, kS = 2, kN = 3 };
-
   /// One patch side that is a level-jump interface. Arrays are 1-based
-  /// over the owner's tangential cells [1 .. n] (index 0 unused).
+  /// over the owner's tangential cells [1 .. own.n] (index 0 unused).
   struct Side {
-    int k = 0;           ///< owner patch (flat index)
-    int nbk = 0;         ///< neighbour patch across the interface
-    int edge = kW;       ///< which side of the owner this is
-    bool fine = false;   ///< owner is the finer patch
-    int n = 0;           ///< owner tangential cells along the interface
-    int ratio = 1;       ///< fine cells per coarse cell (1 on a ladder
-                         ///< level whose map lowering flattened the jump)
-    double area = 0.0;   ///< fine tangential cell size (subface length)
-    double h_own = 0.0;  ///< owner perpendicular cell size
-    double h_nb = 0.0;   ///< neighbour perpendicular cell size
-    double h0_own = 0.0; ///< owner perpendicular cell size on the ANCHOR
-                         ///< (finest) mesh — the resistance length scale
-    double h0_nb = 0.0;  ///< neighbour perpendicular anchor cell size
-    double t_ghost = 0.0;  ///< 2 h_own / (h_own + h_nb)
+    mesh::PatchSide own;  ///< the owner's side (own.k: the owner patch)
+    mesh::PatchSide nb;   ///< the neighbour's facing side
+    bool fine = false;    ///< owner is the finer patch
+    int ratio = 1;        ///< fine cells per coarse cell (1 on a ladder
+                          ///< level whose map lowering flattened the jump)
+    double area = 0.0;    ///< fine tangential cell size (subface length)
+    double h0_own = 0.0;  ///< owner perpendicular cell size on the ANCHOR
+                          ///< (finest) mesh — the resistance length scale
+    double h0_nb = 0.0;   ///< neighbour perpendicular anchor cell size
+    double t_ghost = 0.0;  ///< 2 own.h / (own.h + nb.h)
     /// Per owner cell: total interface coupling (the diagonal term). On
     /// the fine side each cell has exactly one subface, so a[t] is the
     /// subface coupling itself; on the coarse side a[t] sums its r
@@ -121,11 +114,11 @@ class JumpStencil {
   /// the assembly then never consults the stencil).
   [[nodiscard]] bool empty() const { return sides_.empty(); }
 
-  /// The Side of patch k at `edge`, or nullptr when that side is not a
+  /// The Side of patch k at side s, or nullptr when that side is not a
   /// level-jump interface.
-  [[nodiscard]] const Side* side(int k, int edge) const {
+  [[nodiscard]] const Side* side(int k, mesh::Side s) const {
     return lookup_.empty() ? nullptr
-                           : lookup_[static_cast<std::size_t>(k) * 4 + edge];
+                           : lookup_[static_cast<std::size_t>(k) * 4 + s];
   }
 
   /// Recomputes every subface coupling from the current d = vol/aP field
@@ -140,9 +133,8 @@ class JumpStencil {
  private:
   void refresh_side(Side& sd, int t, const mesh::CompositeScalar& x);
 
-  const mesh::CompositeMesh* mesh_ = nullptr;
   std::vector<Side> sides_;
-  std::vector<Side*> lookup_;  // patch_count * 4, by [k * 4 + edge]
+  std::vector<Side*> lookup_;  // patch_count * 4, by [k * 4 + side]
 };
 
 /// The four (possibly null) jump sides of one patch, as the assembly
@@ -157,10 +149,10 @@ struct JumpSides {
 inline JumpSides jump_sides(const JumpStencil& st, int k) {
   JumpSides js;
   if (!st.empty()) {
-    js.w = st.side(k, JumpStencil::kW);
-    js.e = st.side(k, JumpStencil::kE);
-    js.s = st.side(k, JumpStencil::kS);
-    js.n = st.side(k, JumpStencil::kN);
+    js.w = st.side(k, mesh::kW);
+    js.e = st.side(k, mesh::kE);
+    js.s = st.side(k, mesh::kS);
+    js.n = st.side(k, mesh::kN);
   }
   return js;
 }

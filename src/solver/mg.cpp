@@ -146,18 +146,12 @@ struct RunCoef {
   double diag = 0.0;
 };
 
-// The jump-stencil edge of CellOp face f (E, W, N, S).
-constexpr int kCellEdge[4] = {JumpStencil::kE, JumpStencil::kW,
-                              JumpStencil::kN, JumpStencil::kS};
+// The patch side of CellOp face f (E, W, N, S).
+constexpr mesh::Side kCellEdge[4] = {mesh::kE, mesh::kW, mesh::kN, mesh::kS};
 
 void zero_scalar(CompositeScalar& s, bool parallel) {
-  const int n = static_cast<int>(s.size());
-  if (parallel) {
-#pragma omp parallel for schedule(static)
-    for (int k = 0; k < n; ++k) s[k].fill(0.0);
-  } else {
-    for (int k = 0; k < n; ++k) s[k].fill(0.0);
-  }
+  sweep::for_range(static_cast<int>(s.size()), parallel,
+                   [&](int k) { s[k].fill(0.0); });
 }
 
 }  // namespace
@@ -663,12 +657,7 @@ void PressureMg::set_coefficients(const CompositeScalar& ap_fine) {
         }
       }
     };
-    if (lf.parallel) {
-#pragma omp parallel for schedule(static)
-      for (int k = 0; k < n; ++k) coarsen_patch(k);
-    } else {
-      for (int k = 0; k < n; ++k) coarsen_patch(k);
-    }
+    sweep::for_range(n, lf.parallel, coarsen_patch);
   }
 
   // Every level's jump stencil re-derives its subface couplings from the
@@ -1246,12 +1235,7 @@ void PressureMg::v_cycle(int d, CompositeScalar& x, double series_x) {
           // without keep the unmasked fast path bit-for-bit.
           lv.mesh->spec().geometry ? &cp.solid : nullptr);
     };
-    if (lv.parallel) {
-#pragma omp parallel for schedule(static)
-      for (int k = 0; k < n; ++k) restrict_patch(k);
-    } else {
-      for (int k = 0; k < n; ++k) restrict_patch(k);
-    }
+    sweep::for_range(n, lv.parallel, restrict_patch);
   }
   zero_scalar(lc.x, lc.parallel);
   if (!lc.stencil.empty()) lc.stencil.refresh(lc.x);  // zero the buffers
@@ -1285,12 +1269,7 @@ void PressureMg::v_cycle(int d, CompositeScalar& x, double series_x) {
                            /*dirichlet_e=*/outlet_right && pj + 1 == npx,
                            lv.mesh->spec().geometry ? &cp.solid : nullptr);
     };
-    if (lv.parallel) {
-#pragma omp parallel for schedule(static)
-      for (int k = 0; k < n; ++k) prolong_patch(k);
-    } else {
-      for (int k = 0; k < n; ++k) prolong_patch(k);
-    }
+    sweep::for_range(n, lv.parallel, prolong_patch);
   }
   exchange_iterate(lv, x);
   smooth(lv, x, kPostSmooth * lv.smooth_mult, 1.0,

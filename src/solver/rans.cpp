@@ -525,36 +525,18 @@ void RansSolver::initialize_freestream(CompositeField& f) const {
 
 void RansSolver::apply_bc_ghosts(CompositeField& f,
                                  unsigned channel_mask) const {
-  const mesh::CaseSpec& spec = mesh_.spec();
-  const int npx = mesh_.npx();
-  const int npy = mesh_.npy();
+  const mesh::BcSet& bc = mesh_.spec().bc;
+  const SideBc* side_bc[4] = {&bc.left, &bc.right, &bc.bottom, &bc.top};
 
 #pragma omp parallel for schedule(static)
   for (int k = 0; k < mesh_.patch_count(); ++k) {
-    const PatchMesh& pm = mesh_.patch_flat(k);
     for (int c = 0; c < field::kNumFlowVars; ++c) {
       if (!(channel_mask & (1u << c))) continue;
-      Grid2Dd& a = f.channel(c)[k];
-      if (pm.pj == 0) {
-        for (int i = 1; i <= pm.ny; ++i) {
-          a(i, 0) = bc_ghost(spec.bc.left, c, true, a(i, 1));
-        }
-      }
-      if (pm.pj == npx - 1) {
-        for (int i = 1; i <= pm.ny; ++i) {
-          a(i, pm.nx + 1) = bc_ghost(spec.bc.right, c, true, a(i, pm.nx));
-        }
-      }
-      if (pm.pi == 0) {
-        for (int j = 1; j <= pm.nx; ++j) {
-          a(0, j) = bc_ghost(spec.bc.bottom, c, false, a(1, j));
-        }
-      }
-      if (pm.pi == npy - 1) {
-        for (int j = 1; j <= pm.nx; ++j) {
-          a(pm.ny + 1, j) = bc_ghost(spec.bc.top, c, false, a(pm.ny, j));
-        }
-      }
+      double* a = f.channel(c)[k].data();
+      mesh::for_each_boundary_ghost(
+          mesh_, k, [&](mesh::Side s, int ghost, int cell) {
+            a[ghost] = bc_ghost(*side_bc[s], c, mesh::normal_x(s), a[cell]);
+          });
     }
   }
 }
@@ -582,20 +564,11 @@ void RansSolver::compute_nut(const CompositeField& f, Workspace& ws) const {
 void RansSolver::extrapolate_ap(Workspace& ws) const {
 #pragma omp parallel for schedule(static)
   for (int k = 0; k < mesh_.patch_count(); ++k) {
-    const PatchMesh& pm = mesh_.patch_flat(k);
-    Grid2Dd& AP = ws.ap[k];
-    if (pm.pj == 0) {
-      for (int i = 1; i <= pm.ny; ++i) AP(i, 0) = AP(i, 1);
-    }
-    if (pm.pj == mesh_.npx() - 1) {
-      for (int i = 1; i <= pm.ny; ++i) AP(i, pm.nx + 1) = AP(i, pm.nx);
-    }
-    if (pm.pi == 0) {
-      for (int j = 1; j <= pm.nx; ++j) AP(0, j) = AP(1, j);
-    }
-    if (pm.pi == mesh_.npy() - 1) {
-      for (int j = 1; j <= pm.nx; ++j) AP(pm.ny + 1, j) = AP(pm.ny, j);
-    }
+    double* ap = ws.ap[k].data();
+    mesh::for_each_boundary_ghost(mesh_, k, [&](mesh::Side, int ghost,
+                                                int cell) {
+      ap[ghost] = ap[cell];
+    });
   }
 }
 
@@ -682,80 +655,45 @@ double RansSolver::assemble_faces_imbalance(const CompositeField& f,
   // authoritative: the coarse face value becomes the area mean of the fine
   // faces it covers (coarse flux = sum of fine fluxes). Same-level sides
   // are averaged (their Rhie-Chow stencils differ slightly at the edge).
-  // Each (pi, pj) iteration touches only its own east/north interface
-  // columns/rows, so the collapsed loop is race-free.
+  // for_each_interface hands iteration k only the interfaces on patch k's
+  // east and north sides, so the parallel loop writes disjoint faces.
   //
-  // Corner audit: the i = 1..ny / j = 1..nx ranges cover every interface
+  // Corner audit: PatchSide's tangential range 1..n covers every interface
   // face, including where three or four patches meet. A vertical interface
   // owns exactly the FU(1..ny, nx) | FU(1..ny, 0) column — there is no
   // FU(0, *) entry anywhere (pass 1 writes FU rows 1..ny only, and the
   // imbalance reads FU(i, j-1) only for i >= 1). The boundary-adjacent
   // entries that do exist, FU(i, 0) and FV(0, j), belong to the WEST /
-  // SOUTH interface of the patch and are written by that neighbour's own
-  // east/north walk (or are domain faces no interface touches). The
-  // debug assertion below holds on every composite scenario mesh.
-  const int npy = mesh_.npy();
-  const int npx = mesh_.npx();
-#pragma omp parallel for collapse(2) schedule(static)
-  for (int pi = 0; pi < npy; ++pi) {
-    for (int pj = 0; pj < npx; ++pj) {
-      const PatchMesh& pm = mesh_.patch(pi, pj);
-      const int k = pi * npx + pj;
-      if (pj + 1 < npx) {  // vertical interface with east neighbour
-        const PatchMesh& nb = mesh_.patch(pi, pj + 1);
-        const int kn = k + 1;
-        Grid2Dd& mine = ws.face_u[k];
-        Grid2Dd& theirs = ws.face_u[kn];
-        if (nb.ny == pm.ny) {
-          for (int i = 1; i <= pm.ny; ++i) {
-            const double v = 0.5 * (mine(i, pm.nx) + theirs(i, 0));
-            mine(i, pm.nx) = v;
-            theirs(i, 0) = v;
-          }
-        } else if (nb.ny > pm.ny) {  // neighbour finer
-          const int r = nb.ny / pm.ny;
-          for (int i = 1; i <= pm.ny; ++i) {
-            double acc = 0.0;
-            for (int s = 0; s < r; ++s) acc += theirs((i - 1) * r + 1 + s, 0);
-            mine(i, pm.nx) = acc / r;
-          }
-        } else {  // I am finer
-          const int r = pm.ny / nb.ny;
-          for (int i = 1; i <= nb.ny; ++i) {
-            double acc = 0.0;
-            for (int s = 0; s < r; ++s) acc += mine((i - 1) * r + 1 + s, pm.nx);
-            theirs(i, 0) = acc / r;
-          }
+  // SOUTH interface of the patch and are written by that neighbour's
+  // iteration (or are domain faces no interface touches). The debug
+  // assertion below holds on every composite scenario mesh.
+#pragma omp parallel for schedule(static)
+  for (int k = 0; k < mesh_.patch_count(); ++k) {
+    mesh::for_each_interface(mesh_, k, [&](const mesh::PatchSide& a,
+                                           const mesh::PatchSide& b) {
+      CompositeScalar& face = mesh::normal_x(a.side) ? ws.face_u : ws.face_v;
+      double* fa = face[a.k].data();
+      double* fb = face[b.k].data();
+      if (a.n == b.n) {
+        for (int t = 1; t <= a.n; ++t) {
+          const double v = 0.5 * (fa[a.face(t)] + fb[b.face(t)]);
+          fa[a.face(t)] = v;
+          fb[b.face(t)] = v;
         }
+        return;
       }
-      if (pi + 1 < npy) {  // horizontal interface with north neighbour
-        const PatchMesh& nb = mesh_.patch(pi + 1, pj);
-        const int kn = k + npx;
-        Grid2Dd& mine = ws.face_v[k];
-        Grid2Dd& theirs = ws.face_v[kn];
-        if (nb.nx == pm.nx) {
-          for (int j = 1; j <= pm.nx; ++j) {
-            const double v = 0.5 * (mine(pm.ny, j) + theirs(0, j));
-            mine(pm.ny, j) = v;
-            theirs(0, j) = v;
-          }
-        } else if (nb.nx > pm.nx) {
-          const int r = nb.nx / pm.nx;
-          for (int j = 1; j <= pm.nx; ++j) {
-            double acc = 0.0;
-            for (int s = 0; s < r; ++s) acc += theirs(0, (j - 1) * r + 1 + s);
-            mine(pm.ny, j) = acc / r;
-          }
-        } else {
-          const int r = pm.nx / nb.nx;
-          for (int j = 1; j <= nb.nx; ++j) {
-            double acc = 0.0;
-            for (int s = 0; s < r; ++s) acc += mine(pm.ny, (j - 1) * r + 1 + s);
-            theirs(0, j) = acc / r;
-          }
-        }
+      const bool a_fine = a.n > b.n;
+      const mesh::PatchSide& fine = a_fine ? a : b;
+      const mesh::PatchSide& coarse = a_fine ? b : a;
+      const double* ff = a_fine ? fa : fb;
+      double* fc = a_fine ? fb : fa;
+      const int r = fine.n / coarse.n;
+      for (int tc = 1; tc <= coarse.n; ++tc) {
+        double acc = 0.0;
+        for (int s = 0; s < r; ++s) acc += ff[fine.face((tc - 1) * r + 1 + s)];
+        fc[coarse.face(tc)] = acc / r;
       }
-    }
+    });
   }
 
   // Every interface face now carries one authoritative value on both
@@ -805,120 +743,64 @@ double RansSolver::assemble_faces_imbalance(const CompositeField& f,
 // coarse face is then recomputed as the mean of the corrected fine faces
 // — the same summation order the reflux pass and the conservation checker
 // use, so the invariant holds to the bit. Race-free for the same reason
-// as the reflux pass: each (pi, pj) iteration owns its east/north
-// interface columns/rows exclusively.
+// as the reflux pass: iteration k owns the faces of the interfaces
+// for_each_interface hands it.
 static void correct_interface_faces(const CompositeMesh& mesh,
                                     const JumpStencil& st,
                                     const CompositeScalar& pc,
                                     const CompositeScalar& dp,
                                     CompositeScalar& face_u,
                                     CompositeScalar& face_v) {
-  const int npy = mesh.npy();
-  const int npx = mesh.npx();
-#pragma omp parallel for collapse(2) schedule(static)
-  for (int pi = 0; pi < npy; ++pi) {
-    for (int pj = 0; pj < npx; ++pj) {
-      const PatchMesh& pm = mesh.patch(pi, pj);
-      const int k = pi * npx + pj;
-      if (pj + 1 < npx) {  // vertical interface with east neighbour
-        const PatchMesh& nb = mesh.patch(pi, pj + 1);
-        const int kn = k + 1;
-        Grid2Dd& mine = face_u[k];
-        Grid2Dd& theirs = face_u[kn];
-        const Grid2Dd& pca = pc[k];
-        const Grid2Dd& pcb = pc[kn];
-        if (nb.ny == pm.ny) {
-          const Grid2Dd& dpa = dp[k];
-          const Grid2Dd& dpb = dp[kn];
-          const double dist = 0.5 * (pm.dx + nb.dx);
-          for (int i = 1; i <= pm.ny; ++i) {
-            const double da = dpa(i, pm.nx);
-            const double db = dpb(i, 1);
-            if (da <= 0.0 || db <= 0.0) continue;
-            const double v =
-                mine(i, pm.nx) -
-                0.5 * (da + db) * (pcb(i, 1) - pca(i, pm.nx)) / dist;
-            mine(i, pm.nx) = v;
-            theirs(i, 0) = v;
-          }
-        } else if (pm.ny > nb.ny) {  // mine fine, east neighbour coarse
-          const JumpStencil::Side* sd = st.side(k, JumpStencil::kE);
-          const int r = sd->ratio;
-          for (int ic = 1; ic <= nb.ny; ++ic) {
-            const double xc = pcb(ic, 1);
-            double acc = 0.0;
-            for (int s = 0; s < r; ++s) {
-              const int t = (ic - 1) * r + 1 + s;
-              mine(t, pm.nx) -= sd->a[t] / sd->area * (xc - pca(t, pm.nx));
-              acc += mine(t, pm.nx);
-            }
-            theirs(ic, 0) = acc / r;
-          }
-        } else {  // east neighbour fine, mine coarse
-          const JumpStencil::Side* sd = st.side(kn, JumpStencil::kW);
-          const int r = sd->ratio;
-          for (int ic = 1; ic <= pm.ny; ++ic) {
-            const double xc = pca(ic, pm.nx);
-            double acc = 0.0;
-            for (int s = 0; s < r; ++s) {
-              const int t = (ic - 1) * r + 1 + s;
-              theirs(t, 0) -= sd->a[t] / sd->area * (pcb(t, 1) - xc);
-              acc += theirs(t, 0);
-            }
-            mine(ic, pm.nx) = acc / r;
-          }
+#pragma omp parallel for schedule(static)
+  for (int k = 0; k < mesh.patch_count(); ++k) {
+    mesh::for_each_interface(mesh, k, [&](const mesh::PatchSide& a,
+                                          const mesh::PatchSide& b) {
+      CompositeScalar& face = mesh::normal_x(a.side) ? face_u : face_v;
+      double* fa = face[a.k].data();
+      double* fb = face[b.k].data();
+      const double* pca = pc[a.k].data();
+      const double* pcb = pc[b.k].data();
+      if (a.n == b.n) {
+        const double* dpa = dp[a.k].data();
+        const double* dpb = dp[b.k].data();
+        const double dist = 0.5 * (a.h + b.h);
+        for (int t = 1; t <= a.n; ++t) {
+          const double da = dpa[a.cell(t)];
+          const double db = dpb[b.cell(t)];
+          if (da <= 0.0 || db <= 0.0) continue;
+          const double v =
+              fa[a.face(t)] -
+              0.5 * (da + db) * (pcb[b.cell(t)] - pca[a.cell(t)]) / dist;
+          fa[a.face(t)] = v;
+          fb[b.face(t)] = v;
         }
+        return;
       }
-      if (pi + 1 < npy) {  // horizontal interface with north neighbour
-        const PatchMesh& nb = mesh.patch(pi + 1, pj);
-        const int kn = k + npx;
-        Grid2Dd& mine = face_v[k];
-        Grid2Dd& theirs = face_v[kn];
-        const Grid2Dd& pca = pc[k];
-        const Grid2Dd& pcb = pc[kn];
-        if (nb.nx == pm.nx) {
-          const Grid2Dd& dpa = dp[k];
-          const Grid2Dd& dpb = dp[kn];
-          const double dist = 0.5 * (pm.dy + nb.dy);
-          for (int j = 1; j <= pm.nx; ++j) {
-            const double da = dpa(pm.ny, j);
-            const double db = dpb(1, j);
-            if (da <= 0.0 || db <= 0.0) continue;
-            const double v =
-                mine(pm.ny, j) -
-                0.5 * (da + db) * (pcb(1, j) - pca(pm.ny, j)) / dist;
-            mine(pm.ny, j) = v;
-            theirs(0, j) = v;
-          }
-        } else if (pm.nx > nb.nx) {  // mine fine, north neighbour coarse
-          const JumpStencil::Side* sd = st.side(k, JumpStencil::kN);
-          const int r = sd->ratio;
-          for (int jc = 1; jc <= nb.nx; ++jc) {
-            const double xc = pcb(1, jc);
-            double acc = 0.0;
-            for (int s = 0; s < r; ++s) {
-              const int t = (jc - 1) * r + 1 + s;
-              mine(pm.ny, t) -= sd->a[t] / sd->area * (xc - pca(pm.ny, t));
-              acc += mine(pm.ny, t);
-            }
-            theirs(0, jc) = acc / r;
-          }
-        } else {  // north neighbour fine, mine coarse
-          const JumpStencil::Side* sd = st.side(kn, JumpStencil::kS);
-          const int r = sd->ratio;
-          for (int jc = 1; jc <= pm.nx; ++jc) {
-            const double xc = pca(pm.ny, jc);
-            double acc = 0.0;
-            for (int s = 0; s < r; ++s) {
-              const int t = (jc - 1) * r + 1 + s;
-              theirs(0, t) -= sd->a[t] / sd->area * (pcb(1, t) - xc);
-              acc += theirs(0, t);
-            }
-            mine(pm.ny, jc) = acc / r;
-          }
+      // Level jump: the fine side's jump stencil holds the subface
+      // couplings; x_b - x_a is the p' difference across the face.
+      const bool a_fine = a.n > b.n;
+      const mesh::PatchSide& fine = a_fine ? a : b;
+      const mesh::PatchSide& coarse = a_fine ? b : a;
+      double* ff = a_fine ? fa : fb;
+      double* fc = a_fine ? fb : fa;
+      const double* pf = a_fine ? pca : pcb;
+      const double* pcc = a_fine ? pcb : pca;
+      const JumpStencil::Side* sd = st.side(fine.k, fine.side);
+      const int r = sd->ratio;
+      for (int tc = 1; tc <= coarse.n; ++tc) {
+        const double xc = pcc[coarse.cell(tc)];
+        double acc = 0.0;
+        for (int s = 0; s < r; ++s) {
+          const int t = (tc - 1) * r + 1 + s;
+          const double xf = pf[fine.cell(t)];
+          const double xa = a_fine ? xf : xc;
+          const double xb = a_fine ? xc : xf;
+          ff[fine.face(t)] -= sd->a[t] / sd->area * (xb - xa);
+          acc += ff[fine.face(t)];
         }
+        fc[coarse.face(tc)] = acc / r;
       }
-    }
+    });
   }
 }
 
@@ -1046,22 +928,11 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
     // outlet, where p' = 0 at the face. Needed by the corrector's gradients.
 #pragma omp parallel for schedule(static)
     for (int k = 0; k < mesh_.patch_count(); ++k) {
-      const PatchMesh& pm = mesh_.patch_flat(k);
-      Grid2Dd& PC = ws.pc[k];
-      if (pm.pj == 0) {
-        for (int i = 1; i <= pm.ny; ++i) PC(i, 0) = PC(i, 1);
-      }
-      if (pm.pj == mesh_.npx() - 1) {
-        for (int i = 1; i <= pm.ny; ++i) {
-          PC(i, pm.nx + 1) = outlet_right ? -PC(i, pm.nx) : PC(i, pm.nx);
-        }
-      }
-      if (pm.pi == 0) {
-        for (int j = 1; j <= pm.nx; ++j) PC(0, j) = PC(1, j);
-      }
-      if (pm.pi == mesh_.npy() - 1) {
-        for (int j = 1; j <= pm.nx; ++j) PC(pm.ny + 1, j) = PC(pm.ny, j);
-      }
+      double* pc = ws.pc[k].data();
+      mesh::for_each_boundary_ghost(
+          mesh_, k, [&](mesh::Side s, int ghost, int cell) {
+            pc[ghost] = (s == mesh::kE && outlet_right) ? -pc[cell] : pc[cell];
+          });
     }
 
     // --- corrector -----------------------------------------------------------
@@ -1343,11 +1214,6 @@ SolveStats RansSolver::run(const util::trace::Site& site, CompositeField& f,
         stats.iterations += 1;
         stats.cell_updates += cells;
         res_history.push_back(res.combined());
-        if (cfg.log_every > 0 && (it % cfg.log_every == 0)) {
-          ADR_LOG_INFO << mesh_.spec().name << " iter " << it
-                       << " continuity=" << res.continuity
-                       << " momentum=" << res.momentum << " sa=" << res.sa;
-        }
         if (res.combined() >= 1e30) {
           // Non-finite residual: the state is poisoned and further
           // iterations only churn NaNs.

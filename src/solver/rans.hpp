@@ -42,7 +42,6 @@ struct SolverConfig {
   bool solve_sa = true;       ///< disable to run a laminar solve
   double pseudo_cfl = 2.0;    ///< local pseudo-time-step CFL number; bounds
                               ///< Vol/aP in near-stagnation cells (stability)
-  int log_every = 0;          ///< 0 = silent, n = log residual every n iters
 
   /// Cooperative cancellation (DESIGN.md §13). When set, solve()/iterate()
   /// check it at every outer-iteration boundary (and the multigrid p'

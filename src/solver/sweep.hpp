@@ -37,30 +37,31 @@ inline std::vector<RowRef> interior_rows(const mesh::CompositeMesh& mesh) {
   return rows;
 }
 
-/// Runs one colored half-sweep (color 0/1) over all rows, thread-parallel
-/// when `parallel`. Exposed separately from run_sweep so the multigrid
-/// smoother can refresh interface ghosts between the two colors on its
-/// degenerate coarse levels (solver/mg.cpp).
-///
-/// `parallel` gates the OpenMP region: the multigrid disables it for grids
-/// too small to amortise a fork/join (its coarse levels). The serial path
-/// visits the same colored schedule, so the result is bitwise identical
-/// either way — the flag is a pure scheduling decision and must only ever
-/// depend on the mesh, never on the thread count.
+/// Calls fn(r) for r = 0 .. n - 1, thread-parallel (static schedule) when
+/// `parallel`. The multigrid turns it off for grids too small to amortise
+/// a fork/join (its coarse levels). Every loop run through here writes
+/// disjoint data per r, so the serial path gives the same bits: the flag
+/// is a pure scheduling decision and must only ever depend on the mesh,
+/// never on the thread count.
+template <typename Fn>
+void for_range(int n, bool parallel, Fn&& fn) {
+  if (parallel) {
+#pragma omp parallel for schedule(static)
+    for (int r = 0; r < n; ++r) fn(r);
+  } else {
+    for (int r = 0; r < n; ++r) fn(r);
+  }
+}
+
+/// Runs one colored half-sweep (color 0/1) over all rows (for_range).
+/// Exposed separately from run_sweep so the multigrid smoother can refresh
+/// interface ghosts between the two colors on its degenerate coarse levels
+/// (solver/mg.cpp).
 template <typename RowFn>
 void run_half_sweep(const std::vector<RowRef>& rows, int color,
                     RowFn&& row_fn, bool parallel = true) {
-  const int n = static_cast<int>(rows.size());
-  if (parallel) {
-#pragma omp parallel for schedule(static)
-    for (int r = 0; r < n; ++r) {
-      row_fn(r, rows[r].k, rows[r].i, color);
-    }
-  } else {
-    for (int r = 0; r < n; ++r) {
-      row_fn(r, rows[r].k, rows[r].i, color);
-    }
-  }
+  for_range(static_cast<int>(rows.size()), parallel,
+            [&](int r) { row_fn(r, rows[r].k, rows[r].i, color); });
 }
 
 /// Runs one in-place red-black sweep over all rows: two colored
@@ -73,22 +74,13 @@ void run_sweep(const std::vector<RowRef>& rows, RowFn&& row_fn) {
   }
 }
 
-/// Read-only pass over all rows (defect evaluation): thread-parallel when
-/// `parallel`, no coloring needed because nothing is updated in place.
+/// Read-only pass over all rows (defect evaluation) through for_range, no
+/// coloring needed because nothing is updated in place.
 template <typename RowFn>
 void run_scan(const std::vector<RowRef>& rows, RowFn&& row_fn,
               bool parallel = true) {
-  const int n = static_cast<int>(rows.size());
-  if (parallel) {
-#pragma omp parallel for schedule(static)
-    for (int r = 0; r < n; ++r) {
-      row_fn(r, rows[r].k, rows[r].i);
-    }
-  } else {
-    for (int r = 0; r < n; ++r) {
-      row_fn(r, rows[r].k, rows[r].i);
-    }
-  }
+  for_range(static_cast<int>(rows.size()), parallel,
+            [&](int r) { row_fn(r, rows[r].k, rows[r].i); });
 }
 
 /// First column of a row's cells with color (i + j) % 2 == color; the

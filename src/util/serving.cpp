@@ -47,6 +47,17 @@ const char* to_string(ServiceStage stage) {
 
 namespace {
 
+// Fixed service policy (DESIGN.md §13).
+constexpr int kCacheCapacity = 32;      // LRU entries, (case, Re-bucket) keys
+constexpr double kMaxDeadlineS = 300.0; // requested deadlines are clamped
+constexpr double kMinSolveS = 0.02;     // below this remaining budget, skip
+                                        // the solver (cached / freestream)
+constexpr double kFullHeadroom = 1.2;   // full solve only when remaining >
+                                        // headroom * EMA(full-solve seconds)
+constexpr int kRecorderSlowest = 16;    // slowest-N traces always retained
+constexpr int kRecorderSampleEvery = 16;  // head-sample 1 in K boring ones
+constexpr unsigned kModelSeed = 2023;   // model replica init seed
+
 // --- flat-JSON request parsing ---------------------------------------------
 // The request body is a flat JSON object of string/number fields. This is a
 // targeted scanner for that shape (quoted keys, number or quoted-string
@@ -286,7 +297,6 @@ struct Server::Impl {
   }
 
   void cache_put(const std::string& key, const Summary& summary) {
-    if (cfg.cache_capacity <= 0) return;
     std::lock_guard<std::mutex> lock(cache_mu);
     const auto it = cache.find(key);
     if (it != cache.end()) {
@@ -296,7 +306,7 @@ struct Server::Impl {
     }
     lru.push_front(CacheEntry{key, summary});
     cache[key] = lru.begin();
-    while (static_cast<int>(lru.size()) > cfg.cache_capacity) {
+    while (static_cast<int>(lru.size()) > kCacheCapacity) {
       cache.erase(lru.back().key);
       lru.pop_back();
     }
@@ -383,7 +393,7 @@ struct Server::Impl {
   void worker_loop() {
     WorkerCtx ctx;
     {
-      util::Rng rng(cfg.seed);
+      util::Rng rng(kModelSeed);
       core::AdarNetConfig mcfg;
       mcfg.ph = cfg.wall_preset.ph;
       mcfg.pw = cfg.wall_preset.pw;
@@ -574,7 +584,7 @@ struct Server::Impl {
     // it can no longer finish.
     const double deadline_s =
         std::min(req.deadline_s > 0.0 ? req.deadline_s : cfg.default_deadline_s,
-                 cfg.max_deadline_s);
+                 kMaxDeadlineS);
     CancelToken token;
     token.chain(&shutting_down);
     token.set_deadline(conn.accepted +
@@ -611,7 +621,7 @@ struct Server::Impl {
       ema = ema_full_s;
     }
     ServiceStage stage = ServiceStage::kFull;
-    if (remaining <= cfg.min_solve_s) {
+    if (remaining <= kMinSolveS) {
       Summary cached;
       if (cache_get(cache_key(req), cached)) {
         out.status = 200;
@@ -623,7 +633,7 @@ struct Server::Impl {
                                    tid));
       }
       stage = ServiceStage::kFreestream;
-    } else if (ema > 0.0 && remaining < cfg.full_headroom * ema) {
+    } else if (ema > 0.0 && remaining < kFullHeadroom * ema) {
       stage = ServiceStage::kCapped;
     }
 
@@ -651,7 +661,6 @@ struct Server::Impl {
     core::PipelineConfig pcfg;
     pcfg.lr_solver = cfg.solver;
     pcfg.ps_solver = cfg.solver;
-    pcfg.guards = cfg.guards;
     pcfg.cancel = &token;
     // The LR solve below runs outside run_adarnet_pipeline (so the field
     // can be reused for the per-request normalisation fit); it needs the
@@ -938,8 +947,8 @@ bool Server::start() {
     reqctx::FlightRecorder::Config rc;
     rc.summary_capacity = std::max(512, 2 * im.cfg.recorder_depth);
     rc.trace_capacity = im.cfg.recorder_depth;
-    rc.slowest = im.cfg.recorder_slowest;
-    rc.sample_every = im.cfg.recorder_sample_every;
+    rc.slowest = kRecorderSlowest;
+    rc.sample_every = kRecorderSampleEvery;
     reqctx::recorder().configure(rc);
   }
   metrics::gauge("serving.slo.latency_objective_ms")

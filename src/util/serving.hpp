@@ -77,14 +77,8 @@ struct ServingConfig {
   int queue_capacity = 8;    ///< bounded admission queue; beyond = 503
   int retry_after_s = 1;     ///< Retry-After header on shed responses
   int io_timeout_ms = 2000;  ///< per-connection SO_RCVTIMEO/SO_SNDTIMEO
-  int cache_capacity = 32;   ///< LRU entries in the (case, Re-bucket) cache
 
   double default_deadline_s = 30.0;  ///< when the request names none
-  double max_deadline_s = 300.0;     ///< requested deadlines are clamped
-  double min_solve_s = 0.02;   ///< below this remaining budget, skip the
-                               ///< solver entirely (cached/freestream)
-  double full_headroom = 1.2;  ///< run a full solve only when remaining >
-                               ///< headroom * EMA(full-solve seconds)
   double assumed_full_solve_s = 0.0;  ///< seeds the EMA (0 = first full
                                       ///< solve measures it)
 
@@ -94,8 +88,6 @@ struct ServingConfig {
   // telemetry server exposes as GET /requests.json + /trace/<id>.json.
   int recorder_depth = 256;        ///< retained full span trees; 0 disarms
                                    ///< per-request tracing + recording
-  int recorder_slowest = 16;       ///< slowest-N traces always retained
-  int recorder_sample_every = 16;  ///< head-sample 1 in K boring requests
 
   // SLO objective behind the serving.slo.* gauges: a response is "good"
   // when it is 200, did not blow its deadline, and finished inside the
@@ -107,8 +99,6 @@ struct ServingConfig {
   data::GridPreset wall_preset = data::paper_wall_preset();
   data::GridPreset body_preset = data::paper_body_preset();
   solver::SolverConfig solver;     ///< base solver budget (max_outer, tol)
-  core::GuardConfig guards;        ///< pipeline hand-off guards
-  unsigned seed = 2023;            ///< model replica init seed
 };
 
 /// Monotonic counters snapshot (test/bench introspection without HTTP).

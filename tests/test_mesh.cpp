@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "data/cases.hpp"
 #include "mesh/bc.hpp"
@@ -170,6 +172,56 @@ std::vector<am::CompositeMesh> halo_meshes() {
     meshes.emplace_back(body, am::RefinementMap(4, 4, 0));
   }
   return meshes;
+}
+
+// halo_meshes() plus seeded random level 0-3 maps on a wall and a body
+// case (LCG: the same maps on every platform).
+std::vector<am::CompositeMesh> side_meshes() {
+  std::vector<am::CompositeMesh> meshes = halo_meshes();
+  unsigned r = 7;
+  for (const auto& spec :
+       {ad::channel_case(2.5e3, ad::GridPreset{16, 32, 4, 4}),
+        ad::cylinder_case(1e5, ad::shrink(ad::paper_body_preset(), 8))}) {
+    am::RefinementMap map(spec.npy(), spec.npx(), 0);
+    for (int pi = 0; pi < map.npy(); ++pi) {
+      for (int pj = 0; pj < map.npx(); ++pj) {
+        r = r * 1664525u + 1013904223u;
+        map.set_level(pi, pj, static_cast<int>(r >> 30));
+      }
+    }
+    meshes.emplace_back(spec, map);
+  }
+  return meshes;
+}
+
+struct Point {
+  double x = 0.0;
+  double y = 0.0;
+};
+
+// Centre of the (possibly ghost) cell at flat offset `off` of patch pm.
+Point cell_centre(const am::PatchMesh& pm, int off) {
+  const int w = pm.nx + 2;
+  return {pm.xc(off % w), pm.yc(off / w)};
+}
+
+// A face of patch pm from its slot `off` in a face array: slot (i, j) of
+// a face_u array (normal_x) is the face between cells (i, j) and
+// (i, j + 1), of a face_v array the one between (i, j) and (i + 1, j).
+// `at` is the face's normal coordinate, [lo, hi] its tangential extent.
+struct Face {
+  double at = 0.0;
+  double lo = 0.0;
+  double hi = 0.0;
+};
+Face face_at(const am::PatchMesh& pm, int off, bool normal_x) {
+  const int w = pm.nx + 2;
+  const int i = off / w;
+  const int j = off % w;
+  if (normal_x) {
+    return {pm.x0 + j * pm.dx, pm.y0 + (i - 1) * pm.dy, pm.y0 + i * pm.dy};
+  }
+  return {pm.y0 + i * pm.dy, pm.x0 + (j - 1) * pm.dx, pm.x0 + j * pm.dx};
 }
 
 }  // namespace
@@ -503,6 +555,165 @@ TEST(GhostExchange, GhostBytesAreThePlanSize) {
     }
     EXPECT_EQ(mesh.ghost_bytes_per_scalar(),
               cells * static_cast<long long>(sizeof(double)));
+  }
+}
+
+// The side vocabulary against geometry computed from each PatchMesh's x0,
+// y0, dx and dy alone: neighbour() follows the patch grid and the patches
+// it names touch; for_each_interface visits every interface exactly once,
+// from its west/south patch; every side's face lies between its cell and
+// its ghost; same-level faces coincide, and coarse face t spans exactly
+// fine faces (t - 1) r + 1 .. t r; and for_each_boundary_ghost yields each
+// edge ghost of the domain boundary once, half a cell outside it, next to
+// the interior cell it names. The meshes jump by ratios 1, 2, 4 and 8 in
+// both directions.
+TEST(CompositeMeshGeom, SidesPairPhysicallyCoincidentFaces) {
+  bool ratio_seen[2][4] = {};  // [normal y][log2 ratio]
+  for (const am::CompositeMesh& mesh : side_meshes()) {
+    SCOPED_TRACE(mesh.spec().name);
+    const double lx = mesh.spec().lx;
+    const double ly = mesh.spec().ly;
+    const double eps = 1e-12 * std::max(lx, ly);
+    const int npx = mesh.npx();
+    const int npy = mesh.npy();
+
+    for (int k = 0; k < mesh.patch_count(); ++k) {
+      const am::PatchMesh& pm = mesh.patch_flat(k);
+      const int pi = k / npx;
+      const int pj = k % npx;
+      ASSERT_EQ(pm.pi, pi);
+      ASSERT_EQ(pm.pj, pj);
+      EXPECT_EQ(mesh.neighbour(k, am::kW), pj > 0 ? k - 1 : -1);
+      EXPECT_EQ(mesh.neighbour(k, am::kE), pj + 1 < npx ? k + 1 : -1);
+      EXPECT_EQ(mesh.neighbour(k, am::kS), pi > 0 ? k - npx : -1);
+      EXPECT_EQ(mesh.neighbour(k, am::kN), pi + 1 < npy ? k + npx : -1);
+      for (const am::Side s : am::kSides) {
+        const int nb = mesh.neighbour(k, s);
+        if (nb < 0) continue;
+        EXPECT_EQ(mesh.neighbour(nb, am::opposite(s)), k);
+        const am::PatchMesh& q = mesh.patch_flat(nb);
+        // The neighbour's patch touches this side of mine.
+        switch (s) {
+          case am::kW: EXPECT_NEAR(q.x0 + q.nx * q.dx, pm.x0, eps); break;
+          case am::kE: EXPECT_NEAR(pm.x0 + pm.nx * pm.dx, q.x0, eps); break;
+          case am::kS: EXPECT_NEAR(q.y0 + q.ny * q.dy, pm.y0, eps); break;
+          case am::kN: EXPECT_NEAR(pm.y0 + pm.ny * pm.dy, q.y0, eps); break;
+        }
+      }
+    }
+
+    // Every interface once, handed from its west/south patch.
+    std::vector<int> visits(static_cast<std::size_t>(mesh.patch_count()) * 4,
+                            0);
+    int interfaces = 0;
+    for (int k = 0; k < mesh.patch_count(); ++k) {
+      am::for_each_interface(mesh, k, [&](const am::PatchSide& a,
+                                          const am::PatchSide& b) {
+        ++interfaces;
+        EXPECT_EQ(a.k, k);
+        EXPECT_TRUE(a.side == am::kE || a.side == am::kN);
+        EXPECT_EQ(b.side, am::opposite(a.side));
+        EXPECT_EQ(b.k, mesh.neighbour(k, a.side));
+        ++visits[static_cast<std::size_t>(a.k) * 4 + a.side];
+        ++visits[static_cast<std::size_t>(b.k) * 4 + b.side];
+        const am::PatchMesh& pa = mesh.patch_flat(a.k);
+        const am::PatchMesh& pb = mesh.patch_flat(b.k);
+        const bool nx = am::normal_x(a.side);
+        // Each side's face t lies between its cell t and ghost t.
+        for (const auto& [side, pm] : {std::pair{a, &pa}, std::pair{b, &pb}}) {
+          ASSERT_EQ(side.n, nx ? pm->ny : pm->nx);
+          for (int t = 1; t <= side.n; ++t) {
+            const Face f = face_at(*pm, side.face(t), nx);
+            const Point c = cell_centre(*pm, side.cell(t));
+            const Point g = cell_centre(*pm, side.ghost(t));
+            // Half a cell outwards: +h/2 on a's E/N side, -h/2 on b's W/S.
+            const double out = (side.side == a.side ? 0.5 : -0.5) *
+                               (nx ? pm->dx : pm->dy);
+            EXPECT_NEAR(nx ? c.x : c.y, f.at - out, eps);
+            EXPECT_NEAR(nx ? g.x : g.y, f.at + out, eps);
+            EXPECT_NEAR(nx ? c.y : c.x, 0.5 * (f.lo + f.hi), eps);
+            EXPECT_NEAR(nx ? g.y : g.x, 0.5 * (f.lo + f.hi), eps);
+          }
+        }
+        if (a.n == b.n) {
+          ratio_seen[nx ? 0 : 1][0] = true;
+          for (int t = 1; t <= a.n; ++t) {
+            const Face fa = face_at(pa, a.face(t), nx);
+            const Face fb = face_at(pb, b.face(t), nx);
+            EXPECT_NEAR(fa.at, fb.at, eps);
+            EXPECT_NEAR(fa.lo, fb.lo, eps);
+            EXPECT_NEAR(fa.hi, fb.hi, eps);
+          }
+          return;
+        }
+        const bool a_fine = a.n > b.n;
+        const am::PatchSide& fine = a_fine ? a : b;
+        const am::PatchSide& coarse = a_fine ? b : a;
+        const am::PatchMesh& pf = a_fine ? pa : pb;
+        const am::PatchMesh& pc = a_fine ? pb : pa;
+        const int r = fine.n / coarse.n;
+        ASSERT_EQ(fine.n, r * coarse.n);
+        ASSERT_EQ(r, 1 << (pf.level - pc.level));
+        ratio_seen[nx ? 0 : 1][pf.level - pc.level] = true;
+        for (int t = 1; t <= coarse.n; ++t) {
+          const Face fc = face_at(pc, coarse.face(t), nx);
+          const Face first = face_at(pf, fine.face((t - 1) * r + 1), nx);
+          const Face last = face_at(pf, fine.face(t * r), nx);
+          EXPECT_NEAR(fc.lo, first.lo, eps) << "coarse face " << t;
+          EXPECT_NEAR(fc.hi, last.hi, eps) << "coarse face " << t;
+          for (int s = (t - 1) * r + 1; s <= t * r; ++s) {
+            EXPECT_NEAR(face_at(pf, fine.face(s), nx).at, fc.at, eps);
+          }
+        }
+      });
+    }
+    EXPECT_EQ(interfaces, npy * (npx - 1) + (npy - 1) * npx);
+    for (int k = 0; k < mesh.patch_count(); ++k) {
+      for (const am::Side s : am::kSides) {
+        EXPECT_EQ(visits[static_cast<std::size_t>(k) * 4 + s],
+                  mesh.neighbour(k, s) >= 0 ? 1 : 0)
+            << "patch " << k << " side " << s;
+      }
+    }
+
+    // Boundary ghosts: each edge ghost of the domain boundary once, half a
+    // cell outside the domain, next to the interior cell it names.
+    for (int k = 0; k < mesh.patch_count(); ++k) {
+      const am::PatchMesh& pm = mesh.patch_flat(k);
+      const int expected = (pm.pj == 0 ? pm.ny : 0) +
+                           (pm.pj + 1 == npx ? pm.ny : 0) +
+                           (pm.pi == 0 ? pm.nx : 0) +
+                           (pm.pi + 1 == npy ? pm.nx : 0);
+      std::vector<int> seen;
+      am::for_each_boundary_ghost(mesh, k, [&](am::Side s, int ghost,
+                                               int cell) {
+        seen.push_back(ghost);
+        EXPECT_LT(mesh.neighbour(k, s), 0);
+        const Point g = cell_centre(pm, ghost);
+        const Point c = cell_centre(pm, cell);
+        switch (s) {
+          case am::kW: EXPECT_NEAR(g.x, -0.5 * pm.dx, eps); break;
+          case am::kE: EXPECT_NEAR(g.x, lx + 0.5 * pm.dx, eps); break;
+          case am::kS: EXPECT_NEAR(g.y, -0.5 * pm.dy, eps); break;
+          case am::kN: EXPECT_NEAR(g.y, ly + 0.5 * pm.dy, eps); break;
+        }
+        const bool nx = am::normal_x(s);
+        EXPECT_GT(nx ? g.y : g.x, 0.0);  // an edge ghost, not a corner
+        EXPECT_LT(nx ? g.y : g.x, nx ? ly : lx);
+        EXPECT_NEAR(nx ? c.y : c.x, nx ? g.y : g.x, eps);
+        EXPECT_NEAR(std::abs(nx ? c.x - g.x : c.y - g.y), nx ? pm.dx : pm.dy,
+                    eps);
+      });
+      EXPECT_EQ(static_cast<int>(seen.size()), expected) << "patch " << k;
+      std::sort(seen.begin(), seen.end());
+      EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
+    }
+  }
+  for (int d = 0; d < 2; ++d) {
+    for (int l = 0; l < 4; ++l) {
+      EXPECT_TRUE(ratio_seen[d][l])
+          << (d == 0 ? "x" : "y") << " jump of ratio " << (1 << l);
+    }
   }
 }
 

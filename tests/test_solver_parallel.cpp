@@ -337,6 +337,110 @@ TEST(ParallelSolver, BitwiseIdenticalWhenOversubscribed) {
 }
 #endif  // _OPENMP
 
+// FNV-1a over the bytes of every composite scalar passed, ghosts included.
+std::uint64_t fnv1a(std::uint64_t h, const adarnet::mesh::CompositeScalar& s) {
+  for (const Grid2Dd& g : s) {
+    const auto* p = reinterpret_cast<const unsigned char*>(g.data());
+    for (std::size_t n = 0; n < g.size() * sizeof(double); ++n) {
+      h = (h ^ p[n]) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// Whole composite outer iterations, pinned to the bit: 30 iterations from
+// freestream on the mixed channel (y jumps), the refined cylinder (x and
+// y jumps next to solids) and a shrink-8 NACA0012 on a seeded random
+// level 0-3 map (ratio-8 faces), hashing U, V, p, nuTilda and both
+// corrected face arrays (ghosts included) plus the residual's bits. Every
+// thread count must give the 1-thread bits. On x86-64 without FMA, the
+// hashes must also be the ones recorded at commit d38457b, whose boundary
+// ghost, reflux, face-correction and jump-stencil walks spelled out every
+// patch side by hand; elsewhere the compiler may contract multiply-adds,
+// so they are only asserted there.
+TEST(ParallelSolver, CompositeIterationsMatchRecordedBits) {
+  namespace ad = adarnet::data;
+  std::vector<CompositeMesh> meshes;
+  {
+    const auto spec = ad::channel_case(2.5e3, GridPreset{32, 64, 8, 8});
+    meshes.push_back(mixed_channel_mesh(spec));
+  }
+  {
+    const auto spec = ad::cylinder_case(1e5, GridPreset{32, 32, 8, 8});
+    RefinementMap map(spec.npy(), spec.npx(), 0);
+    for (int pi = 1; pi <= 2; ++pi) {
+      for (int pj = 1; pj <= 2; ++pj) map.set_level(pi, pj, 1);
+    }
+    meshes.emplace_back(spec, map);
+  }
+  {
+    const auto spec =
+        ad::naca0012_case(1e5, ad::shrink(ad::paper_body_preset(), 8));
+    RefinementMap map(spec.npy(), spec.npx(), 0);
+    unsigned r = 2023;  // LCG: the same map on every platform
+    for (int pi = 0; pi < map.npy(); ++pi) {
+      for (int pj = 0; pj < map.npx(); ++pj) {
+        r = r * 1664525u + 1013904223u;
+        map.set_level(pi, pj, static_cast<int>(r >> 30));
+      }
+    }
+    meshes.emplace_back(spec, map);
+  }
+  bool ratio8 = false;
+  const RefinementMap& rmap = meshes.back().map();
+  for (int pi = 0; pi < rmap.npy(); ++pi) {
+    for (int pj = 0; pj + 1 < rmap.npx(); ++pj) {
+      ratio8 |= std::abs(rmap.level(pi, pj) - rmap.level(pi, pj + 1)) == 3;
+    }
+  }
+  EXPECT_TRUE(ratio8) << "the random map has no ratio-8 face";
+  [[maybe_unused]] const std::uint64_t recorded[] = {
+      0x198fa65b32dc6f60ull, 0xd97d33793111cb35ull, 0xe405ea5d6c8dace1ull};
+
+  auto run_hash = [](const CompositeMesh& mesh) {
+    RansSolver solver(mesh, quick_config());
+    auto f = adarnet::mesh::make_field(mesh);
+    solver.initialize_freestream(f);
+    const SolveStats stats = solver.iterate(f, 30);
+    EXPECT_EQ(stats.iterations, 30);
+    EXPECT_TRUE(std::isfinite(stats.residual));
+    std::uint64_t h = 14695981039346656037ull;
+    for (int c = 0; c < 4; ++c) h = fnv1a(h, f.channel(c));
+    h = fnv1a(h, solver.corrected_face_u());
+    h = fnv1a(h, solver.corrected_face_v());
+    unsigned char bits[sizeof(double)];
+    std::memcpy(bits, &stats.residual, sizeof(double));
+    for (unsigned char b : bits) h = (h ^ b) * 1099511628211ull;
+    return h;
+  };
+
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  const int thread_counts[] = {1, 3, saved};
+#else
+  const int thread_counts[] = {1};
+#endif
+  for (std::size_t m = 0; m < meshes.size(); ++m) {
+    SCOPED_TRACE(meshes[m].spec().name + " mesh " + std::to_string(m));
+    std::uint64_t first = 0;
+    for (int threads : thread_counts) {
+#ifdef _OPENMP
+      omp_set_num_threads(threads);
+#endif
+      const std::uint64_t h = run_hash(meshes[m]);
+      if (threads == 1) first = h;
+      EXPECT_EQ(h, first) << "threads=" << threads;
+#if defined(__x86_64__) && !defined(__FMA__)
+      EXPECT_EQ(h, recorded[m]) << "threads=" << threads << ": 0x" << std::hex
+                                << h;
+#endif
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+}
+
 // The classic serial lexicographic Gauss-Seidel ordering, run on the two
 // parity meshes below before it was removed (the 1024-cell meshes run the
 // multigrid serially, so these are thread-count independent): the channel
