@@ -17,9 +17,12 @@
 // to it, the ghost beyond it and its face. CompositeMesh::neighbour(k, s)
 // is the patch across the side (-1 on the domain boundary). Every walk over
 // sides goes through these: the halo compile, the solver's flux-matched
-// jump stencil (solver/jump.hpp), for_each_boundary_ghost (the solver's
-// boundary-condition ghosts) and for_each_interface (the face passes that
-// give both sides of an interface one value).
+// jump stencil and its per-patch side table of the p' operator
+// (solver/jump.hpp, read by the multigrid's smoothers, compiled rungs and
+// transfers and by the solver's boundary faces and corrector),
+// for_each_boundary_ghost (the solver's boundary-condition ghosts) and
+// for_each_interface (the face passes that give both sides of an
+// interface one value).
 #pragma once
 
 #include <cstdint>
@@ -148,8 +151,9 @@ struct HaloEntry {
 /// the edge ghosts, so they come last). Every entry writes a ghost of its
 /// own patch and reads only interior cells (corners: own ghosts), so
 /// patches can be evaluated in any order or concurrently. exchange_ghosts()
-/// evaluates every entry; the multigrid's compiled rungs read single
-/// same-level entries instead (solver/mg.cpp).
+/// evaluates every entry; no solver code reads single entries (the
+/// multigrid's compiled rungs find a neighbour's cell through
+/// CompositeMesh::neighbour()).
 class HaloPlan {
  public:
   [[nodiscard]] const std::vector<HaloEntry>& entries() const {

@@ -22,12 +22,18 @@ JumpStencil::JumpStencil(const mesh::CompositeMesh& mesh)
 
 JumpStencil::JumpStencil(const mesh::CompositeMesh& mesh,
                          const mesh::CompositeMesh& anchor) {
+  const bool outlet = mesh.spec().bc.right.type == mesh::BcType::kOutlet;
+  faces_.reserve(static_cast<std::size_t>(mesh.patch_count()));
   for (int k = 0; k < mesh.patch_count(); ++k) {
     const mesh::PatchMesh& pm = mesh.patch_flat(k);
     const mesh::PatchMesh& am = anchor.patch_flat(k);
+    PatchFaces pf;
     for (const mesh::Side s : mesh::kSides) {
       const int nbk = mesh.neighbour(k, s);
-      if (nbk < 0) continue;
+      if (nbk < 0) {
+        pf.domain[s] = true;
+        continue;
+      }
       const mesh::PatchMesh& nb = mesh.patch_flat(nbk);
       const mesh::PatchMesh& an = anchor.patch_flat(nbk);
       // The ANCHOR decides which sides are interfaces. Map lowering
@@ -36,7 +42,7 @@ JumpStencil::JumpStencil(const mesh::CompositeMesh& mesh,
       // anchor-unequal patches can flatten to equal cell counts — those
       // sides still carry the anchor's d jump and need the stencil.
       if (an.level == am.level) continue;
-      Side sd;
+      JumpSide sd;
       sd.own = mesh.side(k, s);
       sd.nb = mesh.side(nbk, mesh::opposite(s));
       // Orientation comes from the anchor so a flattened (ratio-1) side
@@ -64,17 +70,16 @@ JumpStencil::JumpStencil(const mesh::CompositeMesh& mesh,
       if (!sd.fine) sd.asub.assign(n * sd.ratio, 0.0);
       sides_.push_back(std::move(sd));
     }
+    pf.outlet = outlet && pf.domain[mesh::kE];
+    faces_.push_back(pf);
   }
-  if (!sides_.empty()) {
-    lookup_.assign(static_cast<std::size_t>(mesh.patch_count()) * 4, nullptr);
-    for (Side& sd : sides_) {
-      lookup_[static_cast<std::size_t>(sd.own.k) * 4 + sd.own.side] = &sd;
-    }
+  for (const JumpSide& sd : sides_) {
+    faces_[static_cast<std::size_t>(sd.own.k)].jump[sd.own.side] = &sd;
   }
 }
 
 void JumpStencil::set_coefficients(const mesh::CompositeScalar& dp) {
-  for (Side& sd : sides_) {
+  for (JumpSide& sd : sides_) {
     const double* dpo = dp[sd.own.k].data();
     const double* dpn = dp[sd.nb.k].data();
     // Resistances use the ANCHOR cell sizes h0 (== the level's own h at
@@ -105,7 +110,7 @@ void JumpStencil::set_coefficients(const mesh::CompositeScalar& dp) {
   }
 }
 
-void JumpStencil::refresh_side(Side& sd, int t,
+void JumpStencil::refresh_side(JumpSide& sd, int t,
                                const mesh::CompositeScalar& x) {
   const double* xo = x[sd.own.k].data();
   const double* xn = x[sd.nb.k].data();
@@ -139,7 +144,7 @@ void JumpStencil::refresh_side(Side& sd, int t,
 }
 
 void JumpStencil::refresh(const mesh::CompositeScalar& x) {
-  for (Side& sd : sides_) {
+  for (JumpSide& sd : sides_) {
     for (int t = 1; t <= sd.own.n; ++t) refresh_side(sd, t, x);
   }
 }

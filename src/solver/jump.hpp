@@ -53,42 +53,84 @@
 
 namespace adarnet::solver {
 
-/// Matched jump-face couplings of one composite mesh. Build once per mesh
-/// (geometry only), then per p' solve: set_coefficients(dp) after the
-/// momentum diagonal is known, refresh(x) at every ghost-exchange point.
+/// One patch side that is a level-jump interface. Arrays are 1-based over
+/// the owner's tangential cells [1 .. own.n] (index 0 unused).
+struct JumpSide {
+  mesh::PatchSide own;  ///< the owner's side (own.k: the owner patch)
+  mesh::PatchSide nb;   ///< the neighbour's facing side
+  bool fine = false;    ///< owner is the finer patch
+  int ratio = 1;        ///< fine cells per coarse cell (1 on a ladder
+                        ///< level whose map lowering flattened the jump)
+  double area = 0.0;    ///< fine tangential cell size (subface length)
+  double h0_own = 0.0;  ///< owner perpendicular cell size on the ANCHOR
+                        ///< (finest) mesh — the resistance length scale
+  double h0_nb = 0.0;   ///< neighbour perpendicular anchor cell size
+  double t_ghost = 0.0;  ///< 2 own.h / (own.h + nb.h)
+  /// Per owner cell: total interface coupling (the diagonal term). On
+  /// the fine side each cell has exactly one subface, so a[t] is the
+  /// subface coupling itself; on the coarse side a[t] sums its r
+  /// subfaces (whose individual values live in asub).
+  std::vector<double> a;
+  /// Per owner cell: sum of a_s * x_nb_s (the rhs term). Frozen at the
+  /// last refresh(), like a ghost value.
+  std::vector<double> ax;
+  /// Per owner cell: matched effective ghost of x for the corrector's
+  /// central gradient. Frozen at the last refresh().
+  std::vector<double> ghost;
+  /// Coarse side only: per-subface couplings, (t - 1) * ratio + s
+  /// (0-based s), size n * ratio.
+  std::vector<double> asub;
+};
+
+/// The p' operator's four sides of one patch, indexed by mesh::Side: the
+/// one place that says which side is a level jump, which is the domain
+/// boundary and whether the east side is the outlet.
+struct PatchFaces {
+  /// The level-jump side, or null where the side is not one.
+  const JumpSide* jump[4] = {nullptr, nullptr, nullptr, nullptr};
+  /// The side is the domain boundary (CompositeMesh::neighbour() < 0).
+  bool domain[4] = {false, false, false, false};
+  /// The east side is the domain outlet (p' = 0 at the face).
+  bool outlet = false;
+};
+
+/// What the p' operator puts on one face of a cell.
+enum class PressureFace : unsigned char {
+  kNone,       ///< no face: a solid neighbour or a closed domain side
+  kNeighbour,  ///< the two-point coupling to the cell beyond the face
+  kOutlet,     ///< the outlet fold, x_ghost = -x
+  kJump,       ///< the matched jump-side stencil
+};
+
+/// THE p' face rule, for the face on side s of a cell: `edge` says the
+/// cell lines patch side s, `solid_nb` that the cell beyond the face (a
+/// ghost at the edge) is solid. A jump side goes through the stencil; a
+/// solid neighbour gives no face; a domain side gives none, except the
+/// east outlet, which folds; anything else couples to the neighbour.
+/// Every consumer (assemble_pressure_cell, the compiled rungs and the line
+/// smoother in mg.cpp) branches on it, each in its own arithmetic.
+inline PressureFace pressure_face(const PatchFaces& pf, mesh::Side s,
+                                  bool edge, bool solid_nb) {
+  if (edge && pf.jump[s] != nullptr) return PressureFace::kJump;
+  if (solid_nb) return PressureFace::kNone;
+  if (edge && pf.domain[s]) {
+    return s == mesh::kE && pf.outlet ? PressureFace::kOutlet
+                                      : PressureFace::kNone;
+  }
+  return PressureFace::kNeighbour;
+}
+
+/// Matched jump-face couplings of one composite mesh, and the p'
+/// operator's side table (faces()). Build once per mesh (geometry only),
+/// then per p' solve: set_coefficients(dp) after the momentum diagonal is
+/// known, refresh(x) at every ghost-exchange point.
 class JumpStencil {
  public:
-  /// One patch side that is a level-jump interface. Arrays are 1-based
-  /// over the owner's tangential cells [1 .. own.n] (index 0 unused).
-  struct Side {
-    mesh::PatchSide own;  ///< the owner's side (own.k: the owner patch)
-    mesh::PatchSide nb;   ///< the neighbour's facing side
-    bool fine = false;    ///< owner is the finer patch
-    int ratio = 1;        ///< fine cells per coarse cell (1 on a ladder
-                          ///< level whose map lowering flattened the jump)
-    double area = 0.0;    ///< fine tangential cell size (subface length)
-    double h0_own = 0.0;  ///< owner perpendicular cell size on the ANCHOR
-                          ///< (finest) mesh — the resistance length scale
-    double h0_nb = 0.0;   ///< neighbour perpendicular anchor cell size
-    double t_ghost = 0.0;  ///< 2 own.h / (own.h + nb.h)
-    /// Per owner cell: total interface coupling (the diagonal term). On
-    /// the fine side each cell has exactly one subface, so a[t] is the
-    /// subface coupling itself; on the coarse side a[t] sums its r
-    /// subfaces (whose individual values live in asub).
-    std::vector<double> a;
-    /// Per owner cell: sum of a_s * x_nb_s (the rhs term). Frozen at the
-    /// last refresh(), like a ghost value.
-    std::vector<double> ax;
-    /// Per owner cell: matched effective ghost of x for the corrector's
-    /// central gradient. Frozen at the last refresh().
-    std::vector<double> ghost;
-    /// Coarse side only: per-subface couplings, (t - 1) * ratio + s
-    /// (0-based s), size n * ratio.
-    std::vector<double> asub;
-  };
-
   JumpStencil() = default;
   explicit JumpStencil(const mesh::CompositeMesh& mesh);
+  // The side table points into the jump sides: movable, not copyable.
+  JumpStencil(JumpStencil&&) = default;
+  JumpStencil& operator=(JumpStencil&&) = default;
 
   /// Ladder-level variant: builds sides at every interface where the
   /// ANCHOR mesh (the multigrid ladder's level 0, same patch tiling) has
@@ -110,15 +152,13 @@ class JumpStencil {
   JumpStencil(const mesh::CompositeMesh& mesh,
               const mesh::CompositeMesh& anchor);
 
-  /// True when the mesh has no level-jump interface (all buffers empty;
-  /// the assembly then never consults the stencil).
+  /// True when the mesh has no level-jump interface (no value buffers to
+  /// set or refresh).
   [[nodiscard]] bool empty() const { return sides_.empty(); }
 
-  /// The Side of patch k at side s, or nullptr when that side is not a
-  /// level-jump interface.
-  [[nodiscard]] const Side* side(int k, mesh::Side s) const {
-    return lookup_.empty() ? nullptr
-                           : lookup_[static_cast<std::size_t>(k) * 4 + s];
+  /// Patch k's side table.
+  [[nodiscard]] const PatchFaces& faces(int k) const {
+    return faces_[static_cast<std::size_t>(k)];
   }
 
   /// Recomputes every subface coupling from the current d = vol/aP field
@@ -131,106 +171,61 @@ class JumpStencil {
   void refresh(const mesh::CompositeScalar& x);
 
  private:
-  void refresh_side(Side& sd, int t, const mesh::CompositeScalar& x);
+  static void refresh_side(JumpSide& sd, int t,
+                           const mesh::CompositeScalar& x);
 
-  std::vector<Side> sides_;
-  std::vector<Side*> lookup_;  // patch_count * 4, by [k * 4 + side]
+  std::vector<JumpSide> sides_;
+  std::vector<PatchFaces> faces_;  // one per patch
 };
-
-/// The four (possibly null) jump sides of one patch, as the assembly
-/// kernel consumes them.
-struct JumpSides {
-  const JumpStencil::Side* w = nullptr;
-  const JumpStencil::Side* e = nullptr;
-  const JumpStencil::Side* s = nullptr;
-  const JumpStencil::Side* n = nullptr;
-};
-
-inline JumpSides jump_sides(const JumpStencil& st, int k) {
-  JumpSides js;
-  if (!st.empty()) {
-    js.w = st.side(k, mesh::kW);
-    js.e = st.side(k, mesh::kE);
-    js.s = st.side(k, mesh::kS);
-    js.n = st.side(k, mesh::kN);
-  }
-  return js;
-}
-
-inline bool any_jump_side(const JumpSides& js) {
-  return js.w != nullptr || js.e != nullptr || js.s != nullptr ||
-         js.n != nullptr;
-}
 
 /// Diagonal and right-hand side of the 5-point p' equation at one fluid
 /// cell — THE pressure operator: every multigrid level's smoother and
 /// residual (mg.cpp) and the flat SOR oracle of tests/test_solver_mg.cpp
-/// assemble it here, so they can never drift apart. `b0` is the source
-/// term (-imbalance for the fine equation, the restricted residual for
-/// coarse levels). The boundary treatment: outlet east face folds a_e
+/// assemble it here, so they can never drift apart. `pf` is the patch's
+/// side table and `b0` the source term (-imbalance for the fine equation,
+/// the restricted residual for coarse levels). Each face, in the order E,
+/// W, N, S, follows pressure_face(): the outlet face folds its coupling
 /// into the diagonal with the ghost relation x_ghost = -x (p' = 0 at the
 /// face), every other domain face carries zero correction flux, solid
-/// faces carry none. Jump-side boundary cells couple through the matched
-/// stencil buffers instead of the interpolated ghost ring; same-level
-/// interface cells read the exchanged ghost (an exact copy there). The
-/// Gauss-Seidel value is rhs / apc and the residual is rhs - apc * x.
-///
-/// kJump compiles the jump-side branches out: hot loops dispatch per
-/// patch on any_jump_side(js) so the (common) patches with no jump
-/// interface pay nothing for the matched stencil — the uniform-mesh
-/// kernel is bit- and cost-identical to the pre-stencil one. With
-/// kJump = false every js pointer must be null.
-template <bool kJump = true>
+/// faces carry none, jump-side cells couple through the matched stencil
+/// buffers instead of the interpolated ghost ring, and interior and
+/// same-level interface faces read the cell or exchanged ghost beyond (an
+/// exact copy there). The Gauss-Seidel value is rhs / apc and the
+/// residual is rhs - apc * x.
 inline void assemble_pressure_cell(const mesh::PatchMesh& pm,
+                                   const PatchFaces& pf,
                                    const field::Grid2Dd& DP,
-                                   const field::Grid2Dd& X, double b0,
-                                   bool outlet_right, int npx, int npy,
-                                   const JumpSides& js, int i, int j,
-                                   double* apc, double* rhs) {
+                                   const field::Grid2Dd& X, double b0, int i,
+                                   int j, double* apc, double* rhs) {
   const double dcell = DP(i, j);
   const double rx = dcell * pm.dy / pm.dx;
   const double ry = dcell * pm.dx / pm.dy;
   double sum = 0.0;
   double b = b0;
-  // East face.
-  if (kJump && js.e != nullptr && j == pm.nx) {
-    sum += js.e->a[i];
-    b += js.e->ax[i];
-  } else if (!pm.solid(i, j + 1)) {
-    if (pm.pj == npx - 1 && j == pm.nx) {
-      if (outlet_right) {
-        sum += rx;
-        b += rx * (-X(i, j));
-      }
-    } else {
-      sum += rx;
-      b += rx * X(i, j + 1);
+  // The face on side s, with cell (ni, nj) beyond it, plain coupling r and
+  // the cell's tangential index t along the side.
+  auto face = [&](mesh::Side s, bool edge, int ni, int nj, double r, int t) {
+    switch (pressure_face(pf, s, edge, pm.solid(ni, nj) != 0)) {
+      case PressureFace::kNone:
+        return;
+      case PressureFace::kNeighbour:
+        sum += r;
+        b += r * X(ni, nj);
+        return;
+      case PressureFace::kOutlet:
+        sum += r;
+        b += r * (-X(i, j));
+        return;
+      case PressureFace::kJump:
+        sum += pf.jump[s]->a[t];
+        b += pf.jump[s]->ax[t];
+        return;
     }
-  }
-  // West face.
-  if (kJump && js.w != nullptr && j == 1) {
-    sum += js.w->a[i];
-    b += js.w->ax[i];
-  } else if (!pm.solid(i, j - 1) && !(pm.pj == 0 && j == 1)) {
-    sum += rx;
-    b += rx * X(i, j - 1);
-  }
-  // North face.
-  if (kJump && js.n != nullptr && i == pm.ny) {
-    sum += js.n->a[j];
-    b += js.n->ax[j];
-  } else if (!pm.solid(i + 1, j) && !(pm.pi == npy - 1 && i == pm.ny)) {
-    sum += ry;
-    b += ry * X(i + 1, j);
-  }
-  // South face.
-  if (kJump && js.s != nullptr && i == 1) {
-    sum += js.s->a[j];
-    b += js.s->ax[j];
-  } else if (!pm.solid(i - 1, j) && !(pm.pi == 0 && i == 1)) {
-    sum += ry;
-    b += ry * X(i - 1, j);
-  }
+  };
+  face(mesh::kE, j == pm.nx, i, j + 1, rx, i);
+  face(mesh::kW, j == 1, i, j - 1, rx, i);
+  face(mesh::kN, i == pm.ny, i + 1, j, ry, j);
+  face(mesh::kS, i == 1, i - 1, j, ry, j);
   *apc = sum;
   *rhs = b;
 }

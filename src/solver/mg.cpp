@@ -107,18 +107,20 @@ inline DimW dim_weights(int fi, int cn, int ratio, bool open_lo,
 
 // One cell update of a compiled rung (PressureMg::Level::ops), on the
 // rung's dense cell copy: the cell and its four couplings in
-// assemble_pressure_cell's order E, W, N, S, with every mesh-derived branch
-// of that kernel (solid cell or neighbour, domain sides, the outlet fold,
-// patch interfaces, jump sides) taken once, when the rung is compiled. A
-// solid cell has no face, so its zero diagonal pins it to 0. A kCross
-// face reads the neighbouring patch's cell — the formula the exchange
-// would have written into the ghost, inner + t_perp * (nb - inner), with
-// the cell itself as inner. A ratio-1 jump face reads what
-// JumpStencil::refresh would have stored for the cell: a * x_nb on the
-// side's fine cell, 0.0 + a * x_nb (one subface summed from zero) on its
-// coarse cell. The face couplings and their sum (the diagonal) depend only
-// on the coefficients, so PressureMg::set_coefficients evaluates them
-// once per outer iteration, with that kernel's expressions in its order.
+// assemble_pressure_cell's order E, W, N, S, each classified once by
+// pressure_face() when the rung is compiled. A solid cell has no face, so
+// its zero diagonal pins it to 0. A kCross face reads the neighbouring
+// patch's cell — the formula the exchange would have written into the
+// ghost, inner + t_perp * (nb - inner), with the cell itself as inner and
+// t_perp = 1: every patch of a compiled rung has one cell size, so the
+// factor min(2h / (h + h), 1) is exactly 1 there, and the expression
+// stays xo + (nb - xo), which rounds differently from nb alone. A
+// ratio-1 jump face reads what JumpStencil::refresh would have stored for
+// the cell: a * x_nb on the side's fine cell, 0.0 + a * x_nb (one subface
+// summed from zero) on its coarse cell. The face couplings and their sum
+// (the diagonal) depend only on the coefficients, so
+// PressureMg::set_coefficients evaluates them once per outer iteration,
+// with that kernel's expressions in its order.
 struct CellOp {
   enum Face : std::uint8_t {
     kNone, kLocal, kCross, kOutlet, kJumpFine, kJumpCoarse
@@ -126,7 +128,6 @@ struct CellOp {
   int c = 0;  // the cell's dense index
   Face face[4] = {kNone, kNone, kNone, kNone};
   int nb[4] = {0, 0, 0, 0};                    // the neighbour's dense index
-  double t_perp[4] = {1.0, 1.0, 1.0, 1.0};     // kCross: halo-plan factor
   double coupling[4] = {0.0, 0.0, 0.0, 0.0};  // rx, rx, ry, ry or a[t]
   double diag = 0.0;                           // their sum (apc)
 };
@@ -157,9 +158,9 @@ void zero_scalar(CompositeScalar& s, bool parallel) {
 }  // namespace
 
 void mg_restrict_patch(const Grid2Dd& fine_r, int fny, int fnx,
-                       Grid2Dd& coarse_b, int cny, int cnx, bool open_s,
-                       bool open_n, bool open_w, bool open_e,
-                       bool dirichlet_e, const Mask2D* coarse_solid) {
+                       Grid2Dd& coarse_b, int cny, int cnx,
+                       const OpenSides& open, bool dirichlet_e,
+                       const Mask2D& coarse_solid) {
   const int ry = fny / cny;
   const int rx = fnx / cnx;
   assert(fny == ry * cny && fnx == rx * cnx);
@@ -179,31 +180,21 @@ void mg_restrict_patch(const Grid2Dd& fine_r, int fny, int fnx,
   // cells they address. Scatters whose target falls outside the coarse
   // interior belong to the neighbouring patch's own restriction and are
   // simply skipped here.
-  const int fi_lo = (ry == 2 && open_s) ? 0 : 1;
-  const int fi_hi = (ry == 2 && open_n) ? fny + 1 : fny;
-  const int fj_lo = (rx == 2 && open_w) ? 0 : 1;
-  const int fj_hi = (rx == 2 && open_e) ? fnx + 1 : fnx;
+  const int fi_lo = (ry == 2 && open[mesh::kS]) ? 0 : 1;
+  const int fi_hi = (ry == 2 && open[mesh::kN]) ? fny + 1 : fny;
+  const int fj_lo = (rx == 2 && open[mesh::kW]) ? 0 : 1;
+  const int fj_hi = (rx == 2 && open[mesh::kE]) ? fnx + 1 : fnx;
   for (int fi = fi_lo; fi <= fi_hi; ++fi) {
-    const DimW wy = dim_weights(fi, cny, ry, open_s, open_n);
+    const DimW wy =
+        dim_weights(fi, cny, ry, open[mesh::kS], open[mesh::kN]);
     for (int fj = fj_lo; fj <= fj_hi; ++fj) {
-      const DimW wx = dim_weights(fj, cnx, rx, open_w, open_e, dirichlet_e);
+      const DimW wx = dim_weights(fj, cnx, rx, open[mesh::kW],
+                                  open[mesh::kE], dirichlet_e);
       const double v = fine_r(fi, fj);
       const int ci[2] = {wy.c, wy.s};
       const double wi[2] = {wy.wc, wy.ws};
       const int cj[2] = {wx.c, wx.s};
       const double wj[2] = {wx.wc, wx.ws};
-      if (!coarse_solid) {  // no mask: plain bounds-checked scatter
-        for (int a = 0; a < 2; ++a) {
-          if (wi[a] == 0.0 || ci[a] < 1 || ci[a] > cny) continue;
-          if (a == 1 && ci[1] == ci[0]) break;
-          for (int b = 0; b < 2; ++b) {
-            if (wj[b] == 0.0 || cj[b] < 1 || cj[b] > cnx) continue;
-            if (b == 1 && cj[1] == cj[0]) break;
-            coarse_b(ci[a], cj[b]) += wi[a] * wj[b] * v;
-          }
-        }
-        continue;
-      }
       for (int a = 0; a < 2; ++a) {
         if (wi[a] == 0.0) continue;
         if (a == 1 && ci[1] == ci[0]) break;
@@ -215,12 +206,12 @@ void mg_restrict_patch(const Grid2Dd& fine_r, int fny, int fnx,
           // that the mask pins to zero hands its share to the parent
           // (exactly like a closed zero-flux side). Scatter indices stay
           // within the mask's ghost ring (0..cn+1) by construction.
-          if (coarse_solid && (a != 0 || b != 0) && (*coarse_solid)(I, J)) {
+          if ((a != 0 || b != 0) && coarse_solid(I, J)) {
             I = ci[0];
             J = cj[0];
           }
           if (I < 1 || I > cny || J < 1 || J > cnx) continue;
-          if (coarse_solid && (*coarse_solid)(I, J)) continue;
+          if (coarse_solid(I, J)) continue;
           coarse_b(I, J) += wi[a] * wj[b] * v;
         }
       }
@@ -230,9 +221,8 @@ void mg_restrict_patch(const Grid2Dd& fine_r, int fny, int fnx,
 
 void mg_prolong_add_patch(const Grid2Dd& coarse_x, int cny, int cnx,
                           Grid2Dd& fine_x, int fny, int fnx,
-                          const Mask2D* fine_solid, bool open_s, bool open_n,
-                          bool open_w, bool open_e, bool dirichlet_e,
-                          const Mask2D* coarse_solid) {
+                          const Mask2D* fine_solid, const OpenSides& open,
+                          bool dirichlet_e, const Mask2D* coarse_solid) {
   const int ry = fny / cny;
   const int rx = fnx / cnx;
   assert(fny == ry * cny && fnx == rx * cnx);
@@ -247,10 +237,12 @@ void mg_prolong_add_patch(const Grid2Dd& coarse_x, int cny, int cnx,
     return;
   }
   for (int fi = 1; fi <= fny; ++fi) {
-    const DimW wy = dim_weights(fi, cny, ry, open_s, open_n);
+    const DimW wy =
+        dim_weights(fi, cny, ry, open[mesh::kS], open[mesh::kN]);
     for (int fj = 1; fj <= fnx; ++fj) {
       if (fine_solid && (*fine_solid)(fi, fj)) continue;
-      const DimW wx = dim_weights(fj, cnx, rx, open_w, open_e, dirichlet_e);
+      const DimW wx = dim_weights(fj, cnx, rx, open[mesh::kW],
+                                  open[mesh::kE], dirichlet_e);
       if (!coarse_solid) {
         fine_x(fi, fj) += wy.wc * (wx.wc * coarse_x(wy.c, wx.c) +
                                    wx.ws * coarse_x(wy.c, wx.s)) +
@@ -378,8 +370,6 @@ struct PressureMg::Level {
 
 void PressureMg::compile_rung(Level& lv) {
   const CompositeMesh& m = *lv.mesh;
-  const mesh::HaloPlan& plan = m.halo();
-  const bool outlet_right = m.spec().bc.right.type == mesh::BcType::kOutlet;
   const int ny = m.patch_flat(0).ny;
   const int nx = m.patch_flat(0).nx;
   const int w = nx + 2;
@@ -390,15 +380,9 @@ void PressureMg::compile_rung(Level& lv) {
   lv.nx = nx;
   lv.xd.assign(static_cast<std::size_t>(m.active_cells()), 0.0);
   lv.bd.assign(lv.xd.size(), 0.0);
-  std::vector<int> entry_of;  // ghost offset -> halo entry, one patch
   for (int k = 0; k < m.patch_count(); ++k) {
     const PatchMesh& pm = m.patch_flat(k);
-    entry_of.assign(static_cast<std::size_t>(ny + 2) * w, -1);
-    for (int q = plan.begin(k); q < plan.begin(k + 1); ++q) {
-      const mesh::HaloEntry& e = plan.entries()[static_cast<std::size_t>(q)];
-      if (e.kind != mesh::HaloEntry::kCorner) entry_of[e.dst] = q;
-    }
-    const JumpSides js = jump_sides(lv.stencil, k);
+    const PatchFaces& pf = lv.stencil.faces(k);
     const int par = ((pm.pi * ny) + (pm.pj * nx)) & 1;
     for (int i = 1; i <= ny; ++i) {
       for (int j = 1; j <= nx; ++j) {
@@ -421,42 +405,43 @@ void PressureMg::compile_rung(Level& lv) {
         }
         CellOp c;
         c.c = dense(k, i, j);
-        // Face f's neighbour (ni, nj): jump side, closed, domain side,
-        // interface ghost or own cell — assemble_pressure_cell's branches.
-        auto face = [&](int f, const JumpStencil::Side* jump, bool at_edge,
-                        bool domain, int ni, int nj) {
-          const bool jump_face = jump != nullptr && at_edge;
-          if (!jump_face && (pm.solid(ni, nj) ||
-                             (domain && (f != 0 || !outlet_right)))) {
-            return;  // kNone: only the east side is an outlet
-          }
-          if (!jump_face && domain) {
-            c.face[f] = CellOp::kOutlet;
-          } else if (!at_edge) {
-            c.face[f] = CellOp::kLocal;
-            c.nb[f] = dense(k, ni, nj);
-          } else {
-            // The neighbour patch's cell that the ghost copies; a
-            // same-size rung's jump sides are flattened, ratio 1.
-            assert(entry_of[ni * w + nj] >= 0);
-            const mesh::HaloEntry& e = plan.entries()[static_cast<std::size_t>(
-                entry_of[ni * w + nj])];
-            assert(e.kind == mesh::HaloEntry::kCopy);
-            c.nb[f] = dense(e.nb, e.src / w, e.src % w);
-            if (jump_face) {
-              assert(jump->ratio == 1);
-              c.face[f] = jump->fine ? CellOp::kJumpFine : CellOp::kJumpCoarse;
-            } else {
+        // Face f, with cell (ni, nj) beyond it and the cell's tangential
+        // index t along the side.
+        auto face = [&](int f, bool edge, int ni, int nj, int t) {
+          const mesh::Side s = kCellEdge[f];
+          switch (pressure_face(pf, s, edge, pm.solid(ni, nj) != 0)) {
+            case PressureFace::kNone:
+              return;
+            case PressureFace::kOutlet:
+              c.face[f] = CellOp::kOutlet;
+              return;
+            case PressureFace::kNeighbour:
+              if (!edge) {
+                c.face[f] = CellOp::kLocal;
+                c.nb[f] = dense(k, ni, nj);
+                return;
+              }
               c.face[f] = CellOp::kCross;
-              c.t_perp[f] = e.t_perp;
-            }
+              break;
+            case PressureFace::kJump:
+              // A same-size rung's jump sides are flattened, ratio 1.
+              assert(pf.jump[s]->ratio == 1);
+              c.face[f] = pf.jump[s]->fine ? CellOp::kJumpFine
+                                           : CellOp::kJumpCoarse;
+              break;
           }
+          // Across the side: the neighbouring patch's cell facing this
+          // one, which a same-size ghost copies.
+          const mesh::PatchSide across =
+              m.side(m.neighbour(k, s), mesh::opposite(s));
+          const int off = across.cell(t);
+          c.nb[f] = dense(across.k, off / w, off % w);
         };
         if (!pm.solid(i, j)) {
-          face(0, js.e, j == nx, pm.pj == m.npx() - 1 && j == nx, i, j + 1);
-          face(1, js.w, j == 1, pm.pj == 0 && j == 1, i, j - 1);
-          face(2, js.n, i == ny, pm.pi == m.npy() - 1 && i == ny, i + 1, j);
-          face(3, js.s, i == 1, pm.pi == 0 && i == 1, i - 1, j);
+          face(0, j == nx, i, j + 1, i);
+          face(1, j == 1, i, j - 1, i);
+          face(2, i == ny, i + 1, j, j);
+          face(3, i == 1, i - 1, j, j);
         }
         lv.ops[color].push_back(c);
       }
@@ -690,7 +675,7 @@ void PressureMg::set_coefficients(const CompositeScalar& ap_fine) {
           const bool jump = c.face[f] == CellOp::kJumpFine ||
                             c.face[f] == CellOp::kJumpCoarse;
           c.coupling[f] =
-              jump ? lv.stencil.side(k, kCellEdge[f])->a[f < 2 ? i : j]
+              jump ? lv.stencil.faces(k).jump[kCellEdge[f]]->a[f < 2 ? i : j]
                    : (f < 2 ? rx : ry);
           sum += c.coupling[f];
         }
@@ -743,45 +728,32 @@ void PressureMg::smooth(Level& lv, CompositeScalar& x, int sweeps,
     if (exchange_each_sweep) exchange_iterate(lv, x);
     return;
   }
-  const bool outlet_right =
-      lv.mesh->spec().bc.right.type == mesh::BcType::kOutlet;
-  const int npx = lv.mesh->npx();
-  const int npy = lv.mesh->npy();
   // Updates the cells of `color` in row i of patch k.
   auto update_row = [&](int k, int i, int color) {
     const PatchMesh& pm = lv.mesh->patch_flat(k);
+    const PatchFaces& pf = lv.stencil.faces(k);
     Grid2Dd& X = x[k];
     const Grid2Dd& DP = lv.dp[k];
     const Grid2Dd& B = lv.b[k];
-    const JumpSides jsd = jump_sides(lv.stencil, k);
     // Globally consistent checkerboard: the parity base shifts the
     // (i + j) coloring by the patch's global cell offset. It is 0
     // whenever both patch dimensions are even (every fine level), and on
     // odd-dimension coarse rungs it keeps the two colors a true
     // checkerboard across interfaces of same-size patches.
     const int par = ((pm.pi * pm.ny) + (pm.pj * pm.nx)) & 1;
-    const int j0 = sweep::color_j0(i + par, color);
-    auto row = [&]<bool kJump>() {
-      for (int j = j0; j <= pm.nx; j += 2) {
-        if (pm.solid(i, j)) {
-          X(i, j) = 0.0;
-          continue;
-        }
-        double apc = 0.0;
-        double rhs = 0.0;
-        assemble_pressure_cell<kJump>(pm, DP, X, B(i, j), outlet_right, npx,
-                                      npy, jsd, i, j, &apc, &rhs);
-        if (apc <= 0.0) {
-          X(i, j) = 0.0;
-          continue;
-        }
-        X(i, j) += omega * (rhs / apc - X(i, j));
+    for (int j = sweep::color_j0(i + par, color); j <= pm.nx; j += 2) {
+      if (pm.solid(i, j)) {
+        X(i, j) = 0.0;
+        continue;
       }
-    };
-    if (any_jump_side(jsd)) {
-      row.template operator()<true>();
-    } else {
-      row.template operator()<false>();
+      double apc = 0.0;
+      double rhs = 0.0;
+      assemble_pressure_cell(pm, pf, DP, X, B(i, j), i, j, &apc, &rhs);
+      if (apc <= 0.0) {
+        X(i, j) = 0.0;
+        continue;
+      }
+      X(i, j) += omega * (rhs / apc - X(i, j));
     }
   };
   auto half = [&](int color) {
@@ -838,7 +810,7 @@ void PressureMg::smooth_compiled(Level& lv, CompositeScalar& x, int sweeps,
           b += r * xd[o.nb[f]];
           break;
         case CellOp::kCross:
-          b += r * (xo + o.t_perp[f] * (xd[o.nb[f]] - xo));
+          b += r * (xo + (xd[o.nb[f]] - xo));
           break;
         case CellOp::kOutlet:
           b += r * (-xo);
@@ -923,12 +895,14 @@ void PressureMg::smooth_compiled(Level& lv, CompositeScalar& x, int sweeps,
 // coarse grid owns its constant mode.
 void PressureMg::smooth_lines(Level& lv, CompositeScalar& x,
                               int sweeps) const {
-  const bool outlet_right =
-      lv.mesh->spec().bc.right.type == mesh::BcType::kOutlet;
-  const int npx = lv.mesh->npx();
-  const int npy = lv.mesh->npy();
   const bool by_cols = lv.line_y;  // column solves; else row solves
   const std::vector<sweep::RowRef>& items = by_cols ? lv.cols : lv.rows;
+  // Faces seen from the line: "along" = in-line (tridiagonal), "perp" =
+  // cross-line (explicit).
+  const mesh::Side alo = by_cols ? mesh::kS : mesh::kW;
+  const mesh::Side ahi = by_cols ? mesh::kN : mesh::kE;
+  const mesh::Side plo = by_cols ? mesh::kW : mesh::kS;
+  const mesh::Side phi = by_cols ? mesh::kE : mesh::kN;
 
   auto pass = [&](int color) {
     sweep::run_scan(
@@ -939,23 +913,11 @@ void PressureMg::smooth_lines(Level& lv, CompositeScalar& x,
           // exactly like the point kernel's checkerboard base.
           const int gline = by_cols ? pm.pj * pm.nx + t : pm.pi * pm.ny + t;
           if ((gline & 1) != color) return;
+          const PatchFaces& pf = lv.stencil.faces(k);
           Grid2Dd& X = x[k];
           const Grid2Dd& DP = lv.dp[k];
           const Grid2Dd& B = lv.b[k];
-          const JumpSides jsd = jump_sides(lv.stencil, k);
-          // Faces seen from the line: "along" = in-line (tridiagonal),
-          // "perp" = cross-line (explicit).
-          const JumpStencil::Side* jlo = by_cols ? jsd.s : jsd.w;
-          const JumpStencil::Side* jhi = by_cols ? jsd.n : jsd.e;
-          const JumpStencil::Side* plo = by_cols ? jsd.w : jsd.s;
-          const JumpStencil::Side* phi = by_cols ? jsd.e : jsd.n;
           const int n = by_cols ? pm.ny : pm.nx;
-          const bool dom_alo = by_cols ? pm.pi == 0 : pm.pj == 0;
-          const bool dom_ahi =
-              by_cols ? pm.pi == npy - 1 : pm.pj == npx - 1;
-          const bool dom_plo = by_cols ? pm.pj == 0 : pm.pi == 0;
-          const bool dom_phi =
-              by_cols ? pm.pj == npx - 1 : pm.pi == npy - 1;
           const bool plo_edge = t == 1;
           const bool phi_edge = t == (by_cols ? pm.nx : pm.ny);
           const double h_al = by_cols ? pm.dy : pm.dx;
@@ -983,62 +945,62 @@ void PressureMg::smooth_lines(Level& lv, CompositeScalar& x,
             const double ral = dcell * h_pe / h_al;  // in-line coupling
             const double rpe = dcell * h_al / h_pe;  // cross-line coupling
             double l = 0.0, u = 0.0, e = 0.0, b = B(i, j);
-            // Along-lo face (south for columns, west for rows).
-            if (jlo != nullptr && p == 1) {
-              e += jlo->a[t];
-              b += jlo->ax[t];
-            } else if (!pm.solid(ci(p - 1), cj(p - 1))) {
+            // Face s of the cell, with cell (qi, qj) beyond it and the
+            // cell's index tt along the side: adds a jump side's or the
+            // outlet fold's explicit terms, and returns true where the
+            // face couples to the cell beyond (kNeighbour).
+            auto face = [&](mesh::Side s, bool edge, int qi, int qj, double r,
+                            int tt) {
+              switch (pressure_face(pf, s, edge, pm.solid(qi, qj) != 0)) {
+                case PressureFace::kJump:
+                  e += pf.jump[s]->a[tt];
+                  b += pf.jump[s]->ax[tt];
+                  return false;
+                case PressureFace::kOutlet:
+                  e += 2.0 * r;
+                  return false;
+                case PressureFace::kNone:
+                  return false;
+                case PressureFace::kNeighbour:
+                  break;
+              }
+              return true;
+            };
+            // Along-lo face (south for columns, west for rows): in-line,
+            // or an explicit interface ghost at the line's end.
+            if (face(alo, p == 1, ci(p - 1), cj(p - 1), ral, t)) {
               if (p == 1) {
-                if (!dom_alo) {  // interface ghost: explicit
-                  e += ral;
-                  b += ral * X(ci(0), cj(0));
-                }
+                e += ral;
+                b += ral * X(ci(0), cj(0));
               } else {
                 l = ral;
               }
             }
             // Along-hi face (north for columns, east for rows).
-            if (jhi != nullptr && p == n) {
-              e += jhi->a[t];
-              b += jhi->ax[t];
-            } else if (!pm.solid(ci(p + 1), cj(p + 1))) {
+            if (face(ahi, p == n, ci(p + 1), cj(p + 1), ral, t)) {
               if (p == n) {
-                if (dom_ahi) {
-                  if (!by_cols && outlet_right) e += 2.0 * ral;
-                } else {
-                  e += ral;
-                  b += ral * X(ci(n + 1), cj(n + 1));
-                }
+                e += ral;
+                b += ral * X(ci(n + 1), cj(n + 1));
               } else {
                 u = ral;
               }
             }
             // Perp-lo face (west for columns, south for rows).
-            if (plo != nullptr && plo_edge) {
-              e += plo->a[p];
-              b += plo->ax[p];
-            } else {
+            {
               const int qi = by_cols ? i : i - 1;
               const int qj = by_cols ? j - 1 : j;
-              if (!pm.solid(qi, qj) && !(dom_plo && plo_edge)) {
+              if (face(plo, plo_edge, qi, qj, rpe, p)) {
                 e += rpe;
                 b += rpe * X(qi, qj);
               }
             }
             // Perp-hi face (east for columns, north for rows).
-            if (phi != nullptr && phi_edge) {
-              e += phi->a[p];
-              b += phi->ax[p];
-            } else {
+            {
               const int qi = by_cols ? i : i + 1;
               const int qj = by_cols ? j + 1 : j;
-              if (!pm.solid(qi, qj)) {
-                if (dom_phi && phi_edge) {
-                  if (by_cols && outlet_right) e += 2.0 * rpe;
-                } else {
-                  e += rpe;
-                  b += rpe * X(qi, qj);
-                }
+              if (face(phi, phi_edge, qi, qj, rpe, p)) {
+                e += rpe;
+                b += rpe * X(qi, qj);
               }
             }
             const double d = e + l + u;
@@ -1109,44 +1071,32 @@ double PressureMg::compute_residual(Level& lv, CompositeScalar& x) const {
   static const util::trace::Site kSite =
       mg_scope("solver.mg.residual", "solver.mg.residual.ns");
   const util::trace::Span t(kSite);
-  const bool outlet_right =
-      lv.mesh->spec().bc.right.type == mesh::BcType::kOutlet;
-  const int npx = lv.mesh->npx();
-  const int npy = lv.mesh->npy();
   sweep::zero_rows(lv.acc);
   sweep::run_scan(
       lv.rows,
       [&](int r, int k, int i) {
         const PatchMesh& pm = lv.mesh->patch_flat(k);
+        const PatchFaces& pf = lv.stencil.faces(k);
         const Grid2Dd& X = x[k];
         const Grid2Dd& DP = lv.dp[k];
         const Grid2Dd& B = lv.b[k];
         Grid2Dd& R = lv.r[k];
-        const JumpSides jsd = jump_sides(lv.stencil, k);
         double acc = 0.0;
-        auto row = [&]<bool kJump>() {
-          for (int j = 1; j <= pm.nx; ++j) {
-            if (pm.solid(i, j)) {
-              R(i, j) = 0.0;
-              continue;
-            }
-            double apc = 0.0;
-            double rhs = 0.0;
-            assemble_pressure_cell<kJump>(pm, DP, X, B(i, j), outlet_right,
-                                          npx, npy, jsd, i, j, &apc, &rhs);
-            if (apc <= 0.0) {
-              R(i, j) = 0.0;
-              continue;
-            }
-            const double rr = rhs - apc * X(i, j);
-            R(i, j) = rr;
-            acc += std::abs(rr);
+        for (int j = 1; j <= pm.nx; ++j) {
+          if (pm.solid(i, j)) {
+            R(i, j) = 0.0;
+            continue;
           }
-        };
-        if (any_jump_side(jsd)) {
-          row.template operator()<true>();
-        } else {
-          row.template operator()<false>();
+          double apc = 0.0;
+          double rhs = 0.0;
+          assemble_pressure_cell(pm, pf, DP, X, B(i, j), i, j, &apc, &rhs);
+          if (apc <= 0.0) {
+            R(i, j) = 0.0;
+            continue;
+          }
+          const double rr = rhs - apc * X(i, j);
+          R(i, j) = rr;
+          acc += std::abs(rr);
         }
         lv.acc[r] = acc;
       },
@@ -1209,33 +1159,21 @@ void PressureMg::v_cycle(int d, CompositeScalar& x, double series_x) {
   exchange(lv, lv.r);
   {
     const util::trace::Span t(kTransfer);
-    const int n = lv.mesh->patch_count();
-    const int npx = lv.mesh->npx();
-    const int npy = lv.mesh->npy();
-    const mesh::RefinementMap& fmap = lv.mesh->map();
-    const bool outlet_right =
-        lv.mesh->spec().bc.right.type == mesh::BcType::kOutlet;
-    auto same_lvl = [&](int pi, int pj, int qi, int qj) {
-      return fmap.level(qi, qj) == fmap.level(pi, pj);
-    };
+    const CompositeMesh& m = *lv.mesh;
     auto restrict_patch = [&](int k) {
-      const PatchMesh& fp = lv.mesh->patch_flat(k);
+      const PatchMesh& fp = m.patch_flat(k);
       const PatchMesh& cp = lc.mesh->patch_flat(k);
-      const int pi = fp.pi, pj = fp.pj;
-      mg_restrict_patch(
-          lv.r[k], fp.ny, fp.nx, lc.b[k], cp.ny, cp.nx,
-          /*open_s=*/pi > 0 && same_lvl(pi, pj, pi - 1, pj),
-          /*open_n=*/pi + 1 < npy && same_lvl(pi, pj, pi + 1, pj),
-          /*open_w=*/pj > 0 && same_lvl(pi, pj, pi, pj - 1),
-          /*open_e=*/pj + 1 < npx && same_lvl(pi, pj, pi, pj + 1),
-          // The anti-reflective fold is for the domain outlet only; an
-          // east side closed because of a level jump folds reflectively.
-          /*dirichlet_e=*/outlet_right && pj + 1 == npx,
-          // Solid fold only when the case has immersed geometry — cases
-          // without keep the unmasked fast path bit-for-bit.
-          lv.mesh->spec().geometry ? &cp.solid : nullptr);
+      OpenSides open{};
+      for (const mesh::Side s : mesh::kSides) {
+        const int nb = m.neighbour(k, s);
+        open[s] = nb >= 0 && m.patch_flat(nb).level == fp.level;
+      }
+      // The anti-reflective fold is for the domain outlet only; an east
+      // side closed because of a level jump folds reflectively.
+      mg_restrict_patch(lv.r[k], fp.ny, fp.nx, lc.b[k], cp.ny, cp.nx, open,
+                        lv.stencil.faces(k).outlet, cp.solid);
     };
-    sweep::for_range(n, lv.parallel, restrict_patch);
+    sweep::for_range(m.patch_count(), lv.parallel, restrict_patch);
   }
   zero_scalar(lc.x, lc.parallel);
   if (!lc.stencil.empty()) lc.stencil.refresh(lc.x);  // zero the buffers
@@ -1247,29 +1185,24 @@ void PressureMg::v_cycle(int d, CompositeScalar& x, double series_x) {
   // neighbour-patch coarse cells through them at interface sides.
   {
     const util::trace::Span t(kTransfer);
-    const int n = lv.mesh->patch_count();
-    const int npx = lv.mesh->npx();
-    const int npy = lv.mesh->npy();
-    const bool outlet_right =
-        lv.mesh->spec().bc.right.type == mesh::BcType::kOutlet;
+    const CompositeMesh& m = *lv.mesh;
     auto prolong_patch = [&](int k) {
-      const PatchMesh& fp = lv.mesh->patch_flat(k);
+      const PatchMesh& fp = m.patch_flat(k);
       const PatchMesh& cp = lc.mesh->patch_flat(k);
-      const int pi = fp.pi, pj = fp.pj;
+      const PatchFaces& pf = lv.stencil.faces(k);
       // Unlike restriction, prolongation stays OPEN at jump sides (the
       // correction is point-valued, the t_perp jump-ghost interpolation
       // is sound for it) — folding there instead demonstrably hurts:
       // ratio-2 deep ladders flip from rate 0.76 to divergence when the
-      // jump side is closed here. dirichlet_e only matters where the
-      // east side is closed, so gate it to the domain boundary.
+      // jump side is closed here. The solid fold runs only for cases with
+      // immersed geometry: the unmasked expression rounds differently.
+      const OpenSides open = {!pf.domain[mesh::kW], !pf.domain[mesh::kE],
+                              !pf.domain[mesh::kS], !pf.domain[mesh::kN]};
       mg_prolong_add_patch(lc.x[k], cp.ny, cp.nx, x[k], fp.ny, fp.nx,
-                           &fp.solid,
-                           /*open_s=*/pi > 0, /*open_n=*/pi + 1 < npy,
-                           /*open_w=*/pj > 0, /*open_e=*/pj + 1 < npx,
-                           /*dirichlet_e=*/outlet_right && pj + 1 == npx,
-                           lv.mesh->spec().geometry ? &cp.solid : nullptr);
+                           &fp.solid, open, pf.outlet,
+                           m.spec().geometry ? &cp.solid : nullptr);
     };
-    sweep::for_range(n, lv.parallel, prolong_patch);
+    sweep::for_range(m.patch_count(), lv.parallel, prolong_patch);
   }
   exchange_iterate(lv, x);
   smooth(lv, x, kPostSmooth * lv.smooth_mult, 1.0,

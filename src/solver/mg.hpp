@@ -25,7 +25,10 @@
 //   * Smoothing is a red-black point kernel on the shared 5-point
 //     assembly (jump.hpp), thread-parallel over (patch, row) work items with
 //     fixed-order reductions: results are bitwise identical across thread
-//     counts. Levels whose refinement jumps run perpendicular to strongly
+//     counts. Every face of every level operator — in that kernel, in the
+//     compiled rungs and in the line smoother below — follows one rule,
+//     pressure_face() on the level's side table (PatchFaces, built with
+//     its JumpStencil), and the transfers take their open sides from it. Levels whose refinement jumps run perpendicular to strongly
 //     anisotropic cells (the row-refined channel: x-oscillatory modes
 //     alias across y-jumps faster than point relaxation damps them) swap
 //     the point kernel for a zebra line smoother in the strong direction:
@@ -48,13 +51,14 @@
 //     cells densely once, and each smoothing call gathers x and b into
 //     that copy, sweeps there and scatters x back. Per colour, interior
 //     cells with fluid surroundings run as row runs (neighbours at +-1
-//     and +-nx) and every other cell is a list entry with every branch of
-//     the 5-point operator taken once, whose cross-patch faces read the
-//     neighbouring patch's cell directly (through its ghost's halo-plan
-//     factor, or a ratio-1 jump side's coupling). A same-size neighbour
-//     always holds the opposite colour, so the values read are bitwise
-//     the ones an exchange between the half-sweeps would have written,
-//     and the rung exchanges once per leg instead of twice per sweep.
+//     and +-nx) and every other cell is a list entry with its faces
+//     classified once, whose cross-patch faces read the neighbouring
+//     patch's cell directly (found through CompositeMesh::neighbour(): the
+//     multigrid reads the halo plan only through exchange_ghosts). A
+//     same-size neighbour always holds the opposite colour, so the values
+//     read are bitwise the ones an exchange between the half-sweeps would
+//     have written, and the rung exchanges once per leg instead of twice
+//     per sweep.
 //     Mixed-size rungs of that kind and the line smoother still
 //     exchange between colours.
 //   * Restriction is exactly the transpose of prolongation (scatter form
@@ -69,6 +73,7 @@
 //     (corrections are point-valued, the interpolation is sound).
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -175,56 +180,58 @@ class PressureMg {
   int max_cycles_;
 };
 
+/// A transfer's open sides, indexed by mesh::Side: true where the patch
+/// side is an interface the stencil reaches across.
+using OpenSides = std::array<bool, 4>;
+
 /// Restricts one patch's residual to the coarse patch: b_c = R r_f with
 /// R = P^T exactly (a scatter that applies prolongation's weights in
 /// transpose form). fny/cny and fnx/cnx must each be 1 (identity copy)
-/// or 2. The open_* flags mark interface sides (a neighbouring patch
-/// exists): there the transfer also gathers the fine ghost row/column —
-/// the neighbour's exchanged residual — so the stencil stays full
-/// weighting across patch boundaries. Closed (domain-boundary) sides
+/// or 2. On an `open` side the transfer also gathers the fine ghost
+/// row/column — the neighbour's exchanged residual — so the stencil stays
+/// full weighting across patch boundaries. Closed sides (the domain
+/// boundary, or a level jump: the V-cycle opens only same-level sides)
 /// fold the out-of-range weight onto the parent: reflective (weight 1,
 /// zero-flux boundary) everywhere except a closed east side with
 /// `dirichlet_e` (the outlet, p' = 0 at the face), which anti-reflects
 /// (weight 1/2). Interior coarse cells receive weight sum 4 at ratio 2
 /// (the FV sum-of-children scaling).
 ///
-/// `coarse_solid` (optional, ghost ring included) folds reflectively at
-/// immersed solids exactly like a closed zero-flux side: weight that
-/// would land in a solid coarse cell moves to the parent instead of
-/// being discarded there, and weight whose parent is solid is dropped.
-/// Without it a fine residual row along a solid boundary loses its 1/4
-/// share every rung — and, transposed, prolongation reads the solid
-/// cell's pinned zero as if the boundary were Dirichlet. That mismatch
-/// against the operator's Neumann solid faces injects an O(1) boundary-
-/// layer error per rung: deep ladders over the cylinder diverge at
-/// V(1,1) (rate ~1.35 at depth 6, doubling per extra rung) without the
-/// fold and converge with it. Exposed for the adjointness test in
-/// tests/test_solver_mg.cpp.
+/// `coarse_solid` (ghost ring included; all zero for a case without
+/// immersed geometry) folds reflectively at immersed solids exactly like
+/// a closed zero-flux side: weight that would land in a solid coarse
+/// cell moves to the parent instead of being discarded there, and weight
+/// whose parent is solid is dropped. Without it a fine residual row along
+/// a solid boundary loses its 1/4 share every rung — and, transposed,
+/// prolongation reads the solid cell's pinned zero as if the boundary
+/// were Dirichlet. That mismatch against the operator's Neumann solid
+/// faces injects an O(1) boundary-layer error per rung: deep ladders over
+/// the cylinder diverge at V(1,1) (rate ~1.35 at depth 6, doubling per
+/// extra rung) without the fold and converge with it. Exposed for the
+/// adjointness test in tests/test_solver_mg.cpp.
 void mg_restrict_patch(const field::Grid2Dd& fine_r, int fny, int fnx,
                        field::Grid2Dd& coarse_b, int cny, int cnx,
-                       bool open_s = false, bool open_n = false,
-                       bool open_w = false, bool open_e = false,
-                       bool dirichlet_e = false,
-                       const field::Mask2D* coarse_solid = nullptr);
+                       const OpenSides& open, bool dirichlet_e,
+                       const field::Mask2D& coarse_solid);
 
 /// Adds the prolonged coarse correction into the fine iterate:
 /// x_f += P x_c, cell-centred bilinear with per-dimension weights 3/4
-/// (parent cell) and 1/4 (nearer side neighbour). At open (interface)
-/// sides the side neighbour may be the coarse ghost cell — the caller
-/// must have exchanged the coarse iterate's ghosts (the V-cycle leaves
-/// them fresh). At closed sides the weight folds onto the parent
-/// (reflective; anti-reflective at a `dirichlet_e` east side, see
-/// mg_restrict_patch). `fine_solid` (optional) skips masked cells.
-/// `coarse_solid` (optional) folds solid coarse neighbours' weights onto
-/// the parent — the transpose of mg_restrict_patch's solid fold, so
-/// R = P^T holds with masks too; fine cells whose parent itself is solid
-/// receive no correction.
+/// (parent cell) and 1/4 (nearer side neighbour). On an `open` side the
+/// side neighbour may be the coarse ghost cell — the caller must have
+/// exchanged the coarse iterate's ghosts (the V-cycle leaves them fresh).
+/// At closed sides the weight folds onto the parent (reflective;
+/// anti-reflective at a `dirichlet_e` east side, see mg_restrict_patch).
+/// `fine_solid` (optional) skips masked cells. `coarse_solid` (optional)
+/// folds solid coarse neighbours' weights onto the parent — the transpose
+/// of mg_restrict_patch's solid fold, so R = P^T holds with masks too;
+/// fine cells whose parent itself is solid receive no correction.
+/// Without it the unmasked expression runs, which rounds differently
+/// from the masked one, so the V-cycle passes it only for cases with
+/// immersed geometry.
 void mg_prolong_add_patch(const field::Grid2Dd& coarse_x, int cny, int cnx,
                           field::Grid2Dd& fine_x, int fny, int fnx,
                           const field::Mask2D* fine_solid,
-                          bool open_s = false, bool open_n = false,
-                          bool open_w = false, bool open_e = false,
-                          bool dirichlet_e = false,
-                          const field::Mask2D* coarse_solid = nullptr);
+                          const OpenSides& open, bool dirichlet_e,
+                          const field::Mask2D* coarse_solid);
 
 }  // namespace adarnet::solver

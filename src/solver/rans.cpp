@@ -575,6 +575,7 @@ void RansSolver::extrapolate_ap(Workspace& ws) const {
 double RansSolver::assemble_faces_imbalance(const CompositeField& f,
                                             Workspace& ws) const {
   const mesh::CaseSpec& spec = mesh_.spec();
+  const JumpStencil& stencil = ws.mg.fine_stencil();
 
   // Pass 1: every patch computes its own face velocities (interior faces
   // get the Rhie-Chow pressure-dissipation term to suppress
@@ -582,6 +583,7 @@ double RansSolver::assemble_faces_imbalance(const CompositeField& f,
 #pragma omp parallel for schedule(static)
   for (int k = 0; k < mesh_.patch_count(); ++k) {
     const PatchMesh& pm = mesh_.patch_flat(k);
+    const bool* domain = stencil.faces(k).domain;
     const Grid2Dd& U = f.U[k];
     const Grid2Dd& V = f.V[k];
     const Grid2Dd& P = f.p[k];
@@ -627,15 +629,15 @@ double RansSolver::assemble_faces_imbalance(const CompositeField& f,
     // everywhere else (patch-interface faces included).
     auto u_face = [&](int i, int j) -> double {
       if (pm.solid(i, j) || pm.solid(i, j + 1)) return 0.0;
-      const bool domain_face = (pm.pj == 0 && j == 0) ||
-                               (pm.pj == mesh_.npx() - 1 && j == pm.nx);
+      const bool domain_face =
+          (domain[mesh::kW] && j == 0) || (domain[mesh::kE] && j == pm.nx);
       if (domain_face) return 0.5 * (U(i, j) + U(i, j + 1));
       return rc_u_face(i, j);
     };
     auto v_face = [&](int i, int j) -> double {
       if (pm.solid(i, j) || pm.solid(i + 1, j)) return 0.0;
-      const bool domain_face = (pm.pi == 0 && i == 0) ||
-                               (pm.pi == mesh_.npy() - 1 && i == pm.ny);
+      const bool domain_face =
+          (domain[mesh::kS] && i == 0) || (domain[mesh::kN] && i == pm.ny);
       if (domain_face) return 0.5 * (V(i, j) + V(i + 1, j));
       return rc_v_face(i, j);
     };
@@ -785,7 +787,7 @@ static void correct_interface_faces(const CompositeMesh& mesh,
       double* fc = a_fine ? fb : fa;
       const double* pf = a_fine ? pca : pcb;
       const double* pcc = a_fine ? pcb : pca;
-      const JumpStencil::Side* sd = st.side(fine.k, fine.side);
+      const JumpSide* sd = st.faces(fine.k).jump[fine.side];
       const int r = sd->ratio;
       for (int tc = 1; tc <= coarse.n; ++tc) {
         const double xc = pcc[coarse.cell(tc)];
@@ -908,8 +910,6 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
   }
 
   // --- pressure correction ---------------------------------------------------
-  const bool outlet_right = spec.bc.right.type == BcType::kOutlet;
-
   // Geometric V-cycles on the patch-hierarchy ladder (solver/mg.hpp). Its
   // coefficients, d = vol / aP per cell (zero in solids, which is how the
   // matched jump couplings see walls), are the shared mobility of the p'
@@ -929,9 +929,10 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
 #pragma omp parallel for schedule(static)
     for (int k = 0; k < mesh_.patch_count(); ++k) {
       double* pc = ws.pc[k].data();
+      const bool outlet = stencil.faces(k).outlet;
       mesh::for_each_boundary_ghost(
           mesh_, k, [&](mesh::Side s, int ghost, int cell) {
-            pc[ghost] = (s == mesh::kE && outlet_right) ? -pc[cell] : pc[cell];
+            pc[ghost] = (s == mesh::kE && outlet) ? -pc[cell] : pc[cell];
           });
     }
 
@@ -944,7 +945,7 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
       Grid2Dd& P = f.p[k];
       const Grid2Dd& PC = ws.pc[k];
       const Grid2Dd& DP = dp[k];
-      const JumpSides jsd = jump_sides(stencil, k);
+      const PatchFaces& pf = stencil.faces(k);
       Grid2Dd& FU = ws.face_u[k];
       Grid2Dd& FV = ws.face_v[k];
       // The in-patch face pass rides in the cell loop (each interior face
@@ -957,55 +958,42 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
       // Next iteration's Rhie-Chow rebuilds faces from scratch, so the
       // face pass only has to keep the invariant and make the corrected
       // flux field the one the p' equation actually solved for.
-      auto cells = [&]<bool kJump>() {
-        for (int i = 1; i <= pm.ny; ++i) {
-          for (int j = 1; j <= pm.nx; ++j) {
-            if (pm.solid(i, j)) continue;
-            P(i, j) += cfg.alpha_p * PC(i, j);
-            const double d_p = DP(i, j);
-            // Solid neighbours mirror the cell's own p' (zero correction
-            // flux through the wall, matching the p' equation). Reading
-            // the stored 0 instead would act like p' = 0 at the wall face
-            // and drive a spurious wall-normal correction proportional to
-            // |p'| — survivable when the p' solve is weak, but it feeds
-            // back into the imbalance and blows up SIMPLE once the
-            // multigrid path solves p' accurately. Jump-side cells read
-            // the matched effective ghost — the value of the same linear
-            // profile the flux stencil discretises — instead of the
-            // clamped interpolated ghost the equation never models.
-            const double pe = (kJump && jsd.e != nullptr && j == pm.nx)
-                                  ? jsd.e->ghost[i]
-                                  : (pm.solid(i, j + 1) ? PC(i, j)
-                                                        : PC(i, j + 1));
-            const double pw = (kJump && jsd.w != nullptr && j == 1)
-                                  ? jsd.w->ghost[i]
-                                  : (pm.solid(i, j - 1) ? PC(i, j)
-                                                        : PC(i, j - 1));
-            const double pn = (kJump && jsd.n != nullptr && i == pm.ny)
-                                  ? jsd.n->ghost[j]
-                                  : (pm.solid(i + 1, j) ? PC(i, j)
-                                                        : PC(i + 1, j));
-            const double ps = (kJump && jsd.s != nullptr && i == 1)
-                                  ? jsd.s->ghost[j]
-                                  : (pm.solid(i - 1, j) ? PC(i, j)
-                                                        : PC(i - 1, j));
-            U(i, j) -= d_p * (pe - pw) / (2.0 * pm.dx);
-            V(i, j) -= d_p * (pn - ps) / (2.0 * pm.dy);
-            if (j < pm.nx && !pm.solid(i, j + 1)) {
-              const double dbar = 0.5 * (DP(i, j) + DP(i, j + 1));
-              FU(i, j) -= dbar * (PC(i, j + 1) - PC(i, j)) / pm.dx;
-            }
-            if (i < pm.ny && !pm.solid(i + 1, j)) {
-              const double dbar = 0.5 * (DP(i, j) + DP(i + 1, j));
-              FV(i, j) -= dbar * (PC(i + 1, j) - PC(i, j)) / pm.dy;
-            }
+      for (int i = 1; i <= pm.ny; ++i) {
+        for (int j = 1; j <= pm.nx; ++j) {
+          if (pm.solid(i, j)) continue;
+          P(i, j) += cfg.alpha_p * PC(i, j);
+          const double d_p = DP(i, j);
+          // p' beyond the face on side s, cell (ni, nj) beyond it, t the
+          // cell's index along the side. Solid neighbours mirror the
+          // cell's own p' (zero correction flux through the wall, matching
+          // the p' equation). Reading the stored 0 instead would act like
+          // p' = 0 at the wall face and drive a spurious wall-normal
+          // correction proportional to |p'| — survivable when the p'
+          // solve is weak, but it feeds back into the imbalance and blows
+          // up SIMPLE once the multigrid path solves p' accurately.
+          // Jump-side cells read the matched effective ghost — the value
+          // of the same linear profile the flux stencil discretises —
+          // instead of the clamped interpolated ghost the equation never
+          // models.
+          auto beyond = [&](mesh::Side s, bool edge, int ni, int nj, int t) {
+            if (edge && pf.jump[s] != nullptr) return pf.jump[s]->ghost[t];
+            return pm.solid(ni, nj) ? PC(i, j) : PC(ni, nj);
+          };
+          const double pe = beyond(mesh::kE, j == pm.nx, i, j + 1, i);
+          const double pw = beyond(mesh::kW, j == 1, i, j - 1, i);
+          const double pn = beyond(mesh::kN, i == pm.ny, i + 1, j, j);
+          const double ps = beyond(mesh::kS, i == 1, i - 1, j, j);
+          U(i, j) -= d_p * (pe - pw) / (2.0 * pm.dx);
+          V(i, j) -= d_p * (pn - ps) / (2.0 * pm.dy);
+          if (j < pm.nx && !pm.solid(i, j + 1)) {
+            const double dbar = 0.5 * (DP(i, j) + DP(i, j + 1));
+            FU(i, j) -= dbar * (PC(i, j + 1) - PC(i, j)) / pm.dx;
+          }
+          if (i < pm.ny && !pm.solid(i + 1, j)) {
+            const double dbar = 0.5 * (DP(i, j) + DP(i + 1, j));
+            FV(i, j) -= dbar * (PC(i + 1, j) - PC(i, j)) / pm.dy;
           }
         }
-      };
-      if (any_jump_side(jsd)) {
-        cells.template operator()<true>();
-      } else {
-        cells.template operator()<false>();
       }
     }
     correct_interface_faces(mesh_, stencil, ws.pc, dp, ws.face_u, ws.face_v);

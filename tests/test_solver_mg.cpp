@@ -94,6 +94,22 @@ CompositeMesh refined_cylinder_mesh() {
   return CompositeMesh(spec, map);
 }
 
+// Column-refined cylinder: cells four times as tall as wide, patch
+// columns 2 .. npx - 3 at level 1. Its level jumps run in x, across the
+// strong x coupling — the transpose of the row-refined channel — so the
+// top rungs of its ladder smooth by zebra row solves.
+CompositeMesh column_refined_cylinder_mesh() {
+  auto spec = adarnet::data::cylinder_case(1e5, GridPreset{16, 64, 4, 4});
+  RefinementMap map(spec.npy(), spec.npx(), 0);
+  for (int pi = 0; pi < spec.npy(); ++pi) {
+    for (int pj = 2; pj <= spec.npx() - 3; ++pj) map.set_level(pi, pj, 1);
+  }
+  EXPECT_TRUE(map.has_jump_in_x()) << "the map has no x jump";
+  EXPECT_LE(spec.lx / spec.base_nx, 0.5 * (spec.ly / spec.base_ny))
+      << "cells are not at least twice as tall as wide";
+  return CompositeMesh(spec, map);
+}
+
 // Deterministic pseudo-random fill of the interior cells (LCG — no
 // global RNG state, bit-identical on every platform).
 void fill_interior(Grid2Dd& a, int ny, int nx, unsigned seed) {
@@ -200,8 +216,6 @@ double sor_solve(const CompositeMesh& mesh, const CompositeScalar& ap,
                  const CompositeScalar& imb, double omega, double tol,
                  int max_sweeps, CompositeScalar& x) {
   namespace solver = adarnet::solver;
-  const bool outlet = mesh.spec().bc.right.type ==
-                      adarnet::mesh::BcType::kOutlet;
   CompositeScalar dp = adarnet::mesh::make_scalar(mesh);
   for (int k = 0; k < mesh.patch_count(); ++k) {
     const auto& pm = mesh.patch_flat(k);
@@ -224,15 +238,13 @@ double sor_solve(const CompositeMesh& mesh, const CompositeScalar& ap,
     for (int k = 0; k < mesh.patch_count(); ++k) {
       const auto& pm = mesh.patch_flat(k);
       if (color >= 0 && ((pm.pi + pm.pj) & 1) != color) continue;
-      const solver::JumpSides js = solver::jump_sides(stencil, k);
       for (int i = 1; i <= pm.ny; ++i) {
         for (int j = 1; j <= pm.nx; ++j) {
           if (pm.solid(i, j)) continue;
           double apc = 0.0;
           double rhs = 0.0;
-          solver::assemble_pressure_cell(pm, dp[k], x[k], -imb[k](i, j),
-                                         outlet, mesh.npx(), mesh.npy(), js,
-                                         i, j, &apc, &rhs);
+          solver::assemble_pressure_cell(pm, stencil.faces(k), dp[k], x[k],
+                                         -imb[k](i, j), i, j, &apc, &rhs);
           if (apc <= 0.0) continue;
           if (color < 0) {
             norm += std::abs(rhs - apc * x[k](i, j));
@@ -314,15 +326,14 @@ TEST(PressureMgTransfers, RestrictionIsProlongationTranspose) {
     fill_interior(v, sh.cny, sh.cnx, 202);
 
     Grid2Dd ru(sh.cny + 2, sh.cnx + 2);
-    mg_restrict_patch(u, sh.fny, sh.fnx, ru, sh.cny, sh.cnx,
-                      /*open_s=*/false, /*open_n=*/false, /*open_w=*/false,
-                      /*open_e=*/false, sh.dirichlet_e);
+    const adarnet::field::Mask2D no_solid(sh.cny + 2, sh.cnx + 2);
+    mg_restrict_patch(u, sh.fny, sh.fnx, ru, sh.cny, sh.cnx, /*open=*/{},
+                      sh.dirichlet_e, no_solid);
 
     Grid2Dd pv(sh.fny + 2, sh.fnx + 2);
     mg_prolong_add_patch(v, sh.cny, sh.cnx, pv, sh.fny, sh.fnx,
-                         /*fine_solid=*/nullptr,
-                         /*open_s=*/false, /*open_n=*/false, /*open_w=*/false,
-                         /*open_e=*/false, sh.dirichlet_e);
+                         /*fine_solid=*/nullptr, /*open=*/{}, sh.dirichlet_e,
+                         /*coarse_solid=*/nullptr);
 
     const double lhs = dot_interior(ru, v, sh.cny, sh.cnx);
     const double rhs = dot_interior(u, pv, sh.fny, sh.fnx);
@@ -360,6 +371,20 @@ TEST(PressureMgLinear, ConvergesOnUniformChannel) {
 TEST(PressureMgLinear, LineSmootherConvergesOnRowRefinedChannel) {
   auto spec = adarnet::data::channel_case(2.5e3, jump_preset());
   CompositeMesh mesh = mixed_channel_mesh(spec);
+
+  const double tol = 1e-6;
+  const auto info = solve_linear(mesh, tol, 60);
+  ASSERT_GT(info.cycles, 0);
+  EXPECT_LE(info.final_ratio, tol) << "cycles=" << info.cycles;
+  const double rate = std::pow(info.final_ratio, 1.0 / info.cycles);
+  EXPECT_LE(rate, 0.8) << "ratio=" << info.final_ratio
+                       << " cycles=" << info.cycles;
+}
+
+// The transpose: x jumps across tall cells, which the ladder smooths by
+// zebra row solves.
+TEST(PressureMgLinear, LineSmootherConvergesOnColumnRefinedCylinder) {
+  CompositeMesh mesh = column_refined_cylinder_mesh();
 
   const double tol = 1e-6;
   const auto info = solve_linear(mesh, tol, 60);
@@ -591,13 +616,16 @@ TEST(PressureMgSimple, JumpFaceFluxConservedAfterCorrector) {
 // every thread count. Meshes: the shrink-8 cylinder LR mesh (single-cell
 // coarsest rung), the shrink-8 channel LR mesh (every rung compiled; the
 // coarsest runs 40 x 29 sweeps), a composite cylinder ladder (mixed-size
-// rungs above compiled flattened ones, ratio-1 jump sides), and the
-// shrink-2 channel, whose 4096-cell fine rung runs the compiled schedule
-// thread-parallel. On x86-64 without FMA, each 1-thread result must also
-// hash to the bits recorded at commit 3cbbc38, which pins the ratio-1 jump
-// faces' fine- and coarse-side arithmetic too. Elsewhere the compiler may
-// contract b += r * x into FMAs, which rounds differently, so the hashes
-// are only asserted where they were recorded.
+// rungs above compiled flattened ones, ratio-1 jump sides), the shrink-2
+// channel, whose 4096-cell fine rung runs the compiled schedule
+// thread-parallel, and the column-refined cylinder, whose top two rungs
+// smooth by zebra row solves (no other input runs them). On x86-64
+// without FMA, each 1-thread result must also hash to the bits recorded
+// at commit 3cbbc38 (the fifth at 4218bb3), which pins the ratio-1 jump
+// faces' fine- and coarse-side arithmetic and the row solves' face terms
+// too. Elsewhere the compiler may contract
+// b += r * x into FMAs, which rounds differently, so the hashes are only
+// asserted where they were recorded.
 TEST(PressureMgCompiled, SolveLeavesFreshGhostsAtEveryThreadCount) {
   namespace ad = adarnet::data;
   const auto body8 = ad::shrink(ad::paper_body_preset(), 8);
@@ -620,10 +648,11 @@ TEST(PressureMgCompiled, SolveLeavesFreshGhostsAtEveryThreadCount) {
       CompositeMesh(ad::channel_case(2.5e3, wall2),
                     RefinementMap(wall2.base_ny / wall2.ph,
                                   wall2.base_nx / wall2.pw, 0)),
+      column_refined_cylinder_mesh(),
   };
   [[maybe_unused]] const std::uint64_t recorded[] = {
       0x546c98952f61dc3eull, 0x3b3a5703803ba937ull, 0x652ac2ab82f18178ull,
-      0x394994c5ae002a17ull};
+      0x394994c5ae002a17ull, 0x603e199ee4d5613aull};
 #ifdef _OPENMP
   const int saved = omp_get_max_threads();
   omp_set_num_threads(1);
@@ -710,7 +739,7 @@ TEST(PressureMgCompiled, CoarsestSolveMatchesExchangedRowKernelBitwise) {
     }
 
     CompositeScalar ref = adarnet::mesh::make_scalar(mesh);
-    const bool outlet = true;
+    const JumpStencil faces(mesh);  // no level jump: the side table only
     for (int sweep = 0; sweep < 40; ++sweep) {
       for (int color = 0; color < 2; ++color) {
         for (int k = 0; k < mesh.patch_count(); ++k) {
@@ -726,9 +755,8 @@ TEST(PressureMgCompiled, CoarsestSolveMatchesExchangedRowKernelBitwise) {
               }
               double apc = 0.0;
               double rhs = 0.0;
-              adarnet::solver::assemble_pressure_cell<false>(
-                  pm, dp[k], X, b[k](i, j), outlet, mesh.npx(), mesh.npy(),
-                  {}, i, j, &apc, &rhs);
+              adarnet::solver::assemble_pressure_cell(
+                  pm, faces.faces(k), dp[k], X, b[k](i, j), i, j, &apc, &rhs);
               X(i, j) =
                   apc <= 0.0 ? 0.0 : X(i, j) + 1.0 * (rhs / apc - X(i, j));
             }

@@ -43,6 +43,11 @@ namespace sa = adarnet::solver::sa;
 
 GridPreset tiny_preset() { return GridPreset{16, 64, 8, 8}; }
 
+// Four patch rows, so refining the wall rows leaves the two core rows
+// coarse and the mesh has level jumps in y. (With the tiny 2-row preset,
+// refining both wall rows would refine every patch.)
+GridPreset jump_preset() { return GridPreset{32, 64, 8, 8}; }
+
 SolverConfig quick_config() {
   SolverConfig cfg;
   cfg.max_outer = 4000;
@@ -58,6 +63,7 @@ CompositeMesh mixed_channel_mesh(const adarnet::mesh::CaseSpec& spec) {
     map.set_level(0, pj, 1);
     map.set_level(spec.npy() - 1, pj, 1);
   }
+  EXPECT_TRUE(map.has_jump_in_y()) << "preset too small: no level jump";
   return CompositeMesh(spec, map);
 }
 
@@ -282,13 +288,14 @@ std::vector<double> all_nu_tilda(const CompositeField& f) {
 // deterministic, so SolveStats.residual and every field value are bitwise
 // identical for OMP_NUM_THREADS=1 vs 3 and 4 (unlike naively parallelised
 // lexicographic Gauss-Seidel, whose result depends on the thread
-// interleaving). At 4 threads the mesh's 256 rows split into chunks of
-// exactly 4 patches, so no thread reads a row another thread writes; 3
-// threads split patches, which exposes an in-place sweep that is not
-// colour-safe. The shrink-8 cylinder (2 x 2-cell patches around a solid)
-// is the mesh class whose SA sweeps run many patches per lane block.
+// interleaving). The mixed channel's sweeps, reflux and p' solve cross
+// level jumps; its 384 rows split at patch boundaries at 3 and 4
+// threads, so no thread reads a row another thread writes. The shrink-8
+// cylinder (2 x 2-cell patches around a solid, 128 rows) splits patches
+// at 3 threads, which exposes an in-place sweep that is not colour-safe,
+// and is the mesh class whose SA sweeps run many patches per lane block.
 TEST(ParallelSolver, BitwiseIdenticalAcrossThreadCounts) {
-  auto channel = adarnet::data::channel_case(2.5e3, tiny_preset());
+  auto channel = adarnet::data::channel_case(2.5e3, jump_preset());
   auto cylinder = adarnet::data::cylinder_case(
       1e5, adarnet::data::shrink(adarnet::data::paper_body_preset(), 8));
   const CompositeMesh meshes[] = {
@@ -488,7 +495,7 @@ TEST(ParallelSolver, RedBlackMatchesLexicographicOnCylinder) {
 // residuals() evaluates the state read-only: no sweeps, no copy, and the
 // field — ghosts included — is bitwise untouched.
 TEST(ParallelSolver, ResidualsIsReadOnly) {
-  auto spec = adarnet::data::channel_case(2.5e3, tiny_preset());
+  auto spec = adarnet::data::channel_case(2.5e3, jump_preset());
   CompositeMesh mesh = mixed_channel_mesh(spec);
   RansSolver solver(mesh, quick_config());
   auto f = adarnet::mesh::make_field(mesh);
@@ -526,7 +533,7 @@ TEST(ParallelSolver, ResidualsAgreesWithConvergedSolve) {
 // The cached workspace must not leak state between calls: two back-to-back
 // iterate() calls give exactly the same trajectory as one combined call.
 TEST(ParallelSolver, WorkspaceReuseIsStateless) {
-  auto spec = adarnet::data::channel_case(2.5e3, tiny_preset());
+  auto spec = adarnet::data::channel_case(2.5e3, jump_preset());
   CompositeMesh mesh = mixed_channel_mesh(spec);
 
   RansSolver split(mesh, quick_config());
@@ -546,7 +553,7 @@ TEST(ParallelSolver, WorkspaceReuseIsStateless) {
 // Phase timings: every phase non-negative, the breakdown accounts for the
 // bulk of the solve, and it never exceeds the wall time.
 TEST(ParallelSolver, PhaseTimesCoverTheSolve) {
-  auto spec = adarnet::data::channel_case(2.5e3, tiny_preset());
+  auto spec = adarnet::data::channel_case(2.5e3, jump_preset());
   CompositeMesh mesh = mixed_channel_mesh(spec);
   RansSolver solver(mesh, quick_config());
   auto f = adarnet::mesh::make_field(mesh);
@@ -582,7 +589,7 @@ TEST(SaLanes, HalfSweepMatchesPerCellOracleBitwise) {
     std::string name;
     CompositeMesh mesh;
   };
-  const auto channel = adarnet::data::channel_case(2.5e3, tiny_preset());
+  const auto channel = adarnet::data::channel_case(2.5e3, jump_preset());
   const auto cylinder =
       adarnet::data::cylinder_case(1e5, GridPreset{32, 32, 8, 8});
   std::vector<Case> cases;
