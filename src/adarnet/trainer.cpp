@@ -46,6 +46,13 @@ nn::Tensor score_target(const field::FlowField& lr, int ph, int pw) {
 
 namespace {
 
+// Adam rates: the decoder's is the paper's; the scorer's softmax targets
+// are O(1/N), so it needs a larger step. An epoch whose combined loss
+// exceeds kSpikeFactor x the best rolls back to the best epoch.
+constexpr double kDecoderLr = 1e-4;
+constexpr double kScorerLr = 3e-3;
+constexpr double kSpikeFactor = 3.0;
+
 // Hybrid loss and its gradient for one decoder output batch of patches at
 // `level`. Returns {data_loss_sum, pde_loss_sum} over the batch and fills
 // `*grad` (same shape as `out`). A null `grad` skips the whole adjoint
@@ -189,11 +196,11 @@ TrainStats train(AdarNet& model, const data::Dataset& dataset,
   metrics::TimeSeries& s_pde_loss = metrics::series("train.loss.pde");
 
   nn::AdamConfig scorer_cfg;
-  scorer_cfg.lr = config.scorer_lr;
+  scorer_cfg.lr = kScorerLr;
   scorer_cfg.clip_norm = config.clip_norm;
   nn::Adam scorer_opt(model.scorer().parameters(), scorer_cfg);
   nn::AdamConfig decoder_cfg;
-  decoder_cfg.lr = config.lr;
+  decoder_cfg.lr = kDecoderLr;
   decoder_cfg.clip_norm = config.clip_norm;
   nn::Adam decoder_opt(model.decoder().parameters(), decoder_cfg);
 
@@ -206,7 +213,7 @@ TrainStats train(AdarNet& model, const data::Dataset& dataset,
   // Resume from an epoch checkpoint when one is present. Optimizer moments
   // restart (lightweight resume; see DESIGN.md §7) — the parameters, which
   // dominate, are exact.
-  if (!config.checkpoint_path.empty() && config.resume) {
+  if (!config.checkpoint_path.empty()) {
     std::uint64_t next_epoch = 0;
     if (nn::load_parameters(all_params, config.checkpoint_path,
                             &next_epoch)) {
@@ -256,14 +263,13 @@ TrainStats train(AdarNet& model, const data::Dataset& dataset,
       const int npy = target.h();
       const int npx = target.w();
 
-      if (config.train_scorer) {
+      {
         const Span span(scorer_site);
         scorer_opt.zero_grad();
         auto scored = model.scorer().forward(lr_norm, /*train=*/true);
         const double loss = nn::mse_loss(scored.scores, target);
         model.scorer().backward(nn::mse_loss_grad(scored.scores, target));
-        if (config.skip_nonfinite &&
-            (!std::isfinite(loss) || !nn::grads_finite(scorer_params))) {
+        if (!std::isfinite(loss) || !nn::grads_finite(scorer_params)) {
           ++stats.skipped_steps;
           m_skipped.add();
           ADR_LOG_WARN << "skipping non-finite scorer batch (sample " << idx
@@ -275,7 +281,7 @@ TrainStats train(AdarNet& model, const data::Dataset& dataset,
         }
       }
 
-      if (config.train_decoder) {
+      {
         const Span span("train.decoder");
         decoder_opt.zero_grad();
         // Teacher-forced binning from the physics-derived target.
@@ -329,9 +335,8 @@ TrainStats train(AdarNet& model, const data::Dataset& dataset,
           model.decoder().backward(grad);
         }
         const Span timer(decoder_site);
-        if (config.skip_nonfinite &&
-            (!std::isfinite(sample_data) || !std::isfinite(sample_pde) ||
-             !nn::grads_finite(decoder_params))) {
+        if (!std::isfinite(sample_data) || !std::isfinite(sample_pde) ||
+            !nn::grads_finite(decoder_params)) {
           ++stats.skipped_steps;
           ++epoch_skipped;
           m_skipped.add();
@@ -361,11 +366,9 @@ TrainStats train(AdarNet& model, const data::Dataset& dataset,
     // --- best-epoch tracking and spike rollback ----------------------------
     const double combined = stats.scorer_loss.back() +
                             stats.data_loss.back() + stats.pde_loss.back();
-    const bool epoch_lost =
-        config.train_decoder && patch_count == 0 && epoch_skipped > 0;
-    const bool spiked = config.spike_factor > 0.0 &&
-                        stats.best_epoch >= 0 &&
-                        combined > config.spike_factor * stats.best_loss;
+    const bool epoch_lost = patch_count == 0 && epoch_skipped > 0;
+    const bool spiked =
+        stats.best_epoch >= 0 && combined > kSpikeFactor * stats.best_loss;
     if (!std::isfinite(combined) || epoch_lost || spiked) {
       if (!best_params.empty()) {
         restore();
@@ -384,9 +387,7 @@ TrainStats train(AdarNet& model, const data::Dataset& dataset,
     }
 
     // --- resumable epoch checkpoint (atomic, CRC-checked) ------------------
-    if (!config.checkpoint_path.empty() &&
-        ((epoch + 1) % std::max(config.checkpoint_every, 1) == 0 ||
-         epoch + 1 == config.epochs)) {
+    if (!config.checkpoint_path.empty()) {
       if (nn::save_parameters(all_params, config.checkpoint_path,
                               static_cast<std::uint64_t>(epoch + 1))) {
         m_checkpoints.add();

@@ -30,34 +30,23 @@
 
 namespace adarnet::core {
 
-/// Training hyperparameters (paper defaults where given).
+/// Training hyperparameters (paper defaults where given). The Adam rates
+/// and the loss-spike rollback factor are constants in trainer.cpp.
 struct TrainConfig {
   int epochs = 10;            ///< paper: 350
-  double lr = 1e-4;           ///< decoder Adam learning rate (paper: 1e-4)
-  double scorer_lr = 3e-3;    ///< scorer Adam learning rate: the softmax
-                              ///< score targets are O(1/N), so the scorer
-                              ///< needs a larger step than the decoder
   double lambda_pde = 0.03;   ///< PDE-loss weight (paper: 0.03)
   ResidualFn residual = &pde_residual_loss;  ///< governing-equation loss;
                               ///< swap (e.g. laplace_residual_loss) to
                               ///< retrain for a different PDE
-  bool train_scorer = true;
-  bool train_decoder = true;
   int log_every = 1;          ///< epochs between log lines (0 = silent)
 
   // --- resilience (DESIGN.md §7) -------------------------------------------
-  bool skip_nonfinite = true;   ///< skip the optimizer step of a sample
-                                ///< whose loss or gradients are non-finite
   double clip_norm = 0.0;       ///< > 0: global gradient-norm clip applied
                                 ///< by the optimizers before each step
-  double spike_factor = 3.0;    ///< > 0: roll parameters back to the best
-                                ///< epoch when an epoch's combined loss
-                                ///< exceeds spike_factor * best (0 = off)
-  std::string checkpoint_path;  ///< non-empty: write an atomic epoch
-                                ///< checkpoint here (scorer + decoder)
-  int checkpoint_every = 1;     ///< epochs between checkpoints
-  bool resume = true;           ///< load checkpoint_path (if present) and
-                                ///< continue from its stored epoch
+  std::string checkpoint_path;  ///< non-empty: write an atomic checkpoint
+                                ///< here after every epoch (scorer +
+                                ///< decoder), and resume from it when
+                                ///< present
 };
 
 /// Per-epoch loss history plus resilience bookkeeping. The loss vectors

@@ -56,6 +56,7 @@ CompositeMesh::CompositeMesh(CaseSpec spec, RefinementMap map)
       patches_.push_back(std::move(pm));
     }
   }
+  parallel_ = active_cells() >= kParallelCellFloor;
   compile_halo();
 }
 
@@ -198,6 +199,12 @@ CompositeField make_field(const CompositeMesh& mesh) {
   return f;
 }
 
+void detail::count_parallel_region() {
+  static util::metrics::Counter& regions =
+      util::metrics::counter("solver.parallel.regions");
+  regions.add();
+}
+
 namespace {
 
 // Publishes the ghost bytes one exchange pass moved. The counter is named
@@ -212,25 +219,19 @@ void count_ghost_bytes(const CompositeMesh& mesh, int channels) {
 
 }  // namespace
 
-void exchange_ghosts(CompositeScalar& s, const CompositeMesh& mesh,
-                     bool parallel) {
+void exchange_ghosts(CompositeScalar& s, const CompositeMesh& mesh) {
   assert(static_cast<int>(s.size()) == mesh.patch_count());
   count_ghost_bytes(mesh, 1);
   const HaloPlan& plan = mesh.halo();
-  if (parallel) {
-#pragma omp parallel for schedule(static)
-    for (int k = 0; k < mesh.patch_count(); ++k) plan.apply_patch(s, k);
-  } else {
-    for (int k = 0; k < mesh.patch_count(); ++k) plan.apply_patch(s, k);
-  }
+  for_patches(mesh, [&](int k) { plan.apply_patch(s, k); });
 }
 
 void exchange_ghosts(CompositeField& f, const CompositeMesh& mesh,
                      unsigned channel_mask) {
-  // Fused: every selected channel in a single parallel region (channels x
-  // patch_count independent work items) instead of one fork/join cycle per
-  // channel. The solver refreshes ghosts every outer iteration, so the
-  // join overhead is hot — and phases that only dirtied a channel subset
+  // Fused: every selected channel in one loop (channels x patch_count
+  // independent work items) instead of one per channel. The solver
+  // refreshes ghosts every outer iteration, so a fork/join per channel
+  // would be hot — and phases that only dirtied a channel subset
   // (momentum: U|V) skip the untouched channels entirely.
   int channels[field::kNumFlowVars];
   int nsel = 0;
@@ -241,11 +242,9 @@ void exchange_ghosts(CompositeField& f, const CompositeMesh& mesh,
   count_ghost_bytes(mesh, nsel);
   const HaloPlan& plan = mesh.halo();
   const int count = mesh.patch_count();
-  const int total = nsel * count;
-#pragma omp parallel for schedule(static)
-  for (int t = 0; t < total; ++t) {
+  for_range(nsel * count, mesh.parallel(), [&](int t) {
     plan.apply_patch(f.channel(channels[t / count]), t % count);
-  }
+  });
 }
 
 void exchange_ghosts(CompositeField& f, const CompositeMesh& mesh) {
@@ -261,8 +260,7 @@ void fill_from_uniform(CompositeField& f, const CompositeMesh& mesh,
   for (int c = 0; c < field::kNumFlowVars; ++c) {
     const field::Grid2Dd& src = lr.channel(c);
     CompositeScalar& dst = f.channel(c);
-#pragma omp parallel for schedule(static)
-    for (int k = 0; k < mesh.patch_count(); ++k) {
+    for_patches(mesh, [&](int k) {
       const PatchMesh& pm = mesh.patch_flat(k);
       for (int i = 0; i <= pm.ny + 1; ++i) {
         const double y_idx = pm.yc(i) / dy0 - 0.5;
@@ -272,7 +270,7 @@ void fill_from_uniform(CompositeField& f, const CompositeMesh& mesh,
               field::sample(src, y_idx, x_idx, field::Interp::kBicubic);
         }
       }
-    }
+    });
   }
 }
 
@@ -286,8 +284,7 @@ field::Grid2Dd scalar_to_uniform(const CompositeScalar& s,
   field::Grid2Dd out(ny, nx);
   const double dx = spec.lx / nx;
   const double dy = spec.ly / ny;
-#pragma omp parallel for schedule(static)
-  for (int i = 0; i < ny; ++i) {
+  for_range(ny, mesh.parallel(), [&](int i) {
     const int pi = i / cph;
     const double y = (i + 0.5) * dy;
     for (int j = 0; j < nx; ++j) {
@@ -300,7 +297,7 @@ field::Grid2Dd scalar_to_uniform(const CompositeScalar& s,
       const double xi = (x - pm.x0) / pm.dx + 0.5;
       out(i, j) = field::sample(src, yi, xi, field::Interp::kBilinear);
     }
-  }
+  });
   return out;
 }
 
@@ -316,8 +313,7 @@ CompositeField regrid(const CompositeField& src, const CompositeMesh& from,
   for (int c = 0; c < field::kNumFlowVars; ++c) {
     const field::Grid2Dd uni = scalar_to_uniform(src.channel(c), from, level);
     CompositeScalar& out = dst.channel(c);
-#pragma omp parallel for schedule(static)
-    for (int k = 0; k < to.patch_count(); ++k) {
+    for_patches(to, [&](int k) {
       const PatchMesh& pm = to.patch_flat(k);
       for (int i = 0; i <= pm.ny + 1; ++i) {
         const double y_idx = pm.yc(i) / dy - 0.5;
@@ -327,7 +323,7 @@ CompositeField regrid(const CompositeField& src, const CompositeMesh& from,
               field::sample(uni, y_idx, x_idx, field::Interp::kBicubic);
         }
       }
-    }
+    });
   }
   return dst;
 }

@@ -23,6 +23,8 @@
 // for_each_boundary_ghost (the solver's boundary-condition ghosts) and
 // for_each_interface (the face passes that give both sides of an
 // interface one value).
+// CompositeMesh::parallel() is the one parallel decision of the solver,
+// the multigrid and the mesh code, and parallel_region() their one fork.
 #pragma once
 
 #include <cstdint>
@@ -194,6 +196,12 @@ class HaloPlan {
   std::vector<int> begin_;  // patch_count + 1 offsets into entries_
 };
 
+/// Below this many active cells a mesh runs every loop on the calling
+/// thread: the shrink-8 LR meshes and the multigrid's coarse rungs are far
+/// too small to amortise an OpenMP fork/join. Mesh-derived only, never
+/// thread-count-derived, so bitwise thread invariance holds.
+inline constexpr long long kParallelCellFloor = 2048;
+
 /// The full composite mesh: patch geometry for a CaseSpec + RefinementMap.
 class CompositeMesh {
  public:
@@ -238,6 +246,10 @@ class CompositeMesh {
   /// Number of fluid (non-solid) interior cells.
   [[nodiscard]] long long fluid_cells() const;
 
+  /// True when the mesh has at least kParallelCellFloor active cells: the
+  /// flag every loop over it passes to parallel_region() / for_range().
+  [[nodiscard]] bool parallel() const { return parallel_; }
+
   /// The compiled interface ghost writes that exchange_ghosts() evaluates.
   [[nodiscard]] const HaloPlan& halo() const { return halo_; }
 
@@ -254,9 +266,47 @@ class CompositeMesh {
   RefinementMap map_;
   std::vector<PatchMesh> patches_;
   HaloPlan halo_;
+  bool parallel_ = false;
 
   void compile_halo();
 };
+
+namespace detail {
+void count_parallel_region();  // adds 1 to solver.parallel.regions
+}  // namespace detail
+
+/// With `parallel` (a mesh's parallel()), runs body() on every thread of a
+/// new OpenMP team; without, once on the calling thread. Loops in body are
+/// orphaned `#pragma omp for schedule(static)` loops, which a team splits
+/// statically and a lone thread runs whole. Each writes disjoint data per
+/// index and reduces through per-row partials summed serially, so both
+/// give the same bits. Never call it inside another team: the loops would
+/// bind to it.
+template <typename Body>
+void parallel_region(bool parallel, Body&& body) {
+  if (parallel) {
+    detail::count_parallel_region();
+#pragma omp parallel
+    body();
+  } else {
+    body();
+  }
+}
+
+/// Calls fn(r) for r = 0 .. n - 1: parallel_region with one static loop.
+template <typename Fn>
+void for_range(int n, bool parallel, Fn&& fn) {
+  parallel_region(parallel, [&] {
+#pragma omp for schedule(static) nowait
+    for (int r = 0; r < n; ++r) fn(r);
+  });
+}
+
+/// Calls fn(k) for every patch k of `mesh`, forking on mesh.parallel().
+template <typename Fn>
+void for_patches(const CompositeMesh& mesh, Fn&& fn) {
+  for_range(mesh.patch_count(), mesh.parallel(), fn);
+}
 
 /// Calls fn(s, ghost, cell) for every domain-boundary ghost of patch k
 /// that lines an edge (corners excluded), side by side in W, E, S, N order
@@ -305,19 +355,16 @@ CompositeField make_field(const CompositeMesh& mesh);
 /// Fills interior-interface ghost cells of `s` from neighbouring patches by
 /// evaluating the mesh's halo plan: same-level copy, fine-to-coarse
 /// averaging, coarse-to-fine linear interpolation along the interface,
-/// corners last. Domain-boundary ghosts are untouched.
-/// `parallel = false` runs the same schedule serially — the multigrid
-/// coarse levels are too small to amortise an OpenMP fork/join, and the
-/// result is identical either way (each patch writes only its own ghosts).
-void exchange_ghosts(CompositeScalar& s, const CompositeMesh& mesh,
-                     bool parallel = true);
+/// corners last. Domain-boundary ghosts are untouched. Patches run through
+/// for_range on mesh.parallel(); each writes only its own ghosts.
+void exchange_ghosts(CompositeScalar& s, const CompositeMesh& mesh);
 
 /// Exchanges ghosts for the channels selected by `channel_mask` (bit c set
-/// = channel c in paper order 0:U, 1:V, 2:p, 3:nuTilda) in one fused
-/// thread-parallel pass: a single parallel region over patch x channel
-/// work items instead of one fork/join per channel. The solver's phases
-/// pass exactly the channels they dirtied (e.g. U|V after a momentum
-/// sweep), which cuts ghost traffic and region count on the hot path.
+/// = channel c in paper order 0:U, 1:V, 2:p, 3:nuTilda) in one fused pass:
+/// one for_range over patch x channel work items instead of one per
+/// channel. The solver's phases pass exactly the channels they dirtied
+/// (e.g. U|V after a momentum sweep), which cuts ghost traffic and, above
+/// the floor, the fork count on the hot path.
 void exchange_ghosts(CompositeField& f, const CompositeMesh& mesh,
                      unsigned channel_mask);
 

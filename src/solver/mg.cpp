@@ -26,13 +26,6 @@ using mesh::RefinementMap;
 
 namespace {
 
-// Below this many active cells a level runs its (identical) schedule
-// serially: the coarse grids of the ladder are far too small to amortise
-// an OpenMP fork/join per half-sweep. Mesh-derived only — the decision
-// must never depend on the thread count, or bitwise thread invariance
-// would break.
-constexpr long long kParallelCellFloor = 2048;
-
 // Cycle shape: V(1,1), a 40-sweep coarsest solve, unlimited depth, and
 // the p' exit: V-cycles until |r| <= 0.3 |b|, at most 2. SIMPLE only needs
 // a modest p' reduction per step; deeper solves (V(2,2), more cycles)
@@ -150,9 +143,8 @@ struct RunCoef {
 // The patch side of CellOp face f (E, W, N, S).
 constexpr mesh::Side kCellEdge[4] = {mesh::kE, mesh::kW, mesh::kN, mesh::kS};
 
-void zero_scalar(CompositeScalar& s, bool parallel) {
-  sweep::for_range(static_cast<int>(s.size()), parallel,
-                   [&](int k) { s[k].fill(0.0); });
+void zero_scalar(CompositeScalar& s, const CompositeMesh& m) {
+  mesh::for_patches(m, [&](int k) { s[k].fill(0.0); });
 }
 
 }  // namespace
@@ -295,7 +287,6 @@ struct PressureMg::Level {
   std::vector<sweep::RowRef> rows;
   std::vector<double> acc;
   util::metrics::TimeSeries* series = nullptr;  // solver.mg.residual.l<d>
-  bool parallel = true;
   // True when interface ghosts must stay fresh for the smoother to
   // contract: either some patch is a single cell wide in a direction
   // that has interface neighbours (all couplings in that direction then
@@ -499,7 +490,6 @@ PressureMg::PressureMg(const CompositeMesh& fine,
     lv.acc.assign(lv.rows.size(), 0.0);
     lv.series =
         &util::metrics::series("solver.mg.residual.l" + std::to_string(d));
-    lv.parallel = m->active_cells() >= kParallelCellFloor;
     if (same_size && lv.half_exchange && !lv.line_y && !lv.line_x) {
       compile_rung(lv);
     }
@@ -594,7 +584,7 @@ void PressureMg::set_coefficients(const CompositeScalar& ap_fine) {
   // Level 0: d = vol / aP at fluid cells, 0 at solids.
   Level& l0 = levels_[0];
   sweep::run_scan(
-      l0.rows,
+      l0.rows, l0.mesh->parallel(),
       [&](int /*r*/, int k, int i) {
         const PatchMesh& pm = l0.mesh->patch_flat(k);
         const Grid2Dd& AP = ap_fine[k];
@@ -603,8 +593,7 @@ void PressureMg::set_coefficients(const CompositeScalar& ap_fine) {
         for (int j = 1; j <= pm.nx; ++j) {
           DP(i, j) = pm.solid(i, j) ? 0.0 : vol / AP(i, j);
         }
-      },
-      l0.parallel);
+      });
 
   // Coarser levels: the plain average of the fluid children. A coarse
   // cell whose children are all solid (or that the coarse mask itself
@@ -613,7 +602,6 @@ void PressureMg::set_coefficients(const CompositeScalar& ap_fine) {
   for (std::size_t d = 1; d < levels_.size(); ++d) {
     Level& lf = levels_[d - 1];
     Level& lc = levels_[d];
-    const int n = lc.mesh->patch_count();
     auto coarsen_patch = [&](int k) {
       const PatchMesh& fp = lf.mesh->patch_flat(k);
       const PatchMesh& cp = lc.mesh->patch_flat(k);
@@ -642,7 +630,7 @@ void PressureMg::set_coefficients(const CompositeScalar& ap_fine) {
         }
       }
     };
-    sweep::for_range(n, lf.parallel, coarsen_patch);
+    mesh::for_patches(*lf.mesh, coarsen_patch);
   }
 
   // Every level's jump stencil re-derives its subface couplings from the
@@ -697,7 +685,7 @@ void PressureMg::set_coefficients(const CompositeScalar& ap_fine) {
 
 void PressureMg::exchange(const Level& lv, CompositeScalar& x) const {
   const util::trace::Span t(kExchangeScope);
-  exchange_ghosts(x, *lv.mesh, lv.parallel);
+  exchange_ghosts(x, *lv.mesh);
 }
 
 void PressureMg::exchange_iterate(Level& lv, CompositeScalar& x) const {
@@ -758,9 +746,8 @@ void PressureMg::smooth(Level& lv, CompositeScalar& x, int sweeps,
   };
   auto half = [&](int color) {
     sweep::run_half_sweep(
-        lv.rows, color,
-        [&](int /*r*/, int k, int i, int color_) { update_row(k, i, color_); },
-        lv.parallel);
+        lv.rows, color, lv.mesh->parallel(),
+        [&](int /*r*/, int k, int i, int color_) { update_row(k, i, color_); });
   };
   for (int s = 0; s < sweeps; ++s) {
     half(0);
@@ -847,32 +834,20 @@ void PressureMg::smooth_compiled(Level& lv, CompositeScalar& x, int sweeps,
       const RunCoef* coef = lv.coef[color].data();
       const int no = static_cast<int>(ops.size());
       const int nr = static_cast<int>(runs.size());
-      if (lv.parallel) {
-#pragma omp parallel
-        {
-          if (first) {
-#pragma omp for schedule(static)
-            for (int k = 0; k < np; ++k) gather(k);
-          }
-#pragma omp for schedule(static) nowait
-          for (int q = 0; q < no; ++q) update_op(ops[q]);
-#pragma omp for schedule(static)
-          for (int r = 0; r < nr; ++r) update_run(runs[r], coef);
-          if (last) {
-#pragma omp for schedule(static)
-            for (int k = 0; k < np; ++k) scatter(k);
-          }
-        }
-      } else {
+      mesh::parallel_region(lv.mesh->parallel(), [&] {
         if (first) {
+#pragma omp for schedule(static)
           for (int k = 0; k < np; ++k) gather(k);
         }
+#pragma omp for schedule(static) nowait
         for (int q = 0; q < no; ++q) update_op(ops[q]);
+#pragma omp for schedule(static)
         for (int r = 0; r < nr; ++r) update_run(runs[r], coef);
         if (last) {
+#pragma omp for schedule(static)
           for (int k = 0; k < np; ++k) scatter(k);
         }
-      }
+      });
     }
   }
 }
@@ -906,7 +881,7 @@ void PressureMg::smooth_lines(Level& lv, CompositeScalar& x,
 
   auto pass = [&](int color) {
     sweep::run_scan(
-        items,
+        items, lv.mesh->parallel(),
         [&](int /*r*/, int k, int t) {
           const PatchMesh& pm = lv.mesh->patch_flat(k);
           // Global zebra parity, consistent across same-size neighbours
@@ -1051,8 +1026,7 @@ void PressureMg::smooth_lines(Level& lv, CompositeScalar& x,
             }
             p0 = p1 + 1;
           }
-        },
-        lv.parallel);
+        });
   };
 
   for (int s = 0; s < sweeps; ++s) {
@@ -1073,7 +1047,7 @@ double PressureMg::compute_residual(Level& lv, CompositeScalar& x) const {
   const util::trace::Span t(kSite);
   sweep::zero_rows(lv.acc);
   sweep::run_scan(
-      lv.rows,
+      lv.rows, lv.mesh->parallel(),
       [&](int r, int k, int i) {
         const PatchMesh& pm = lv.mesh->patch_flat(k);
         const PatchFaces& pf = lv.stencil.faces(k);
@@ -1099,8 +1073,7 @@ double PressureMg::compute_residual(Level& lv, CompositeScalar& x) const {
           acc += std::abs(rr);
         }
         lv.acc[r] = acc;
-      },
-      lv.parallel);
+      });
   return sweep::sum_rows(lv.acc);
 }
 
@@ -1173,9 +1146,9 @@ void PressureMg::v_cycle(int d, CompositeScalar& x, double series_x) {
       mg_restrict_patch(lv.r[k], fp.ny, fp.nx, lc.b[k], cp.ny, cp.nx, open,
                         lv.stencil.faces(k).outlet, cp.solid);
     };
-    sweep::for_range(m.patch_count(), lv.parallel, restrict_patch);
+    mesh::for_patches(m, restrict_patch);
   }
-  zero_scalar(lc.x, lc.parallel);
+  zero_scalar(lc.x, *lc.mesh);
   if (!lc.stencil.empty()) lc.stencil.refresh(lc.x);  // zero the buffers
   v_cycle(d + 1, lc.x, series_x);
 
@@ -1202,7 +1175,7 @@ void PressureMg::v_cycle(int d, CompositeScalar& x, double series_x) {
                            &fp.solid, open, pf.outlet,
                            m.spec().geometry ? &cp.solid : nullptr);
     };
-    sweep::for_range(m.patch_count(), lv.parallel, prolong_patch);
+    mesh::for_patches(m, prolong_patch);
   }
   exchange_iterate(lv, x);
   smooth(lv, x, kPostSmooth * lv.smooth_mult, 1.0,
@@ -1219,11 +1192,11 @@ MgSolveInfo PressureMg::solve(CompositeScalar& x, const CompositeScalar& imb) {
 
   // b = -imb at fluid cells, 0 at solids; |b| accumulates through
   // fixed-order row partials.
-  zero_scalar(x, l0.parallel);
+  zero_scalar(x, *l0.mesh);
   if (!l0.stencil.empty()) l0.stencil.refresh(x);  // zero the buffers
   sweep::zero_rows(l0.acc);
   sweep::run_scan(
-      l0.rows,
+      l0.rows, l0.mesh->parallel(),
       [&](int r, int k, int i) {
         const PatchMesh& pm = l0.mesh->patch_flat(k);
         const Grid2Dd& IMB = imb[k];
@@ -1238,8 +1211,7 @@ MgSolveInfo PressureMg::solve(CompositeScalar& x, const CompositeScalar& imb) {
           acc += std::abs(B(i, j));
         }
         l0.acc[r] = acc;
-      },
-      l0.parallel);
+      });
   const double bnorm = sweep::sum_rows(l0.acc);
   info.initial_norm = bnorm;
   if (!(bnorm > 0.0)) return info;  // zero (or non-finite) RHS: x stays 0

@@ -34,9 +34,10 @@
 //     the point kernel for a zebra line smoother in the strong direction:
 //     exact tridiagonal solves along odd then even lines, which kill the
 //     aliasing modes and keep a real ladder where the old code refused at
-//     depth 1. Coarse levels too small to amortise an OpenMP fork/join
-//     run the identical schedule serially (no parallel region at all),
-//     and point-smoothed rungs whose strong direction is exhausted scale
+//     depth 1. Every rung is a CompositeMesh and forks on its own
+//     parallel() flag, so rungs below mesh::kParallelCellFloor run the
+//     identical schedule serially (no parallel region at all), and
+//     point-smoothed rungs whose strong direction is exhausted scale
 //     their sweep count by aspect^2 (smooth_mult) — all mesh-derived
 //     decisions, never thread-count-derived ones.
 //   * Ghosts come from each rung mesh's halo plan (mesh/composite.hpp):

@@ -27,6 +27,7 @@ using mesh::CompositeMesh;
 using mesh::CompositeScalar;
 using mesh::PatchMesh;
 using mesh::SideBc;
+using mesh::for_patches;
 
 namespace {
 
@@ -186,7 +187,8 @@ inline MomentumDefect momentum_defect(const MomentumCell& c, double u,
 // --- SA transport on colour lanes (solver/sa_lanes.hpp) ---------------------
 
 SaLanes::SaLanes(const CompositeMesh& mesh)
-    : patch_(static_cast<std::size_t>(mesh.patch_count())) {
+    : patch_(static_cast<std::size_t>(mesh.patch_count())),
+      parallel_(mesh.parallel()) {
   for (std::size_t k = 0; k < patch_.size(); ++k) {
     const PatchMesh& pm = mesh.patch_flat(static_cast<int>(k));
     Patch& pt = patch_[k];
@@ -358,8 +360,7 @@ void SaLanes::half_sweep(CompositeField& f, int colour, const SaParams& p,
   const int solids = static_cast<int>(c.solid.size());
   const int rows = static_cast<int>(c.row_start.size()) - 1;
   double* defect = defect_.data();
-#pragma omp parallel
-  {
+  mesh::parallel_region(parallel_, [&] {
 #pragma omp for schedule(static) nowait
     for (int s = 0; s < solids; ++s) {
       const Lane& cell = c.solid[static_cast<std::size_t>(s)];
@@ -388,7 +389,7 @@ void SaLanes::half_sweep(CompositeField& f, int colour, const SaParams& p,
         acc_b[r] += static_cast<double>(c.row_start[r + 1] - c.row_start[r]);
       }
     }
-  }
+  });
 }
 
 void SaLanes::defect_rows(const CompositeField& f, const SaParams& p,
@@ -404,8 +405,7 @@ void SaLanes::defect_rows(const CompositeField& f, const SaParams& p,
   const int rows = static_cast<int>(c0.row_start.size()) - 1;
   double* d0 = defect_.data();
   double* d1 = d0 + n0;
-#pragma omp parallel
-  {
+  mesh::parallel_region(parallel_, [&] {
 #pragma omp for schedule(static)
     for (int b = 0; b < blocks; ++b) {
       const bool first = b < blocks0;
@@ -433,7 +433,7 @@ void SaLanes::defect_rows(const CompositeField& f, const SaParams& p,
       acc_b[r] = static_cast<double>((a_end - c0.row_start[r]) +
                                      (b_end - c1.row_start[r]));
     }
-  }
+  });
 }
 
 double Residuals::combined() const {
@@ -508,8 +508,7 @@ const CompositeScalar& RansSolver::corrected_face_v() const {
 void RansSolver::initialize_freestream(CompositeField& f) const {
   const mesh::CaseSpec& spec = mesh_.spec();
   const SideBc& in = spec.bc.left;
-#pragma omp parallel for schedule(static)
-  for (int k = 0; k < mesh_.patch_count(); ++k) {
+  for_patches(mesh_, [&](int k) {
     const PatchMesh& pm = mesh_.patch_flat(k);
     for (int i = 0; i <= pm.ny + 1; ++i) {
       for (int j = 0; j <= pm.nx + 1; ++j) {
@@ -520,16 +519,14 @@ void RansSolver::initialize_freestream(CompositeField& f) const {
         f.nuTilda[k](i, j) = solid ? 0.0 : in.nuTilda;
       }
     }
-  }
+  });
 }
 
 void RansSolver::apply_bc_ghosts(CompositeField& f,
                                  unsigned channel_mask) const {
   const mesh::BcSet& bc = mesh_.spec().bc;
   const SideBc* side_bc[4] = {&bc.left, &bc.right, &bc.bottom, &bc.top};
-
-#pragma omp parallel for schedule(static)
-  for (int k = 0; k < mesh_.patch_count(); ++k) {
+  for_patches(mesh_, [&](int k) {
     for (int c = 0; c < field::kNumFlowVars; ++c) {
       if (!(channel_mask & (1u << c))) continue;
       double* a = f.channel(c)[k].data();
@@ -538,18 +535,17 @@ void RansSolver::apply_bc_ghosts(CompositeField& f,
             a[ghost] = bc_ghost(*side_bc[s], c, mesh::normal_x(s), a[cell]);
           });
     }
-  }
+  });
 }
 
 void RansSolver::refresh_ghosts(CompositeField& f) const {
-  exchange_ghosts(f, mesh_);  // fused: all four channels, one parallel region
+  exchange_ghosts(f, mesh_);  // fused: all four channels in one loop
   apply_bc_ghosts(f, kMaskAll);
 }
 
 void RansSolver::compute_nut(const CompositeField& f, Workspace& ws) const {
   const double nu = mesh_.spec().nu;
-#pragma omp parallel for schedule(static)
-  for (int k = 0; k < mesh_.patch_count(); ++k) {
+  for_patches(mesh_, [&](int k) {
     const PatchMesh& pm = mesh_.patch_flat(k);
     const Grid2Dd& NT = f.nuTilda[k];
     Grid2Dd& out = ws.nut[k];
@@ -558,18 +554,17 @@ void RansSolver::compute_nut(const CompositeField& f, Workspace& ws) const {
         out(i, j) = sa::eddy_viscosity(NT(i, j), nu);
       }
     }
-  }
+  });
 }
 
 void RansSolver::extrapolate_ap(Workspace& ws) const {
-#pragma omp parallel for schedule(static)
-  for (int k = 0; k < mesh_.patch_count(); ++k) {
+  for_patches(mesh_, [&](int k) {
     double* ap = ws.ap[k].data();
     mesh::for_each_boundary_ghost(mesh_, k, [&](mesh::Side, int ghost,
                                                 int cell) {
       ap[ghost] = ap[cell];
     });
-  }
+  });
 }
 
 double RansSolver::assemble_faces_imbalance(const CompositeField& f,
@@ -580,8 +575,7 @@ double RansSolver::assemble_faces_imbalance(const CompositeField& f,
   // Pass 1: every patch computes its own face velocities (interior faces
   // get the Rhie-Chow pressure-dissipation term to suppress
   // checkerboarding). Patches only write their own face arrays.
-#pragma omp parallel for schedule(static)
-  for (int k = 0; k < mesh_.patch_count(); ++k) {
+  for_patches(mesh_, [&](int k) {
     const PatchMesh& pm = mesh_.patch_flat(k);
     const bool* domain = stencil.faces(k).domain;
     const Grid2Dd& U = f.U[k];
@@ -650,7 +644,7 @@ double RansSolver::assemble_faces_imbalance(const CompositeField& f,
     for (int i = 0; i <= pm.ny; ++i) {
       for (int j = 1; j <= pm.nx; ++j) FV(i, j) = v_face(i, j);
     }
-  }
+  });
 
   // Pass 2: reflux. Both sides of every patch interface must see one face
   // velocity, or mass is created at level jumps. Fine faces are
@@ -669,8 +663,7 @@ double RansSolver::assemble_faces_imbalance(const CompositeField& f,
   // SOUTH interface of the patch and are written by that neighbour's
   // iteration (or are domain faces no interface touches). The debug
   // assertion below holds on every composite scenario mesh.
-#pragma omp parallel for schedule(static)
-  for (int k = 0; k < mesh_.patch_count(); ++k) {
+  for_patches(mesh_, [&](int k) {
     mesh::for_each_interface(mesh_, k, [&](const mesh::PatchSide& a,
                                            const mesh::PatchSide& b) {
       CompositeScalar& face = mesh::normal_x(a.side) ? ws.face_u : ws.face_v;
@@ -696,7 +689,7 @@ double RansSolver::assemble_faces_imbalance(const CompositeField& f,
         fc[coarse.face(tc)] = acc / r;
       }
     });
-  }
+  });
 
   // Every interface face now carries one authoritative value on both
   // sides; the coarse mean is computed with the exact summation order the
@@ -711,7 +704,7 @@ double RansSolver::assemble_faces_imbalance(const CompositeField& f,
   const double u_scale = std::max(std::abs(spec.bc.left.u), 1e-30);
   zero_rows(ws.acc_a);
   zero_rows(ws.acc_b);
-  run_scan(ws.rows, [&](int r, int k, int i) {
+  run_scan(ws.rows, mesh_.parallel(), [&](int r, int k, int i) {
     const PatchMesh& pm = mesh_.patch_flat(k);
     const Grid2Dd& FU = ws.face_u[k];
     const Grid2Dd& FV = ws.face_v[k];
@@ -753,8 +746,7 @@ static void correct_interface_faces(const CompositeMesh& mesh,
                                     const CompositeScalar& dp,
                                     CompositeScalar& face_u,
                                     CompositeScalar& face_v) {
-#pragma omp parallel for schedule(static)
-  for (int k = 0; k < mesh.patch_count(); ++k) {
+  for_patches(mesh, [&](int k) {
     mesh::for_each_interface(mesh, k, [&](const mesh::PatchSide& a,
                                           const mesh::PatchSide& b) {
       CompositeScalar& face = mesh::normal_x(a.side) ? face_u : face_v;
@@ -803,7 +795,7 @@ static void correct_interface_faces(const CompositeMesh& mesh,
         fc[coarse.face(tc)] = acc / r;
       }
     });
-  }
+  });
 }
 
 Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
@@ -837,7 +829,8 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
     const bool measure = (sweep + 1 == kMomentumSweeps);
     {
       const util::trace::Span t(kMomentum.site);
-      run_sweep(ws.rows, [&](int r, int k, int i, int color) {
+      run_sweep(ws.rows, mesh_.parallel(), [&](int r, int k, int i,
+                                              int color) {
         const PatchMesh& pm = mesh_.patch_flat(k);
         Grid2Dd& U = f.U[k];
         Grid2Dd& V = f.V[k];
@@ -926,19 +919,17 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
 
     // Domain-boundary ghosts for p': zero-gradient everywhere except the
     // outlet, where p' = 0 at the face. Needed by the corrector's gradients.
-#pragma omp parallel for schedule(static)
-    for (int k = 0; k < mesh_.patch_count(); ++k) {
+    for_patches(mesh_, [&](int k) {
       double* pc = ws.pc[k].data();
       const bool outlet = stencil.faces(k).outlet;
       mesh::for_each_boundary_ghost(
           mesh_, k, [&](mesh::Side s, int ghost, int cell) {
             pc[ghost] = (s == mesh::kE && outlet) ? -pc[cell] : pc[cell];
           });
-    }
+    });
 
     // --- corrector -----------------------------------------------------------
-#pragma omp parallel for schedule(static)
-    for (int k = 0; k < mesh_.patch_count(); ++k) {
+    for_patches(mesh_, [&](int k) {
       const PatchMesh& pm = mesh_.patch_flat(k);
       Grid2Dd& U = f.U[k];
       Grid2Dd& V = f.V[k];
@@ -995,7 +986,7 @@ Residuals RansSolver::outer_iteration(CompositeField& f, Workspace& ws,
           }
         }
       }
-    }
+    });
     correct_interface_faces(mesh_, stencil, ws.pc, dp, ws.face_u, ws.face_v);
     assert(interface_flux_mismatch(mesh_, ws.face_u, ws.face_v) == 0.0);
   }
@@ -1049,7 +1040,7 @@ Residuals RansSolver::evaluate_residuals(const CompositeField& f,
   zero_rows(ws.acc_a);
   zero_rows(ws.acc_b);
   zero_rows(ws.acc_c);
-  run_scan(ws.rows, [&](int r, int k, int i) {
+  run_scan(ws.rows, mesh_.parallel(), [&](int r, int k, int i) {
     const PatchMesh& pm = mesh_.patch_flat(k);
     const Grid2Dd& U = f.U[k];
     const Grid2Dd& V = f.V[k];

@@ -16,9 +16,10 @@
 // proportional to the mesh's active cells.
 //
 // All in-place sweeps use red-black (checkerboard) coloring and are
-// thread-parallel over (patch, row) work items; every floating-point
-// reduction goes through fixed-order per-row partial buffers, so results
-// are bitwise identical across thread counts (DESIGN.md §8).
+// thread-parallel over (patch, row) work items on meshes at or above
+// mesh::kParallelCellFloor; every floating-point reduction goes through
+// fixed-order per-row partial buffers, so results are bitwise identical
+// across thread counts (DESIGN.md §8).
 #pragma once
 
 #include <memory>
@@ -206,8 +207,8 @@ class RansSolver {
                                   Workspace& ws) const;
 
   /// Applies the boundary-condition ghosts of every channel selected by
-  /// `channel_mask` (bit c = channel c) in one thread-parallel region over
-  /// patches, instead of one fork/join per channel.
+  /// `channel_mask` (bit c = channel c) in one loop over patches, instead
+  /// of one per channel.
   void apply_bc_ghosts(mesh::CompositeField& f, unsigned channel_mask) const;
 
   const mesh::CompositeMesh& mesh_;

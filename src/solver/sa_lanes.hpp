@@ -107,6 +107,7 @@ class SaLanes {
   std::array<Colour, 2> colour_;
   std::vector<Patch> patch_;
   std::vector<double> defect_;  ///< one slot per fluid lane, both colours
+  bool parallel_ = false;       ///< the mesh's parallel()
 };
 
 }  // namespace adarnet::solver

@@ -2,13 +2,16 @@
 // and the geometric multigrid pressure solver (mg.cpp).
 //
 // The unit of parallel work is one interior row of one patch (RowRef). A
-// red-black sweep runs as two colored half-sweeps, each thread-parallel
+// red-black sweep runs as two colored half-sweeps, each a mesh::for_range
 // over rows: cells of one color only read the other color (plus ghosts
 // frozen for the sweep), so the update is race-free and the result is
 // independent of the thread count. Every floating-point reduction funnels
 // through per-row partial buffers summed in fixed order (sum_rows), so the
 // summation order — and therefore the result, bit for bit — does not
-// depend on the number of threads either (DESIGN.md §8, §11).
+// depend on the number of threads either (DESIGN.md §8, §11). Each call
+// takes its mesh's parallel() flag: meshes below mesh::kParallelCellFloor
+// (the shrink-8 LR meshes, the multigrid's coarse rungs) sweep on the
+// calling thread.
 #pragma once
 
 #include <algorithm>
@@ -37,50 +40,35 @@ inline std::vector<RowRef> interior_rows(const mesh::CompositeMesh& mesh) {
   return rows;
 }
 
-/// Calls fn(r) for r = 0 .. n - 1, thread-parallel (static schedule) when
-/// `parallel`. The multigrid turns it off for grids too small to amortise
-/// a fork/join (its coarse levels). Every loop run through here writes
-/// disjoint data per r, so the serial path gives the same bits: the flag
-/// is a pure scheduling decision and must only ever depend on the mesh,
-/// never on the thread count.
-template <typename Fn>
-void for_range(int n, bool parallel, Fn&& fn) {
-  if (parallel) {
-#pragma omp parallel for schedule(static)
-    for (int r = 0; r < n; ++r) fn(r);
-  } else {
-    for (int r = 0; r < n; ++r) fn(r);
-  }
-}
-
 /// Runs one colored half-sweep (color 0/1) over all rows (for_range).
 /// Exposed separately from run_sweep so the multigrid smoother can refresh
 /// interface ghosts between the two colors on its degenerate coarse levels
 /// (solver/mg.cpp).
 template <typename RowFn>
-void run_half_sweep(const std::vector<RowRef>& rows, int color,
-                    RowFn&& row_fn, bool parallel = true) {
-  for_range(static_cast<int>(rows.size()), parallel,
-            [&](int r) { row_fn(r, rows[r].k, rows[r].i, color); });
+void run_half_sweep(const std::vector<RowRef>& rows, int color, bool parallel,
+                    RowFn&& row_fn) {
+  mesh::for_range(static_cast<int>(rows.size()), parallel,
+                  [&](int r) { row_fn(r, rows[r].k, rows[r].i, color); });
 }
 
 /// Runs one in-place red-black sweep over all rows: two colored
-/// half-sweeps, each thread-parallel over rows. row_fn(r, k, i, color)
-/// updates row r's cells with (i + j) % 2 == color.
+/// half-sweeps. row_fn(r, k, i, color) updates row r's cells with
+/// (i + j) % 2 == color.
 template <typename RowFn>
-void run_sweep(const std::vector<RowRef>& rows, RowFn&& row_fn) {
+void run_sweep(const std::vector<RowRef>& rows, bool parallel,
+               RowFn&& row_fn) {
   for (int color = 0; color < 2; ++color) {
-    run_half_sweep(rows, color, row_fn);
+    run_half_sweep(rows, color, parallel, row_fn);
   }
 }
 
 /// Read-only pass over all rows (defect evaluation) through for_range, no
 /// coloring needed because nothing is updated in place.
 template <typename RowFn>
-void run_scan(const std::vector<RowRef>& rows, RowFn&& row_fn,
-              bool parallel = true) {
-  for_range(static_cast<int>(rows.size()), parallel,
-            [&](int r) { row_fn(r, rows[r].k, rows[r].i); });
+void run_scan(const std::vector<RowRef>& rows, bool parallel,
+              RowFn&& row_fn) {
+  mesh::for_range(static_cast<int>(rows.size()), parallel,
+                  [&](int r) { row_fn(r, rows[r].k, rows[r].i); });
 }
 
 /// First column of a row's cells with color (i + j) % 2 == color; the

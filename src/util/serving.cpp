@@ -261,9 +261,13 @@ struct Server::Impl {
   std::atomic<int> max_depth{0};
 
   // Trailing-60s window / SLO bookkeeping. start_tp anchors the window
-  // time axis; last_slo_us throttles gauge recomputation to ~1/s.
+  // time axis; last_slo_us throttles gauge recomputation to ~1/s. The
+  // window's points belong to this server and restart with it (start()
+  // resets them); their rings are preallocated, so the shed path
+  // allocates nothing.
   CancelToken::Clock::time_point start_tp{};
   std::atomic<std::int64_t> last_slo_us{0};
+  metrics::TimeSeries win_requests, win_good, win_shed, win_deadline;
 
   // EMA of full-solve wall seconds, driving the degradation decision.
   std::mutex ema_mu;
@@ -760,16 +764,12 @@ struct Server::Impl {
   void record_window_request(double wall_s, bool good,
                              bool deadline_expired) {
     const double t = now_s();
-    metrics::series("serving.window.requests").append(t, wall_s);
-    metrics::series("serving.window.good").append(t, good ? 1.0 : 0.0);
-    if (deadline_expired) {
-      metrics::series("serving.window.deadline").append(t, 1.0);
-    }
+    win_requests.append(t, wall_s);
+    win_good.append(t, good ? 1.0 : 0.0);
+    if (deadline_expired) win_deadline.append(t, 1.0);
   }
 
-  void record_window_shed() {
-    metrics::series("serving.window.shed").append(now_s(), 1.0);
-  }
+  void record_window_shed() { win_shed.append(now_s(), 1.0); }
 
   struct WindowStats {
     double span_s = 0.0;      ///< min(uptime, 60 s)
@@ -788,18 +788,16 @@ struct Server::Impl {
     WindowStats w;
     const double now = now_s();
     const double lo = now - 60.0;
-    for (const auto& p :
-         metrics::series("serving.window.requests").snapshot()) {
+    for (const auto& p : win_requests.snapshot()) {
       if (p.x >= lo) ++w.requests;
     }
-    for (const auto& p : metrics::series("serving.window.good").snapshot()) {
+    for (const auto& p : win_good.snapshot()) {
       if (p.x >= lo && p.y > 0.5) ++w.good;
     }
-    for (const auto& p : metrics::series("serving.window.shed").snapshot()) {
+    for (const auto& p : win_shed.snapshot()) {
       if (p.x >= lo) ++w.shed;
     }
-    for (const auto& p :
-         metrics::series("serving.window.deadline").snapshot()) {
+    for (const auto& p : win_deadline.snapshot()) {
       if (p.x >= lo) ++w.deadline_misses;
     }
     w.span_s = std::clamp(now, 1e-9, 60.0);
@@ -943,6 +941,10 @@ bool Server::start() {
   im.listen_fd = fd;
   im.start_tp = CancelToken::Clock::now();
   im.last_slo_us.store(0, std::memory_order_relaxed);
+  for (metrics::TimeSeries* s :
+       {&im.win_requests, &im.win_good, &im.win_shed, &im.win_deadline}) {
+    s->reset();
+  }
   if (im.cfg.recorder_depth > 0) {
     reqctx::FlightRecorder::Config rc;
     rc.summary_capacity = std::max(512, 2 * im.cfg.recorder_depth);

@@ -488,6 +488,42 @@ TEST_F(ServingTest, StartStopIsIdempotentAndRebindable) {
   EXPECT_GT(server_->bound_port(), 0);
 }
 
+// The /solve responses counted in /stats.json's trailing-60s window.
+long long window_requests(int port) {
+  const std::string stats = http(port, "GET", "/stats.json");
+  const std::string key = "\"requests\": ";
+  const std::size_t win = stats.find("\"window_60s\"");
+  const std::size_t at = stats.find(key, win);
+  if (win == std::string::npos || at == std::string::npos) return -1;
+  return std::stoll(stats.substr(at + key.size()));
+}
+
+// The SLO window belongs to its server: a restarted server and a second
+// server in the same process start from an empty window.
+TEST_F(ServingTest, SloWindowIsPerServerAndRestartsWithIt) {
+  const std::string solve = "{\"case\": \"channel\", \"re\": 500}";
+  const auto cfg = tiny_config();
+  const int port = start(cfg);
+  EXPECT_EQ(window_requests(port), 0);
+  EXPECT_TRUE(contains(http(port, "POST", "/solve", solve), "200 OK"));
+  EXPECT_EQ(window_requests(port), 1);
+
+  server_->stop();
+  ASSERT_TRUE(server_->start());
+  const int again = server_->bound_port();
+  EXPECT_EQ(window_requests(again), 0);
+  EXPECT_TRUE(contains(http(again, "POST", "/solve", solve), "200 OK"));
+  EXPECT_EQ(window_requests(again), 1);
+
+  serving::Server other(cfg);
+  ASSERT_TRUE(other.start());
+  EXPECT_EQ(window_requests(other.bound_port()), 0);
+  EXPECT_TRUE(
+      contains(http(other.bound_port(), "POST", "/solve", solve), "200 OK"));
+  EXPECT_EQ(window_requests(other.bound_port()), 1);
+  other.stop();
+}
+
 // --- socket_io request reader ----------------------------------------------
 
 TEST(SocketIoHttp, ReadsRequestWithContentLength) {

@@ -269,7 +269,7 @@ double sor_solve(const CompositeMesh& mesh, const CompositeScalar& ap,
   for (int sweep = 0; sweep < max_sweeps && ratio > tol; ++sweep) {
     for (int color = 0; color < 2; ++color) {
       pass(color);
-      adarnet::mesh::exchange_ghosts(x, mesh, false);
+      adarnet::mesh::exchange_ghosts(x, mesh);
       stencil.refresh(x);
     }
     ratio = pass(-1) / bnorm;
@@ -778,6 +778,7 @@ TEST(PressureMgCompiled, CoarsestSolveMatchesExchangedRowKernelBitwise) {
 TEST(PressureMgParallel, BitwiseIdenticalAcrossThreadCounts) {
   auto spec = adarnet::data::channel_case(2.5e3, tiny_preset());
   CompositeMesh mesh(spec, RefinementMap(spec.npy(), spec.npx(), 1));
+  ASSERT_TRUE(mesh.parallel()) << mesh.active_cells() << " cells";
   const int saved = omp_get_max_threads();
 
   omp_set_num_threads(1);
@@ -803,6 +804,7 @@ TEST(PressureMgParallel, BitwiseIdenticalAcrossThreadCounts) {
 TEST(PressureMgParallel, BitwiseIdenticalOnJumpMeshAcrossThreadCounts) {
   auto spec = adarnet::data::channel_case(2.5e3, jump_preset());
   CompositeMesh mesh = mixed_channel_mesh(spec);
+  ASSERT_TRUE(mesh.parallel()) << mesh.active_cells() << " cells";
   const int saved = omp_get_max_threads();
 
   omp_set_num_threads(1);

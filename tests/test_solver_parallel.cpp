@@ -1,9 +1,13 @@
 // Determinism, parity, and profiling tests for the thread-parallel
 // red-black SIMPLE solver (DESIGN.md §8): bitwise-identical results across
-// thread counts, convergence parity with the recorded lexicographic
-// numbers, read-only residual evaluation, workspace reuse, the per-phase
-// timing breakdown, and the SA colour lanes against the per-cell kernel
-// they replaced.
+// thread counts, forks only on meshes above mesh::kParallelCellFloor,
+// convergence parity with the recorded lexicographic numbers, read-only
+// residual evaluation, workspace reuse, the per-phase timing breakdown,
+// and the SA colour lanes against the per-cell kernel they replaced.
+//
+// Meshes below the floor run every loop on the calling thread at any
+// thread count, so every thread-count test asserts mesh.parallel() on its
+// input: comparing a serial run with itself would prove nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +27,7 @@
 #include "solver/sa_lanes.hpp"
 #include "solver/sa_model.hpp"
 #include "solver/sweep.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -178,7 +183,7 @@ void oracle_half_sweep(const CompositeMesh& mesh,
                        std::vector<double>& acc_a,
                        std::vector<double>& acc_b) {
   adarnet::solver::sweep::run_half_sweep(
-      rows, color,
+      rows, color, /*parallel=*/false,
       [&](int r, int k, int i, int color) {
         const PatchMesh& pm = mesh.patch_flat(k);
         const Grid2Dd& U = f.U[k];
@@ -213,8 +218,7 @@ void oracle_half_sweep(const CompositeMesh& mesh,
           acc_a[r] += acc;
           acc_b[r] += scale;
         }
-      },
-      /*parallel=*/false);
+      });
 }
 
 // The read-only defect scan of RansSolver::residuals(), row by row.
@@ -224,7 +228,7 @@ void oracle_defect_rows(const CompositeMesh& mesh,
                         std::vector<double>& acc_a,
                         std::vector<double>& acc_b) {
   adarnet::solver::sweep::run_scan(
-      rows,
+      rows, /*parallel=*/false,
       [&](int r, int k, int i) {
         const PatchMesh& pm = mesh.patch_flat(k);
         const Grid2Dd& U = f.U[k];
@@ -241,8 +245,7 @@ void oracle_defect_rows(const CompositeMesh& mesh,
         }
         acc_a[r] = acc;
         acc_b[r] = scale;
-      },
-      /*parallel=*/false);
+      });
 }
 
 // Random U, V and nuTilda everywhere, ghosts included, with about 15%
@@ -290,14 +293,14 @@ std::vector<double> all_nu_tilda(const CompositeField& f) {
 // lexicographic Gauss-Seidel, whose result depends on the thread
 // interleaving). The mixed channel's sweeps, reflux and p' solve cross
 // level jumps; its 384 rows split at patch boundaries at 3 and 4
-// threads, so no thread reads a row another thread writes. The shrink-8
-// cylinder (2 x 2-cell patches around a solid, 128 rows) splits patches
-// at 3 threads, which exposes an in-place sweep that is not colour-safe,
-// and is the mesh class whose SA sweeps run many patches per lane block.
+// threads, so no thread reads a row another thread writes. The cylinder
+// (2 x 2-cell patches around a solid, 2,500 cells, 1,250 rows) splits a
+// patch at 3 and at 4 threads (the first thread takes 417, resp. 313
+// rows), which exposes an in-place sweep that is not colour-safe, and is
+// the mesh class whose SA sweeps run many patches per lane block.
 TEST(ParallelSolver, BitwiseIdenticalAcrossThreadCounts) {
   auto channel = adarnet::data::channel_case(2.5e3, jump_preset());
-  auto cylinder = adarnet::data::cylinder_case(
-      1e5, adarnet::data::shrink(adarnet::data::paper_body_preset(), 8));
+  auto cylinder = adarnet::data::cylinder_case(1e5, GridPreset{50, 50, 2, 2});
   const CompositeMesh meshes[] = {
       mixed_channel_mesh(channel),
       CompositeMesh(cylinder,
@@ -306,6 +309,7 @@ TEST(ParallelSolver, BitwiseIdenticalAcrossThreadCounts) {
 
   for (const CompositeMesh& mesh : meshes) {
     SCOPED_TRACE(mesh.spec().name);
+    ASSERT_TRUE(mesh.parallel()) << mesh.active_cells() << " cells";
     omp_set_num_threads(1);
     auto f1 = adarnet::mesh::make_field(mesh);
     const auto s1 = run_iterations(mesh, quick_config(), f1, 30);
@@ -325,10 +329,12 @@ TEST(ParallelSolver, BitwiseIdenticalAcrossThreadCounts) {
 }
 
 // Oversubscription (more threads than row work items on the coarse
-// patches) must not change the result either.
+// patches) must not change the result either. The uniform 32 x 64 channel
+// has exactly kParallelCellFloor cells.
 TEST(ParallelSolver, BitwiseIdenticalWhenOversubscribed) {
-  auto spec = adarnet::data::channel_case(2.5e3, tiny_preset());
+  auto spec = adarnet::data::channel_case(2.5e3, jump_preset());
   CompositeMesh mesh(spec, RefinementMap(spec.npy(), spec.npx(), 0));
+  ASSERT_TRUE(mesh.parallel()) << mesh.active_cells() << " cells";
   const int saved = omp_get_max_threads();
 
   omp_set_num_threads(1);
@@ -343,6 +349,57 @@ TEST(ParallelSolver, BitwiseIdenticalWhenOversubscribed) {
   EXPECT_TRUE(fields_identical(f1, fn));
 }
 #endif  // _OPENMP
+
+// Forks happen only on meshes above the cell floor: at 4 threads, ten
+// outer iterations and a residual evaluation on the shrink-8 cylinder and
+// channel LR meshes (256 cells each) open no OpenMP team, and the
+// same calls on the mixed channel (5,120 cells) open some. Every fork goes
+// through mesh::parallel_region, which counts it in
+// solver.parallel.regions.
+TEST(ParallelSolver, ForksOnlyAboveTheCellFloor) {
+  namespace ad = adarnet::data;
+  namespace metrics = adarnet::util::metrics;
+  const auto cylinder =
+      ad::cylinder_case(1e5, ad::shrink(ad::paper_body_preset(), 8));
+  const auto channel =
+      ad::channel_case(2.5e3, ad::shrink(ad::paper_wall_preset(), 8));
+  const CompositeMesh below[] = {
+      CompositeMesh(cylinder,
+                    RefinementMap(cylinder.npy(), cylinder.npx(), 0)),
+      CompositeMesh(channel, RefinementMap(channel.npy(), channel.npx(), 0))};
+  const CompositeMesh above =
+      mixed_channel_mesh(ad::channel_case(2.5e3, jump_preset()));
+
+  const bool was_enabled = metrics::enabled();
+  metrics::set_enabled(true);
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(4);
+#endif
+  const metrics::Counter& regions =
+      metrics::counter("solver.parallel.regions");
+  auto forks = [&](const CompositeMesh& mesh) {
+    const long long before = regions.value();
+    RansSolver solver(mesh, quick_config());
+    auto f = adarnet::mesh::make_field(mesh);
+    solver.initialize_freestream(f);
+    const SolveStats stats = solver.iterate(f, 10);
+    EXPECT_EQ(stats.iterations, 10);
+    EXPECT_TRUE(std::isfinite(solver.residuals(f).combined()));
+    return regions.value() - before;
+  };
+  for (const CompositeMesh& mesh : below) {
+    SCOPED_TRACE(mesh.spec().name);
+    EXPECT_FALSE(mesh.parallel()) << mesh.active_cells() << " cells";
+    EXPECT_EQ(forks(mesh), 0);
+  }
+  EXPECT_TRUE(above.parallel()) << above.active_cells() << " cells";
+  EXPECT_GT(forks(above), 0);
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+  metrics::set_enabled(was_enabled);
+}
 
 // FNV-1a over the bytes of every composite scalar passed, ghosts included.
 std::uint64_t fnv1a(std::uint64_t h, const adarnet::mesh::CompositeScalar& s) {
@@ -360,7 +417,9 @@ std::uint64_t fnv1a(std::uint64_t h, const adarnet::mesh::CompositeScalar& s) {
 // y jumps next to solids) and a shrink-8 NACA0012 on a seeded random
 // level 0-3 map (ratio-8 faces), hashing U, V, p, nuTilda and both
 // corrected face arrays (ghosts included) plus the residual's bits. Every
-// thread count must give the 1-thread bits. On x86-64 without FMA, the
+// thread count must give the 1-thread bits. The cylinder has 1,792 cells,
+// below mesh::kParallelCellFloor, so it runs serially at every thread
+// count and its hash pins the serial schedule; the other two meshes fork. On x86-64 without FMA, the
 // hashes must also be the ones recorded at commit d38457b, whose boundary
 // ghost, reflux, face-correction and jump-stencil walks spelled out every
 // patch side by hand; elsewhere the compiler may contract multiply-adds,
@@ -594,6 +653,9 @@ TEST(SaLanes, HalfSweepMatchesPerCellOracleBitwise) {
       adarnet::data::cylinder_case(1e5, GridPreset{32, 32, 8, 8});
   std::vector<Case> cases;
   cases.push_back({"mixed channel", mixed_channel_mesh(channel)});
+  // The one input above the cell floor: its lane loops fork at 3 and 4
+  // threads; the others pin the lane arithmetic.
+  EXPECT_TRUE(cases.back().mesh.parallel());
   cases.push_back(
       {"cylinder", CompositeMesh(cylinder, RefinementMap(cylinder.npy(),
                                                          cylinder.npx(), 0))});
