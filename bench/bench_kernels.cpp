@@ -5,7 +5,8 @@
 // regressions.
 //
 // After the google-benchmark pass, main() runs a roofline measurement pass
-// over the GEMM and convolution kernels at each size and writes
+// over the GEMM and convolution kernels at each size, and over the
+// decoder's six layers on a 64x64 patch, and writes
 // BENCH_kernels.json with per-shape {flops, bytes, seconds, gflops_per_s,
 // arithmetic_intensity} entries — the document bench_diff gates CI on.
 // ADARNET_BENCH_KERNELS_FAST=1 skips the google-benchmark pass and shrinks
@@ -27,8 +28,8 @@ namespace {
 
 using namespace adarnet;
 
-// The implicit-GEMM convolution forward (B panels packed straight from
-// the input) at the decoder's 16 -> 16 channel, k=3 shape over a range of
+// The implicit-GEMM convolution forward (every size here reads B from the
+// zero-padded input) at a 16 -> 16 channel, k=3 shape over a range of
 // patch sizes.
 void BM_Conv2DForward(benchmark::State& state) {
   const int hw = static_cast<int>(state.range(0));
@@ -144,11 +145,14 @@ std::string roofline_entry(double flops, double bytes, double seconds,
   return e.str();
 }
 
-void roofline_conv_forward(bench::JsonObject& out, int hw,
+// Times the forward of a k=3 conv layer (in_c -> out_c channels; flipped:
+// a Deconv2D) on one hw x hw sample and writes its roofline entry.
+void roofline_conv_forward(bench::JsonObject& out, const std::string& key,
+                           int in_c, int out_c, bool flipped, int hw,
                            double target_flops) {
   util::Rng rng(1);
-  nn::Conv2D conv(16, 16, 3, rng);
-  nn::Tensor in(1, 16, hw, hw);
+  nn::Conv2D conv(in_c, out_c, 3, rng, flipped);
+  nn::Tensor in(1, in_c, hw, hw);
   for (std::size_t k = 0; k < in.numel(); ++k) in[k] = 0.01f * (k % 97);
   const double flops1 = static_cast<double>(conv.forward_flops(1, hw, hw));
   const double bytes1 = static_cast<double>(conv.forward_bytes(1, hw, hw));
@@ -156,10 +160,23 @@ void roofline_conv_forward(bench::JsonObject& out, int hw,
   (void)conv.forward(in, false);  // warm up weights pack + arena
   util::WallTimer timer;
   for (int r = 0; r < reps; ++r) (void)conv.forward(in, false);
-  out.add_raw("conv.forward.hw" + std::to_string(hw),
-              roofline_entry(flops1 * reps, bytes1 * reps, timer.seconds(),
-                             reps));
+  out.add_raw(key, roofline_entry(flops1 * reps, bytes1 * reps,
+                                  timer.seconds(), reps));
 }
+
+// The decoder's six layers (adarnet/decoder.cpp: 6 -> 8 -> 16 -> 64 convs,
+// then 64 -> 64 -> 16 -> 4 deconvs, all k = 3), timed on a level-3 64x64
+// patch and named by the GEMM each runs: m output channels, k = 9 * input
+// channels.
+struct DecoderLayer {
+  int in_c;
+  int out_c;
+  bool deconv;
+};
+constexpr DecoderLayer kDecoderLayers[] = {
+    {6, 8, false},   {8, 16, false},  {16, 64, false},
+    {64, 64, true},  {64, 16, true},  {16, 4, true},
+};
 
 // Times sgemm at (m, n, k) and writes its roofline entry.
 void roofline_gemm(bench::JsonObject& out, int m, int n, int k,
@@ -227,7 +244,14 @@ int main(int argc, char** argv) {
   }
   adarnet::bench::JsonObject by_size;
   for (int hw : {16, 32, 64, 128}) {
-    roofline_conv_forward(by_size, hw, target);
+    roofline_conv_forward(by_size, "conv.forward.hw" + std::to_string(hw), 16,
+                          16, false, hw, target);
+  }
+  for (const auto& layer : kDecoderLayers) {
+    roofline_conv_forward(by_size,
+                          "conv.decoder.m" + std::to_string(layer.out_c) +
+                              "k" + std::to_string(9 * layer.in_c) + ".hw64",
+                          layer.in_c, layer.out_c, layer.deconv, 64, target);
   }
   for (int s : {64, 128, 256}) {
     roofline_gemm(by_size, s, s, s, target);

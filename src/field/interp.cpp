@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <vector>
 
 namespace adarnet::field {
 
@@ -41,25 +42,38 @@ double bilinear_at(const Array2D<T>& src, double y, double x) {
          v10 * fy * (1 - fx) + v11 * fy * fx;
 }
 
-template <typename T>
-double bicubic_at(const Array2D<T>& src, double y, double x) {
-  const int i0 = static_cast<int>(std::floor(y));
-  const int j0 = static_cast<int>(std::floor(x));
-  const double fy = y - i0;
-  const double fx = x - j0;
-  double wx[4];
-  double wy[4];
+// The four bicubic taps at fractional index t on an axis of n cells: the
+// source indices floor(t) - 1 .. floor(t) + 2, clamped to the border, and
+// their Keys weights. They depend on one coordinate only, so resize()
+// computes them once per output row and once per output column.
+struct CubicTaps {
+  int idx[4];
+  double w[4];
+};
+
+CubicTaps cubic_taps(double t, int n) {
+  const int i0 = static_cast<int>(std::floor(t));
+  const double f = t - i0;
+  CubicTaps taps;
   for (int k = 0; k < 4; ++k) {
-    wy[k] = bicubic_kernel(fy - (k - 1));
-    wx[k] = bicubic_kernel(fx - (k - 1));
+    taps.idx[k] = std::clamp(i0 + k - 1, 0, n - 1);
+    taps.w[k] = bicubic_kernel(f - (k - 1));
   }
+  return taps;
+}
+
+// The bicubic value where row taps ty cross column taps tx: each of the
+// four rows weighted along x, then the rows weighted along y.
+template <typename T>
+double bicubic_at(const Array2D<T>& src, const CubicTaps& ty,
+                  const CubicTaps& tx) {
   double acc = 0.0;
   for (int di = 0; di < 4; ++di) {
     double row = 0.0;
     for (int dj = 0; dj < 4; ++dj) {
-      row += wx[dj] * sample_clamped(src, i0 + di - 1, j0 + dj - 1);
+      row += tx.w[dj] * src(ty.idx[di], tx.idx[dj]);
     }
-    acc += wy[di] * row;
+    acc += ty.w[di] * row;
   }
   return acc;
 }
@@ -71,14 +85,28 @@ Array2D<T> resize_impl(const Array2D<T>& src, int ny, int nx, Interp scheme) {
   Array2D<T> dst(ny, nx);
   const double sy = static_cast<double>(src.ny()) / ny;
   const double sx = static_cast<double>(src.nx()) / nx;
+  if (scheme == Interp::kBilinear) {
+#pragma omp parallel for schedule(static)
+    for (int i = 0; i < ny; ++i) {
+      const double y = (i + 0.5) * sy - 0.5;
+      for (int j = 0; j < nx; ++j) {
+        const double x = (j + 0.5) * sx - 0.5;
+        dst(i, j) = static_cast<T>(bilinear_at(src, y, x));
+      }
+    }
+    return dst;
+  }
+  std::vector<CubicTaps> cols(static_cast<std::size_t>(nx));
+  for (int j = 0; j < nx; ++j) {
+    cols[static_cast<std::size_t>(j)] =
+        cubic_taps((j + 0.5) * sx - 0.5, src.nx());
+  }
 #pragma omp parallel for schedule(static)
   for (int i = 0; i < ny; ++i) {
-    const double y = (i + 0.5) * sy - 0.5;
+    const CubicTaps ty = cubic_taps((i + 0.5) * sy - 0.5, src.ny());
     for (int j = 0; j < nx; ++j) {
-      const double x = (j + 0.5) * sx - 0.5;
-      const double v = scheme == Interp::kBilinear ? bilinear_at(src, y, x)
-                                                   : bicubic_at(src, y, x);
-      dst(i, j) = static_cast<T>(v);
+      dst(i, j) = static_cast<T>(
+          bicubic_at(src, ty, cols[static_cast<std::size_t>(j)]));
     }
   }
   return dst;
@@ -136,8 +164,10 @@ Grid2Dd resize_adjoint(const Grid2Dd& grad_out, int src_ny, int src_nx,
 }
 
 double sample(const Grid2Dd& src, double y, double x, Interp scheme) {
-  return scheme == Interp::kBilinear ? bilinear_at(src, y, x)
-                                     : bicubic_at(src, y, x);
+  return scheme == Interp::kBilinear
+             ? bilinear_at(src, y, x)
+             : bicubic_at(src, cubic_taps(y, src.ny()),
+                          cubic_taps(x, src.nx()));
 }
 
 Grid2Dd restrict_mean(const Grid2Dd& src, int factor) {

@@ -224,7 +224,7 @@ Tensor Conv2D::forward_gemm(const Tensor& input) {
       std::fill_n(out_s + static_cast<std::size_t>(o) * N, N,
                   bias_->value[o]);
     }
-    // Implicit GEMM: B panels are packed from the input planes.
+    // Implicit GEMM straight from the input planes (no im2col panel).
     sgemm_conv(M, in_channels_, h, w, kernel_, A, plane(input, s, 0), out_s);
   }
   arena.release(m0);

@@ -9,8 +9,9 @@
 //
 // Execution is cache-blocked SGEMM over the calling thread's workspace
 // arena (see gemm.hpp / im2col.hpp). Forward is one implicit-GEMM call per
-// sample (sgemm_conv), whose B panels are packed straight from the input
-// planes; only backward materialises im2col panels, for its
+// sample (sgemm_conv), which reads B from a zero-padded copy of the input
+// (packing B panels from it at widths that are not a multiple of 16);
+// only backward materialises im2col panels, for its
 // weight-gradient and input-gradient GEMMs. tests/test_nn_gemm.cpp checks
 // all three against direct per-tap reference loops.
 #pragma once

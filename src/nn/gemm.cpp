@@ -1,9 +1,12 @@
 #include "nn/gemm.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <new>
+#include <stdexcept>
 
 #include "nn/im2col.hpp"
 #include "nn/tensor.hpp"  // memory counters
@@ -102,7 +105,9 @@ struct DenseB {
 // input plane rows[p] names, shifted (nn/im2col.hpp); column j is output
 // cell (j / w, j % w). Each panel row is assembled from shifted input
 // rows with shift_row, the helper im2col itself is made of, so the packed
-// panel is the one DenseB would make from the col matrix.
+// panel is the one DenseB would make from the col matrix. sgemm_conv packs
+// with it only where a panel can span image rows (w % 16 != 0); elsewhere
+// the microkernel reads a zero-padded copy of the sample (PaddedRows).
 struct ConvB {
   const ColRow* rows;  // one per K row, built once per call
   const float* src;    // the sample's c planes
@@ -121,27 +126,6 @@ struct ConvB {
     const ColRow* rp = rows + p0;
     for (int jr = 0; jr < nc; jr += kNR) {
       const int j = j0 + jr;
-      if (w % kNR == 0) {
-        // One-row fast path: the panel's 16 columns are cells [x0, x0 + 16)
-        // of image row y. This needs j0 and nc to be multiples of 16;
-        // every blocking's nc is one (ScopedGemmBlocking rounds it), so
-        // with h*w a multiple of 16 each panel is full and within one
-        // image row. It
-        // runs 14-23% faster than row segments on conv forward (DESIGN.md
-        // §6).
-        const int y = j / w;
-        const int x0 = j - y * w;
-        for (int p = 0; p < kc; ++p, dst += kNR) {
-          const float* row = row_at(rp[p], y);
-          const int s = x0 + rp[p].dx;
-          if (row && s >= 0 && s + kNR <= w) {
-            for (int q = 0; q < kNR; ++q) dst[q] = row[s + q];
-          } else {
-            shift_row</*kWholeRow=*/false>(row, w, x0, rp[p].dx, kNR, dst);
-          }
-        }
-        continue;
-      }
       // Row segments: split the panel's columns into runs within one image
       // row, then assemble each panel row from one shifted row per run.
       struct Segment {
@@ -167,21 +151,46 @@ struct ConvB {
   }
 };
 
-// Portable microkernel (tier 0): acc(MR x NR) = packed_a panel * packed_b
-// panel. The compiler vectorises the NR loop at the baseline ISA, without
-// FMA (a multiply and an add, two roundings).
-void kernel_portable(int kc, const float* ap, const float* bp, float* acc) {
+// Where the microkernel finds B: row(t) is the current k-step's row of
+// panel t (NR floats), next() steps to the next k. Each is fixed at
+// compile time, so the kernel's inner loop is the same code as if it were
+// written for one.
+
+// A packed B block (DenseB, ConvB): panel t holds kc rows of NR floats,
+// 64-byte aligned, kc * NR floats after panel t - 1.
+struct PackedRows {
+  static constexpr bool kAligned = true;
+  const float* bp;    // panel 0's current row
+  std::size_t panel;  // kc * NR
+  const float* row(int t) const { return bp + t * panel; }
+  void next() { bp += kNR; }
+};
+
+// The zero-padded copy of a conv sample (sgemm_conv with w % 16 == 0):
+// row p of panel t is the NR floats at base[t] + off[p], unaligned.
+struct PaddedRows {
+  static constexpr bool kAligned = false;
+  const float* base[2];  // panel t's first pixel, tap (0, 0) of channel 0
+  const int* off;        // the current K row's tap offset
+  const float* row(int t) const { return base[t] + *off; }
+  void next() { ++off; }
+};
+
+// Portable microkernel (tier 0): acc(MR x NR) = packed A panel * B panel.
+// The compiler vectorises the NR loop at the baseline ISA, without FMA (a
+// multiply and an add, two roundings).
+template <class Rows>
+void kernel_portable(int kc, const float* ap, Rows rows, float* acc) {
   std::memset(acc, 0, sizeof(float) * kMR * kNR);
-  for (int p = 0; p < kc; ++p) {
+  for (int p = 0; p < kc; ++p, ap += kMR, rows.next()) {
     float brow[kNR];
+    const float* bp = rows.row(0);
     for (int q = 0; q < kNR; ++q) brow[q] = bp[q];
     for (int r = 0; r < kMR; ++r) {
       const float av = ap[r];
       float* arow = acc + r * kNR;
       for (int q = 0; q < kNR; ++q) arow[q] += av * brow[q];
     }
-    ap += kMR;
-    bp += kNR;
   }
 }
 
@@ -202,6 +211,9 @@ struct Ymm {
   ADARNET_TIER_OP("avx2,fma") reg load(const float* p) {
     return _mm256_load_ps(p);
   }
+  ADARNET_TIER_OP("avx2,fma") reg loadu(const float* p) {
+    return _mm256_loadu_ps(p);
+  }
   ADARNET_TIER_OP("avx2,fma") reg bcast(const float* p) {
     return _mm256_broadcast_ss(p);
   }
@@ -219,6 +231,9 @@ struct Zmm {
   static constexpr int kLanes = 16;
   ADARNET_TIER_OP("avx512f") reg load(const float* p) {
     return _mm512_load_ps(p);
+  }
+  ADARNET_TIER_OP("avx512f") reg loadu(const float* p) {
+    return _mm512_loadu_ps(p);
   }
   ADARNET_TIER_OP("avx512f") reg bcast(const float* p) {
     return _mm512_set1_ps(*p);
@@ -242,30 +257,30 @@ struct Zmm {
 #endif
 
 // The microkernel, one body for every tier: acc = the MR-row A panel times
-// kPanels adjacent B panels (the packer stores them kc * NR elements
-// apart), written out as kPanels MR x NR tiles. A row of the register tile
-// is kPanels * NR / V::kLanes vectors; a k-step loads that many B vectors
-// and, per row, broadcasts one A element into that many FMAs. Whatever the
-// tier or panel count, each accumulator lane starts at +0 and takes one
-// FMA per k-step in ascending p, so every output bit is the same on all of
-// them; only the cache blocking changes the summation grouping. A target
-// attribute takes a string literal, so the body is stamped out once per
-// tier (its name, target and vector type) by this macro, and the tier is
-// picked at run time (gemm_isa_tier()).
+// kPanels adjacent B panels, which `rows` locates (a packed block or the
+// padded input), written out as kPanels MR x NR tiles. A row of the
+// register tile is kPanels * NR / V::kLanes vectors; a k-step loads that
+// many B vectors and, per row, broadcasts one A element into that many
+// FMAs. Whatever the tier, panel count or B source, each accumulator lane
+// starts at +0 and takes one FMA per k-step in ascending p, so every
+// output bit is the same on all of them; only the cache blocking changes
+// the summation grouping. A target attribute takes a string literal, so
+// the body is stamped out once per tier (its name, target and vector type)
+// by this macro, and the tier is picked at run time (gemm_isa_tier()).
 #define ADARNET_DEF_MICROKERNEL(NAME, TARGET, V)                             \
-  template <int kPanels>                                                    \
+  template <int kPanels, class Rows>                                        \
   __attribute__((target(TARGET))) void NAME(int kc, const float* ap,        \
-                                            const float* bp, float* acc) {  \
+                                            Rows rows, float* acc) {        \
     constexpr int kPanelVecs = kNR / V::kLanes;                             \
     constexpr int kRowVecs = kPanels * kPanelVecs;                          \
-    const std::size_t panel = static_cast<std::size_t>(kc) * kNR;           \
     V::reg c[kMR][kRowVecs] = {}; /* every lane +0 */                       \
-    for (int p = 0; p < kc; ++p, ap += kMR, bp += kNR) {                    \
+    for (int p = 0; p < kc; ++p, ap += kMR, rows.next()) {                  \
       V::reg b[kRowVecs];                                                   \
       ADARNET_UNROLL                                                        \
       for (int v = 0; v < kRowVecs; ++v) {                                  \
-        b[v] = V::load(bp + v / kPanelVecs * panel +                        \
-                       v % kPanelVecs * V::kLanes);                         \
+        const float* bp =                                                   \
+            rows.row(v / kPanelVecs) + v % kPanelVecs * V::kLanes;          \
+        b[v] = Rows::kAligned ? V::load(bp) : V::loadu(bp);                 \
       }                                                                     \
       ADARNET_UNROLL                                                        \
       for (int r = 0; r < kMR; ++r) {                                       \
@@ -292,26 +307,31 @@ ADARNET_DEF_MICROKERNEL(kernel_avx512, "avx512f", Zmm)
 
 #endif  // ADARNET_GEMM_X86
 
-using Kern = void (*)(int, const float*, const float*, float*);
+template <class Rows>
+using Kern = void (*)(int, const float*, Rows, float*);
 
-// What every sgemm call runs: `one` computes the MR x NR tile of one B
-// panel; `two`, tier 2 only, the tiles of two adjacent panels at once.
+// What every block reading B through `Rows` runs: `one` computes the
+// MR x NR tile of one B panel; `two`, tier 2 only, the tiles of two
+// adjacent panels at once.
+template <class Rows>
 struct Microkernels {
-  Kern one;
-  Kern two = nullptr;
+  Kern<Rows> one;
+  Kern<Rows> two = nullptr;
 };
 
-// The kernels of this CPU's tier, chosen once.
-const Microkernels& microkernels() {
-  static const Microkernels kern = [] {
+// The kernels of this CPU's tier, chosen once per B source.
+template <class Rows>
+const Microkernels<Rows>& microkernels() {
+  static const Microkernels<Rows> kern = [] {
 #ifdef ADARNET_GEMM_X86
     const int tier = gemm_isa_tier();
     if (tier >= 2) {
-      return Microkernels{kernel_avx512<1>, kernel_avx512<2>};
+      return Microkernels<Rows>{kernel_avx512<1, Rows>,
+                                kernel_avx512<2, Rows>};
     }
-    if (tier == 1) return Microkernels{kernel_avx2<1>};
+    if (tier == 1) return Microkernels<Rows>{kernel_avx2<1, Rows>};
 #endif
-    return Microkernels{kernel_portable};
+    return Microkernels<Rows>{kernel_portable<Rows>};
   }();
   return kern;
 }
@@ -476,68 +496,86 @@ void account_sgemm(GemmInstruments& ins, int m, int n, int k) {
   ins.isa.set(gemm_isa_tier());
 }
 
+// Floats of the packed A block (mc x kc) and B block (kc x nc) an
+// (m x k) * (k x n) product draws at the blocking `bl`.
+std::size_t a_block_floats(int m, int k, const GemmBlocking& bl) {
+  return static_cast<std::size_t>(std::min((m + kMR - 1) / kMR * kMR, bl.mc)) *
+         static_cast<std::size_t>(std::min(k, bl.kc));
+}
+
+std::size_t b_block_floats(int n, int k, const GemmBlocking& bl) {
+  return static_cast<std::size_t>(std::min(k, bl.kc)) *
+         static_cast<std::size_t>(std::min((n + kNR - 1) / kNR * kNR, bl.nc));
+}
+
+// One (kc, mc) block of the block loop: C (mc x nc at `c`) += alpha *
+// the packed A block times B, whose panel jp rows_of(jp) locates. The
+// threads share out the panels in groups: with a paired kernel (tier 2)
+// pairs of adjacent panels, the last one alone when the count is odd. The
+// caller has already applied beta, so the merge is "+=", and each C element
+// is computed by one kernel call per block whatever the grouping.
+template <class Rows, class RowsOf>
+void multiply_block(int kc, int mc, int nc, const float* apack,
+                    const RowsOf& rows_of, float alpha, float* c, int ldc) {
+  const Microkernels<Rows>& kern = microkernels<Rows>();
+  const int group = kern.two != nullptr ? 2 : 1;
+  const int n_panels = (nc + kNR - 1) / kNR;
+  const int n_groups = (n_panels + group - 1) / group;
+#pragma omp parallel for schedule(static)
+  for (int g = 0; g < n_groups; ++g) {
+    const int jp = g * group;
+    const int np = std::min(group, n_panels - jp);
+    const Kern<Rows> run = np == 2 ? kern.two : kern.one;
+    const Rows rows = rows_of(jp);
+    for (int ir = 0; ir < mc; ir += kMR) {
+      const int mr = std::min(kMR, mc - ir);
+      const float* ap =
+          apack + static_cast<std::size_t>(ir) * kc;  // MR-row panel
+      alignas(64) float acc[2 * kMR * kNR];
+      run(kc, ap, rows, acc);
+      // Merge each tile: C += alpha * acc (edges clipped).
+      for (int t = 0; t < np; ++t) {
+        const int jr = (jp + t) * kNR;
+        const int nr = std::min(kNR, nc - jr);
+        const float* tile = acc + t * kMR * kNR;
+        for (int r = 0; r < mr; ++r) {
+          float* crow = c + static_cast<std::size_t>(ir + r) * ldc + jr;
+          const float* arow = tile + r * kNR;
+          for (int q = 0; q < nr; ++q) crow[q] += alpha * arow[q];
+        }
+      }
+    }
+  }
+}
+
 // The Goto/BLIS block loop over packed panels, at the calling thread's
-// blocking and generic in where the B panels come from (DenseB, ConvB).
-// The caller has already applied beta; all block updates here are "+="
-// merges. With a paired kernel (tier 2) the threads share out pairs of
-// adjacent panels, the last one alone when the block has an odd count;
-// each C element is still computed by one kernel call per (kc, mc) block,
-// in the same order.
+// blocking and generic in where the B panels are packed from (DenseB,
+// ConvB). Per nc block and kc block the B block is packed once, then each
+// mc block of A is packed and multiplied against it.
 template <class BSource>
 void sgemm_blocked(Trans ta, int m, int n, int k, float alpha,
                    const float* a, int lda, const BSource& b, float* c,
                    int ldc) {
   const GemmBlocking bl = gemm_blocking();
-  const Microkernels& kern = microkernels();
   Arena& arena = Arena::local();
   const std::size_t m0 = arena.mark();
-  const int kc_max = std::min(k, bl.kc);
-  const int nc_max = std::min((n + kNR - 1) / kNR * kNR, bl.nc);
-  const int mc_max = std::min((m + kMR - 1) / kMR * kMR, bl.mc);
-  float* bpack =
-      arena.alloc_floats(static_cast<std::size_t>(kc_max) * nc_max);
-  float* apack =
-      arena.alloc_floats(static_cast<std::size_t>(mc_max) * kc_max);
-  const int group = kern.two != nullptr ? 2 : 1;
-
+  float* bpack = arena.alloc_floats(b_block_floats(n, k, bl));
+  float* apack = arena.alloc_floats(a_block_floats(m, k, bl));
   for (int jc = 0; jc < n; jc += bl.nc) {
     const int nc = std::min(bl.nc, n - jc);
-    const int nc_pad = (nc + kNR - 1) / kNR * kNR;
     for (int pc = 0; pc < k; pc += bl.kc) {
       const int kc = std::min(bl.kc, k - pc);
       b.pack(pc, jc, kc, nc, bpack);
+      const std::size_t panel = static_cast<std::size_t>(kc) * kNR;
+      const auto rows_of = [&](int jp) {
+        return PackedRows{bpack + jp * panel, panel};
+      };
       for (int ic = 0; ic < m; ic += bl.mc) {
         const int mc = std::min(bl.mc, m - ic);
         pack_a(a, lda, ta, ic, pc, mc, kc, apack);
-        const int n_panels = nc_pad / kNR;
-        const int n_groups = (n_panels + group - 1) / group;
-#pragma omp parallel for schedule(static)
-        for (int g = 0; g < n_groups; ++g) {
-          const int jp = g * group;
-          const int np = std::min(group, n_panels - jp);
-          const Kern run = np == 2 ? kern.two : kern.one;
-          const float* bp = bpack + static_cast<std::size_t>(jp) * kc * kNR;
-          for (int ir = 0; ir < mc; ir += kMR) {
-            const int mr = std::min(kMR, mc - ir);
-            const float* ap =
-                apack + static_cast<std::size_t>(ir) * kc;  // MR-row panel
-            alignas(64) float acc[2 * kMR * kNR];
-            run(kc, ap, bp, acc);
-            // Merge each tile: C += alpha * acc (edges clipped).
-            for (int t = 0; t < np; ++t) {
-              const int jr = (jp + t) * kNR;
-              const int nr = std::min(kNR, nc - jr);
-              const float* tile = acc + t * kMR * kNR;
-              for (int r = 0; r < mr; ++r) {
-                float* crow = c +
-                              static_cast<std::size_t>(ic + ir + r) * ldc +
-                              jc + jr;
-                const float* arow = tile + r * kNR;
-                for (int q = 0; q < nr; ++q) crow[q] += alpha * arow[q];
-              }
-            }
-          }
-        }
+        multiply_block<PackedRows>(
+            kc, mc, nc, apack, rows_of, alpha,
+            c + static_cast<std::size_t>(ic) * ldc + jc, ldc);
       }
     }
   }
@@ -550,21 +588,115 @@ std::size_t tap_table_floats(std::size_t rows) {
                   sizeof(float));
 }
 
+// Whether sgemm_conv reads B from a padded copy of the sample: every
+// NR-column panel is then NR pixels of one image row.
+bool one_row_panels(int w) { return w % kNR == 0; }
+
+// sgemm_conv's zero-padded sample: c planes of (h + k - 1) x (w + k - 1)
+// floats, the input placed k / 2 rows and columns in.
+struct PaddedShape {
+  int pad;
+  int wp;
+  std::size_t plane;
+  std::size_t floats;
+
+  PaddedShape(int c, int h, int w, int k)
+      : pad(k / 2),
+        wp(w + k - 1),
+        plane(static_cast<std::size_t>(h + k - 1) * wp),
+        floats(static_cast<std::size_t>(c) * plane) {}
+};
+
+// The tap offsets share the arena with floats, one slot each.
+static_assert(sizeof(int) == sizeof(float));
+
+// sgemm_conv without a B pack, for one_row_panels(w). The sample is staged
+// once into its PaddedShape (the border ring zeroed, the rows copied in),
+// so col-matrix entry (r, j) is the padded float at base(j / NR) + off[r]
+// + j % NR: base(t) is panel t's first pixel (y, x0) in plane 0,
+// y * wp + x0, and K row r = (ic * k + ky) * k + kx has the tap offset
+// off[r] = ic * plane + ky * wp + kx. The padding holds the 0.0f the
+// packer writes, and the A pack, the kc and mc blocks, the panel groups
+// and the FMA order are the packed loop's, so C is bitwise the same.
+// There is no B block, so no nc loop.
+void sgemm_conv_padded(int m, int c, int h, int w, int k, const float* a,
+                       const float* src, float* out) {
+  const PaddedShape ps(c, h, w, k);
+  if (ps.floats > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+    throw std::length_error("sgemm_conv: sample too large for int offsets");
+  }
+  const GemmBlocking bl = gemm_blocking();
+  const int n = h * w;
+  const int kdim = c * k * k;
+  Arena& arena = Arena::local();
+  const std::size_t m0 = arena.mark();
+  float* padded = arena.alloc_floats(ps.floats);
+  int* off = ::new (arena.alloc_floats(static_cast<std::size_t>(kdim)))
+      int[kdim];
+  float* apack = arena.alloc_floats(a_block_floats(m, kdim, bl));
+
+  const std::size_t halo = static_cast<std::size_t>(ps.pad) * ps.wp;
+  for (int ch = 0; ch < c; ++ch) {
+    float* dst = padded + ch * ps.plane;
+    std::fill_n(dst, halo, 0.0f);
+    for (int y = 0; y < h; ++y) {
+      float* row = dst + static_cast<std::size_t>(ps.pad + y) * ps.wp;
+      std::fill_n(row, ps.pad, 0.0f);
+      std::memcpy(row + ps.pad,
+                  src + (static_cast<std::size_t>(ch) * h + y) * w,
+                  sizeof(float) * w);
+      std::fill_n(row + ps.pad + w, ps.pad, 0.0f);
+    }
+    std::fill_n(dst + ps.plane - halo, halo, 0.0f);
+  }
+  const int kk = k * k;
+  for (int r = 0; r < kdim; ++r) {
+    const int t = r % kk;
+    off[r] = static_cast<int>((r / kk) * ps.plane) + t / k * ps.wp + t % k;
+  }
+  const int n_panels = n / kNR;
+  const auto base = [&](int t) {
+    const int y = t * kNR / w;
+    return padded + static_cast<std::size_t>(y) * ps.wp + (t * kNR - y * w);
+  };
+  // The last panel's last tap ends on the buffer's last float.
+  assert(base(n_panels - 1) + off[kdim - 1] + kNR == padded + ps.floats);
+
+  for (int pc = 0; pc < kdim; pc += bl.kc) {
+    const int kc = std::min(bl.kc, kdim - pc);
+    const auto rows_of = [&](int jp) {
+      return PaddedRows{{base(jp), base(std::min(jp + 1, n_panels - 1))},
+                        off + pc};
+    };
+    for (int ic = 0; ic < m; ic += bl.mc) {
+      const int mc = std::min(bl.mc, m - ic);
+      pack_a(a, kdim, Trans::kNo, ic, pc, mc, kc, apack);
+      multiply_block<PaddedRows>(kc, mc, n, apack, rows_of, 1.0f,
+                                 out + static_cast<std::size_t>(ic) * n, n);
+    }
+  }
+  arena.release(m0);
+}
+
 }  // namespace
 
 std::size_t sgemm_workspace_bytes(int m, int n, int k) {
   const GemmBlocking bl = gemm_blocking();
-  const std::size_t kc = static_cast<std::size_t>(std::min(k, bl.kc));
-  const std::size_t nc = static_cast<std::size_t>(std::min(
-      (n + kNR - 1) / kNR * kNR, bl.nc));
-  const std::size_t mc = static_cast<std::size_t>(std::min(
-      (m + kMR - 1) / kMR * kMR, bl.mc));
   // sgemm_blocked's two pack buffers, each rounded like the arena.
-  return (align_up(mc * kc) + align_up(kc * nc)) * sizeof(float);
+  return (align_up(a_block_floats(m, k, bl)) +
+          align_up(b_block_floats(n, k, bl))) *
+         sizeof(float);
 }
 
 std::size_t sgemm_conv_workspace_bytes(int m, int c, int h, int w, int k) {
   const int kdim = c * k * k;
+  if (one_row_panels(w)) {
+    // sgemm_conv_padded: the padded sample, the tap offsets, the A pack.
+    return (align_up(PaddedShape(c, h, w, k).floats) +
+            align_up(static_cast<std::size_t>(kdim)) +
+            align_up(a_block_floats(m, kdim, gemm_blocking()))) *
+           sizeof(float);
+  }
   return tap_table_floats(static_cast<std::size_t>(kdim)) * sizeof(float) +
          sgemm_workspace_bytes(m, h * w, kdim);
 }
@@ -601,16 +733,20 @@ void sgemm_conv(int m, int c, int h, int w, int k, const float* a,
   if (m <= 0 || n <= 0 || kdim <= 0) return;
   GemmInstruments& ins = gemm_instruments();
   util::trace::Span span(ins.scope);
-  // Each K row's (plane offset, dy, dx), once per call: the packer then
-  // never divides.
-  Arena& arena = Arena::local();
-  const std::size_t m0 = arena.mark();
-  ColRow* rows = ::new (arena.alloc_floats(
-      tap_table_floats(static_cast<std::size_t>(kdim)))) ColRow[kdim];
-  for (int r = 0; r < kdim; ++r) rows[r] = col_row(r, h, w, k);
-  sgemm_blocked(Trans::kNo, m, n, kdim, 1.0f, a, kdim, ConvB{rows, src, h, w},
-                out, n);
-  arena.release(m0);
+  if (one_row_panels(w)) {
+    sgemm_conv_padded(m, c, h, w, k, a, src, out);
+  } else {
+    // Each K row's (plane offset, dy, dx), once per call: the packer then
+    // never divides.
+    Arena& arena = Arena::local();
+    const std::size_t m0 = arena.mark();
+    ColRow* rows = ::new (arena.alloc_floats(
+        tap_table_floats(static_cast<std::size_t>(kdim)))) ColRow[kdim];
+    for (int r = 0; r < kdim; ++r) rows[r] = col_row(r, h, w, k);
+    sgemm_blocked(Trans::kNo, m, n, kdim, 1.0f, a, kdim,
+                  ConvB{rows, src, h, w}, out, n);
+    arena.release(m0);
+  }
   span.stop();
   if (util::metrics::enabled()) account_sgemm(ins, m, n, kdim);
 }

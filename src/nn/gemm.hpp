@@ -1,16 +1,19 @@
 // Cache-blocked single-precision GEMM and the workspace arena that backs
-// the convolution engine's scratch buffers (GEMM pack buffers and the
-// implicit-GEMM tap table; in backward also the im2col panels and the
-// gradient accumulators).
+// the convolution engine's scratch buffers (GEMM pack buffers, the
+// implicit GEMM's zero-padded input and tap offsets or its tap table; in
+// backward also the im2col panels and the gradient accumulators).
 //
 // The GEMM follows the classic Goto/BLIS structure: the operands are
 // packed into contiguous panels blocked as (Mc x Kc) and (Kc x Nc), and an
 // (MR x NR) = 6 x 16 register-tiled microkernel runs over the packed
-// panels. The convolution forward uses the same loop as an implicit GEMM
-// (sgemm_conv): its B panels are packed straight from the input planes.
-// The microkernel has three tiers, picked once per process from the CPU
-// (gemm_isa_tier()); only the kernels are compiled for them, the rest of
-// the library stays at the baseline ISA:
+// panels. The convolution forward is the same loop as an implicit GEMM
+// (sgemm_conv) that never builds the im2col matrix. Where the image width
+// is a multiple of 16, each 16-column B panel is 16 pixels of one image
+// row, so the microkernel reads B straight from a zero-padded copy of the
+// input and no B is packed; other widths pack B panels from the input
+// planes. The microkernel has three tiers, picked once per process from
+// the CPU (gemm_isa_tier()); only the kernels are compiled for them, the
+// rest of the library stays at the baseline ISA:
 //   0  portable: a kernel the compiler vectorises, multiply then add;
 //   1  AVX2 + FMA: the 6 x 16 tile on 12 ymm accumulators;
 //   2  AVX-512F: two adjacent B panels at once, a 6 x 32 tile on 12 zmm
@@ -121,8 +124,8 @@ GemmBlocking gemm_blocking();
 
 /// Test seam: pins a blocking for every sgemm and sgemm_conv on the
 /// calling thread while in scope, clamped to the legal grid (mc a positive
-/// multiple of 6, kc >= 4, nc a positive multiple of 16 -- sgemm_conv's
-/// one-row packer path relies on the last). Nests.
+/// multiple of 6, kc >= 4, nc a positive multiple of 16, so every B block
+/// but a row's last holds whole panels). Nests.
 class ScopedGemmBlocking {
  public:
   explicit ScopedGemmBlocking(GemmBlocking b);
@@ -150,16 +153,21 @@ std::size_t sgemm_workspace_bytes(int m, int n, int k);
 /// Implicit-GEMM convolution of one sample: C (m x h*w, row-major) +=
 /// A (m x c*k*k, row-major) * im2col(src) for a same-padded, stride-1
 /// convolution (`src` is c contiguous h x w planes, k odd; see
-/// nn/im2col.hpp for the im2col layout). The B panels are packed straight
-/// from the input planes, so the (c*k*k) x (h*w) col matrix is never
-/// built. Blocking, microkernels and the nn.gemm accounting are sgemm's,
-/// so C is bitwise what im2col followed by sgemm(kNo, kNo, m, h*w, c*k*k,
-/// 1, a, c*k*k, col, h*w, 1, out, h*w) produces.
+/// nn/im2col.hpp for the im2col layout). The (c*k*k) x (h*w) col matrix is
+/// never built. When w % 16 == 0 the sample is copied once into c
+/// zero-padded (h+k-1) x (w+k-1) planes and the microkernel reads B from
+/// them through one int offset per K row, with no B pack and no Nc
+/// blocking (std::length_error if c*(h+k-1)*(w+k-1) exceeds INT_MAX);
+/// otherwise B panels are packed from the input planes. The A pack, the
+/// Kc and Mc blocking, the microkernels and the nn.gemm accounting are
+/// sgemm's, so C is bitwise what im2col followed by sgemm(kNo, kNo, m,
+/// h*w, c*k*k, 1, a, c*k*k, col, h*w, 1, out, h*w) produces.
 void sgemm_conv(int m, int c, int h, int w, int k, const float* a,
                 const float* src, float* out);
 
-/// Arena bytes one sgemm_conv call of this shape draws: sgemm's pack
-/// buffers for (m, h*w, c*k*k) plus the per-row tap table.
+/// Arena bytes one sgemm_conv call of this shape draws: when w % 16 == 0
+/// the padded input, its tap offsets and the A pack; otherwise sgemm's
+/// pack buffers for (m, h*w, c*k*k) plus the per-row tap table.
 std::size_t sgemm_conv_workspace_bytes(int m, int c, int h, int w, int k);
 
 /// Floating-point operations one sgemm call of this shape performs

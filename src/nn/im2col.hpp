@@ -2,8 +2,9 @@
 // configuration ADARNet uses; kernel size stays a parameter), defined once
 // for both of its users:
 //   - the forward pass, whose implicit-GEMM entry (sgemm_conv in
-//     nn/gemm.hpp) packs its B panels straight from the input planes with
-//     col_row() and shift_row() and never materialises the col matrix;
+//     nn/gemm.hpp) never materialises the col matrix: at widths that are
+//     not a multiple of 16 it packs its B panels from the input planes
+//     with col_row() and shift_row();
 //   - the backward pass, which runs im2col() / col2im_add() around its
 //     dW and dX GEMMs.
 //

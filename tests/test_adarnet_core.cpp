@@ -388,8 +388,8 @@ TEST(AdarNetModel, InferenceShapesAndBookkeeping) {
 }
 
 TEST(AdarNetModel, SlicedInferenceMatchesWholeBinDecoderBitwise) {
-  // Level-3 patches 8 cells wide (the GEMM packer's row-segment path) and
-  // 16 wide (its one-row fast path).
+  // Level-3 patches 8 cells wide (the conv forward packs B from row
+  // segments) and 16 wide (it reads B from the zero-padded input).
   {
     SCOPED_TRACE("8 wide");
     check_sliced_infer_matches_whole_bins(2, 1, 10, 12);

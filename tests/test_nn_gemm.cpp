@@ -1,7 +1,9 @@
 // Tests for the blocked-SGEMM convolution: numerical equivalence against
 // the direct per-tap reference loops (the oracle below) across kernel
 // sizes, deconv (flipped) mode, non-square inputs and batches; the
-// implicit-GEMM forward entry against im2col + sgemm, bitwise; raw sgemm
+// implicit-GEMM forward entry against im2col + sgemm, bitwise, on both of
+// its B sources (the padded input and the row-segment packer); the
+// decoder's layers bitwise across thread counts; raw sgemm
 // correctness against a naive triple loop, at the default and at pinned
 // cache blockings; the blocking override's clamping and nesting; sgemm
 // and sgemm_conv against a scalar FMA oracle in the microkernel's order,
@@ -24,6 +26,10 @@
 #include "nn/tensor.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 namespace {
 
@@ -268,14 +274,17 @@ TEST(GemmConv, WorkspaceEstimateCoversArenaUse) {
   // anything it draws past that comes from an overflow block the closing
   // release folds in, so the capacity afterwards equals the estimate only
   // if the estimate covered every draw. The estimate grows case by case
-  // (the deconv adds its flipped weights), so an arena recycled from the
-  // previous case's thread is still too small.
+  // (the deconv adds its flipped weights; at width 13 the packer's B block
+  // outweighs the padded input at 32), so an arena recycled from the
+  // previous case's thread is still too small. Width 32 reads the padded
+  // input, width 13 packs B.
   struct Case {
     const char* name;
     bool flipped;
     int hw;
   };
-  const Case cases[] = {{"conv", false, 32}, {"deconv", true, 32}};
+  const Case cases[] = {
+      {"conv", false, 32}, {"deconv", true, 32}, {"narrow conv", false, 13}};
   for (const Case& cs : cases) {
     SCOPED_TRACE(cs.name);
     Rng rng(31);
@@ -297,13 +306,17 @@ TEST(GemmConv, WorkspaceEstimateCoversArenaUse) {
 
 // sgemm_conv against the col matrix it never builds: C starts bias-filled
 // and must come out bitwise equal to im2col + sgemm(kNo, kNo, beta 1).
-// Widths below 16, between multiples and past one panel take the
-// row-segment packer; 16 and 64 the one-row fast path. h != w throughout.
+// Widths that are a multiple of 16 read B from the zero-padded input: at
+// 16 each panel is a row and every tier-2 pair spans two rows, at 32 each
+// row is one pair, at 48 three panels (every other pair spans two rows,
+// and the last panel runs alone: 51 rows make an odd count), at 64 two
+// pairs. Widths below 16, between multiples and past one panel take the
+// row-segment packer. h != w throughout.
 void check_implicit_matches_im2col() {
   Rng rng(53);
   const int m = 13, c = 5;
   for (int k : {1, 3, 5}) {
-    for (int w : {1, 2, 4, 5, 8, 13, 16, 17, 64}) {
+    for (int w : {1, 2, 4, 5, 8, 13, 16, 17, 32, 48, 64}) {
       const int h = w == 64 ? 6 : w + 3;
       SCOPED_TRACE("k=" + std::to_string(k) + " w=" + std::to_string(w));
       const int kdim = c * k * k;
@@ -329,10 +342,50 @@ void check_implicit_matches_im2col() {
   }
 }
 
+// The decoder's layers (adarnet/decoder.cpp) as the threads share out
+// their panel groups: every output bit is the same at 1, 3 and 4 threads.
+// At 64x64 each layer reads the padded input over 256 panels; a 15 x 16
+// sample has 15, so tier 2's last panel runs alone.
+TEST(GemmConv, ForwardBitwiseAcrossThreadCounts) {
+#ifdef _OPENMP
+  struct Layer {
+    int in_c, out_c;
+    bool deconv;
+  };
+  const Layer layers[] = {{6, 8, false},  {8, 16, false}, {16, 64, false},
+                          {64, 64, true}, {64, 16, true}, {16, 4, true}};
+  const int shapes[][2] = {{64, 64}, {15, 16}};
+  const int saved = omp_get_max_threads();
+  for (const Layer& l : layers) {
+    for (const auto& hw : shapes) {
+      SCOPED_TRACE("m=" + std::to_string(l.out_c) + " k=" +
+                   std::to_string(9 * l.in_c) + " " + std::to_string(hw[0]) +
+                   "x" + std::to_string(hw[1]));
+      Rng rng(67);
+      Conv2D conv(l.in_c, l.out_c, 3, rng, l.deconv);
+      const Tensor in = random_tensor(1, l.in_c, hw[0], hw[1], rng);
+      omp_set_num_threads(1);
+      const Tensor want = conv.forward(in, /*train=*/false);
+      for (int nt : {3, 4}) {
+        omp_set_num_threads(nt);
+        const Tensor got = conv.forward(in, /*train=*/false);
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              want.numel() * sizeof(float)),
+                  0)
+            << "threads=" << nt;
+      }
+    }
+  }
+  omp_set_num_threads(saved);
+#else
+  GTEST_SKIP() << "built without OpenMP";
+#endif
+}
+
 TEST(GemmConv, ImplicitPackingMatchesIm2colBitwise) {
   check_implicit_matches_im2col();
-  // kc blocks that end mid-channel; panels and nc blocks that straddle
-  // image rows.
+  // kc blocks that end mid-channel; the packer's panels and nc blocks
+  // that straddle image rows.
   const ScopedGemmBlocking pin(GemmBlocking{12, 20, 48});
   check_implicit_matches_im2col();
 }
@@ -528,10 +581,15 @@ TEST(Sgemm, MatchesScalarFmaOracleBitwise) {
   check_sgemm_oracle(13, 125, 300, 1.0f, 0.0f, rng);
   check_sgemm_oracle(7, 16, 9, 1.0f, 1.0f, rng);
   // Default blocking for the implicit GEMM: the m16 / 3x3 deconv shape
-  // with k = 288 past one kc block; full panels (w = 16) and row segments
-  // (w = 13, n % 16 != 0).
+  // with k = 288 past one kc block; the padded input (w = 16) and row
+  // segments (w = 13, n % 16 != 0).
   check_conv_oracle(16, 32, 8, 16, 3, rng);
   check_conv_oracle(13, 32, 5, 13, 3, rng);
+  // The padded input at k = 5 (a two-pixel ring, k = 300 past one kc
+  // block), and at the m4 / k144 head's shape, whose one row panel has
+  // two zero rows.
+  check_conv_oracle(13, 12, 6, 32, 5, rng);
+  check_conv_oracle(4, 16, 5, 48, 3, rng);
   {
     // Pinned blocking: kc = 20 ends mid-channel (9 K rows a channel),
     // nc = 48 makes 3 panels a block, odd.
